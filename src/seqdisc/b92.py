@@ -23,13 +23,12 @@ receivers, which never happen on a clean line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
-from .sampling import chunk_ranges, trial_uniforms
+from .sampling import SEED_LIMIT, binomial_rate, run_trials, state_index
 from .sequential import build_chain
 from .states import make_state_pair
 
@@ -103,8 +102,8 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     if eve not in EVE_POLICIES:
         raise ValueError(f"config field 'eve'={eve!r} must be one of {EVE_POLICIES}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"config field 'seed'={seed!r} must be a nonnegative integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"config field 'seed'={seed!r} must be an integer in [0, 2**128)")
     return SessionConfig(s=s, rounds=rounds, mode=mode, eve=eve, seed=seed)
 
 
@@ -143,29 +142,22 @@ def run_session(config: SessionConfig) -> KeyReport:
         bob_bounds = sampling_boundaries(chain.stages[0])
         charlie_bounds = sampling_boundaries(chain.stages[1])
 
-    draws = _draws_per_round(config)
-    counts = dict(both=0, bob=0, charlie=0, eve=0, err_b=0, err_c=0)
-    for start, count in chunk_ranges(config.rounds):
-        u = trial_uniforms(config.seed, count, draws, start)
-        prep = np.where(u[:, 0] < 0.5, 1, 2).astype(np.int8)
-
+    def kernel(u, prep):
         if config.eve == EVE_NONE:
             forwarded = prep
-            known = np.zeros(count, dtype=bool)
+            known = np.zeros(len(prep), dtype=bool)
             col = 1
         elif config.mode == MODE_TWO_QUBIT:
             out_e1 = classify_uniforms(eve_bounds, prep, u[:, 1])
             out_e2 = classify_uniforms(eve_bounds, prep, u[:, 2])
             known = (out_e1 != 0) | (out_e2 != 0)
             identified = np.where(out_e1 != 0, out_e1, out_e2)
-            guess = np.where(u[:, 3] < 0.5, 1, 2).astype(np.int8)
-            forwarded = np.where(known, identified, guess).astype(np.int8)
+            forwarded = np.where(known, identified, state_index(u[:, 3]))
             col = 4
         else:
             out_e = classify_uniforms(eve_bounds, prep, u[:, 1])
             known = out_e != 0
-            guess = np.where(u[:, 2] < 0.5, 1, 2).astype(np.int8)
-            forwarded = np.where(known, out_e, guess).astype(np.int8)
+            forwarded = np.where(known, out_e, state_index(u[:, 2]))
             col = 3
 
         out_b = classify_uniforms(bob_bounds, forwarded, u[:, col])
@@ -176,33 +168,18 @@ def run_session(config: SessionConfig) -> KeyReport:
 
         sift_b = out_b != 0
         sift_c = out_c != 0
-        counts["bob"] += int(np.count_nonzero(sift_b))
-        counts["charlie"] += int(np.count_nonzero(sift_c))
-        counts["both"] += int(np.count_nonzero(sift_b & sift_c))
-        counts["eve"] += int(np.count_nonzero(known))
-        counts["err_b"] += int(np.count_nonzero(sift_b & (out_b != prep)))
-        counts["err_c"] += int(np.count_nonzero(sift_c & (out_c != prep)))
+        return (
+            np.count_nonzero(sift_b & sift_c),
+            np.count_nonzero(sift_b),
+            np.count_nonzero(sift_c),
+            np.count_nonzero(known),
+            np.count_nonzero(sift_b & (out_b != prep)),
+            np.count_nonzero(sift_c & (out_c != prep)),
+        )
 
+    names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",
+             "errors_bob", "errors_charlie")
     n = config.rounds
-
-    def rate(c):
-        r = c / n
-        return (r, math.sqrt(max(r * (1.0 - r), 0.0) / n))
-
-    return KeyReport(
-        rounds=n,
-        both_sifted=counts["both"],
-        bob_sifted=counts["bob"],
-        charlie_sifted=counts["charlie"],
-        eve_known=counts["eve"],
-        errors_bob=counts["err_b"],
-        errors_charlie=counts["err_c"],
-        rates={
-            "both_sifted": rate(counts["both"]),
-            "bob_sifted": rate(counts["bob"]),
-            "charlie_sifted": rate(counts["charlie"]),
-            "eve_known": rate(counts["eve"]),
-            "errors_bob": rate(counts["err_b"]),
-            "errors_charlie": rate(counts["err_c"]),
-        },
-    )
+    counts = dict(zip(names, run_trials(config.seed, n, _draws_per_round(config), kernel)))
+    return KeyReport(rounds=n, **counts,
+                     rates={name: binomial_rate(c, n) for name, c in counts.items()})

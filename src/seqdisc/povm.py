@@ -236,13 +236,13 @@ def classify_uniforms(boundaries: np.ndarray, prep: np.ndarray, u: np.ndarray) -
 
     `prep` holds prepared indices (1 or 2), `u` the uniforms; returns an
     int8 array of outcomes in {0, 1, 2} using the same cell layout as
-    apply().
+    apply().  With lo, hi = the row of `prep`, the outcome is
+    2*(u < hi) - (u < lo), which gives those cells only because every row
+    has lo <= hi (P(2) >= 0); lo == hi is an empty outcome-2 cell.
     """
-    b = boundaries[prep - 1]
-    out = np.zeros(u.shape, dtype=np.int8)
-    out[u < b[:, 1]] = 2
-    out[u < b[:, 0]] = 1
-    return out
+    idx = prep - 1
+    below_lo = (u < np.take(boundaries[:, 0], idx)).view(np.int8)
+    return 2 * (u < np.take(boundaries[:, 1], idx)).view(np.int8) - below_lo
 
 
 def apply(meas: UDMeasurement, input_index: int, rand: float):

@@ -1,4 +1,4 @@
-"""Reproducible per-trial uniform draws.
+"""Reproducible per-trial uniform draws and the Monte Carlo driver.
 
 All Monte Carlo code in this package draws from a counter-based Philox
 stream keyed by the user seed.  Each trial owns a fixed window of the
@@ -7,14 +7,31 @@ stream: trial i uses counter blocks [i*B, (i+1)*B) where B is the number of
 Because the window depends only on the trial index, any chunking of a run
 produces bit-identical draws, and results are reproducible across runs and
 machines for a given seed.
+
+run_trials() is the one chunk loop behind every simulator: it fills each
+chunk's draws, picks the prepared state from draw 0, and sums the counts a
+simulator-specific kernel returns.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # doubles produced per 128-bit Philox counter increment
 _BLOCK = 4
+
+# Trials per chunk of run_trials(); bounds the memory of one chunk's draws.
+CHUNK_TRIALS = 1 << 18
+
+# Philox keys are 128-bit integers.
+SEED_LIMIT = 1 << 128
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
 
 
 def blocks_per_trial(draws_per_trial: int) -> int:
@@ -28,8 +45,7 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     draw j of each trial; the values do not depend on how a run is split
     into chunks.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     if n_trials < 0 or start_trial < 0:
         raise ValueError("trial counts must be nonnegative")
     if draws_per_trial < 1:
@@ -41,7 +57,7 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     return np.ascontiguousarray(raw[:, :draws_per_trial])
 
 
-def chunk_ranges(n_trials: int, chunk_size: int = 1 << 18):
+def chunk_ranges(n_trials: int, chunk_size: int = CHUNK_TRIALS):
     """Yield (start, count) pairs covering range(n_trials) in chunks."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -50,3 +66,33 @@ def chunk_ranges(n_trials: int, chunk_size: int = 1 << 18):
         count = min(chunk_size, n_trials - start)
         yield start, count
         start += count
+
+
+def state_index(u: np.ndarray) -> np.ndarray:
+    """Equal-prior state choice from uniforms: int8 1 below 0.5, else 2."""
+    return (u >= 0.5).view(np.int8) + 1
+
+
+def run_trials(seed: int, trials: int, draws_per_trial: int, kernel) -> tuple:
+    """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
+
+    Each chunk gets its (count, draws_per_trial) draws from trial_uniforms;
+    draw 0 picks the prepared state (state_index), and kernel(u, prep)
+    returns a tuple of counts for the chunk.  The sums do not depend on the
+    chunk size, because neither the draws nor the per-trial kernel do.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    check_seed(seed)
+    totals = None
+    for start, count in chunk_ranges(trials, CHUNK_TRIALS):
+        u = trial_uniforms(seed, count, draws_per_trial, start)
+        counts = kernel(u, state_index(u[:, 0]))
+        totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))
+    return totals
+
+
+def binomial_rate(count: int, n: int) -> tuple:
+    """(count / n, binomial standard error of that fraction)."""
+    rate = count / n
+    return rate, math.sqrt(max(rate * (1.0 - rate), 0.0) / n)

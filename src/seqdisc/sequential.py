@@ -31,7 +31,7 @@ from .povm import (
     classify_uniforms,
     sampling_boundaries,
 )
-from .sampling import chunk_ranges, trial_uniforms
+from .sampling import binomial_rate, run_trials
 from .states import make_state_pair
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,6 +77,23 @@ class TallyReport:
             "estimated_joint_probability": self.estimated_joint_probability,
             "standard_error": self.standard_error,
         }
+
+    @classmethod
+    def from_counts(cls, trials, branch1, branch2, all_count, any_count, err_count):
+        """Report from summed outcome_counts(); the joint estimate is
+        all_count / trials with its binomial standard error."""
+        return cls(trials, {1: branch1, 2: branch2}, all_count, any_count, err_count,
+                   *binomial_rate(all_count, trials))
+
+
+def outcome_counts(joint, at_least_one, error, prep) -> tuple:
+    """Per-chunk counts behind TallyReport.from_counts, from trial masks:
+    joint successes split by prepared state, then their total, trials with
+    at least one success, and trials with any conclusive wrong outcome."""
+    branch1 = np.count_nonzero(joint & (prep == 1))
+    all_count = np.count_nonzero(joint)
+    return (branch1, all_count - branch1, all_count,
+            np.count_nonzero(at_least_one), np.count_nonzero(error))
 
 
 def equal_failure_joint(s: float, t: float) -> float:
@@ -172,12 +189,16 @@ def optimize_two_observer(s: float) -> OptimizationResult:
     return OptimizationResult(t_star=t_star, q_star=t_star, p_star=p_star)
 
 
+def _check_chain_length(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 def optimal_n_observer(s: float, n: int) -> float:
     """Best probability that all n observers identify the state."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s={s} outside (0, 1)")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_chain_length(n)
     return (1.0 - s ** (1.0 / n)) ** n
 
 
@@ -191,8 +212,7 @@ def build_chain(s: float, n: int) -> ChainSpec:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s={s} outside (0, 1)")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_chain_length(n)
     q = s ** (1.0 / n)
     stages = []
     overlap = s
@@ -220,37 +240,19 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     so stage k's outcome distribution depends only on the prepared index.
     An observer "succeeds" when its outcome equals the prepared index.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    n = chain.n
     bounds = [sampling_boundaries(stage) for stage in chain.stages]
-    branch = {1: 0, 2: 0}
-    all_count = 0
-    any_count = 0
-    err_count = 0
-    for start, count in chunk_ranges(trials):
-        u = trial_uniforms(seed, count, n + 1, start)
-        prep = np.where(u[:, 0] < 0.5, 1, 2).astype(np.int8)
-        all_succ = np.ones(count, dtype=bool)
-        any_succ = np.zeros(count, dtype=bool)
-        err = np.zeros(count, dtype=bool)
-        for k in range(n):
-            out = classify_uniforms(bounds[k], prep, u[:, k + 1])
-            all_succ &= out == prep
-            any_succ |= out == prep
-            err |= out == (3 - prep)
-        branch[1] += int(np.count_nonzero(all_succ & (prep == 1)))
-        branch[2] += int(np.count_nonzero(all_succ & (prep == 2)))
-        all_count += int(np.count_nonzero(all_succ))
-        any_count += int(np.count_nonzero(any_succ))
-        err_count += int(np.count_nonzero(err))
-    p_hat = all_count / trials
-    return TallyReport(
-        trials=trials,
-        per_branch_success_counts=branch,
-        all_observers_success_count=all_count,
-        at_least_one_success_count=any_count,
-        error_count=err_count,
-        estimated_joint_probability=p_hat,
-        standard_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
-    )
+
+    def kernel(u, prep):
+        wrong = 3 - prep
+        all_ok = np.ones(len(prep), dtype=bool)
+        any_ok = np.zeros(len(prep), dtype=bool)
+        err = np.zeros(len(prep), dtype=bool)
+        for k, stage_bounds in enumerate(bounds, 1):
+            out = classify_uniforms(stage_bounds, prep, u[:, k])
+            ok = out == prep
+            all_ok &= ok
+            any_ok |= ok
+            err |= out == wrong
+        return outcome_counts(all_ok, any_ok, err, prep)
+
+    return TallyReport.from_counts(trials, *run_trials(seed, trials, chain.n + 1, kernel))

@@ -30,8 +30,8 @@ import numpy as np
 
 from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
 from .reporting import csv_text, fmt
-from .sampling import chunk_ranges, trial_uniforms
-from .sequential import TallyReport, build_chain, simulate_chain
+from .sampling import run_trials
+from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
 from .states import make_state_pair
 
 KINDS = ("1", "2", "3", "seq")
@@ -134,8 +134,6 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     kind = str(kind)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     if kind == "seq":
         return simulate_chain(build_chain(float(s), 2), trials, seed)
     s = float(s)
@@ -143,54 +141,28 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         raise ValueError(f"s={s} outside (0, 1)")
     bounds = sampling_boundaries(build_optimal_ud(make_state_pair(s)))
     p_clone = 1.0 / (1.0 + s)
-    draws = {"1": 2, "2": 3, "3": 4}[kind]
+    col = 2 if kind == "3" else 1  # first receiver's draw
 
-    branch = {1: 0, 2: 0}
-    all_count = 0
-    any_count = 0
-    err_count = 0
-    for start, count in chunk_ranges(trials):
-        u = trial_uniforms(seed, count, draws, start)
-        prep = np.where(u[:, 0] < 0.5, 1, 2).astype(np.int8)
+    def kernel(u, prep):
+        wrong = 3 - prep
+        out_b = classify_uniforms(bounds, prep, u[:, col])
+        ok_b = out_b == prep
+        err = out_b == wrong
         if kind == "1":
-            out = classify_uniforms(bounds, prep, u[:, 1])
-            joint = out == prep
-            at_least = joint
-            err = out == (3 - prep)
-        elif kind == "2":
-            out_b = classify_uniforms(bounds, prep, u[:, 1])
-            ok_b = out_b == prep
+            return outcome_counts(ok_b, ok_b, err, prep)
+        out_c = classify_uniforms(bounds, prep, u[:, col + 1])
+        ok_c = out_c == prep
+        if kind == "2":
             # the second receiver only gets a qubit if the first succeeded,
             # and then it is a perfect copy of the prepared state
-            out_c = classify_uniforms(bounds, prep, u[:, 2])
-            ok_c = out_c == prep
-            joint = ok_b & ok_c
-            at_least = ok_b
-            err = (out_b == (3 - prep)) | (ok_b & (out_c == (3 - prep)))
-        else:  # kind == "3"
-            cloned = u[:, 1] < p_clone
-            out_b = classify_uniforms(bounds, prep, u[:, 2])
-            out_c = classify_uniforms(bounds, prep, u[:, 3])
-            ok_b = cloned & (out_b == prep)
-            ok_c = cloned & (out_c == prep)
-            joint = ok_b & ok_c
-            at_least = ok_b | ok_c
-            err = cloned & ((out_b == (3 - prep)) | (out_c == (3 - prep)))
-        branch[1] += int(np.count_nonzero(joint & (prep == 1)))
-        branch[2] += int(np.count_nonzero(joint & (prep == 2)))
-        all_count += int(np.count_nonzero(joint))
-        any_count += int(np.count_nonzero(at_least))
-        err_count += int(np.count_nonzero(err))
-    p_hat = all_count / trials
-    return TallyReport(
-        trials=trials,
-        per_branch_success_counts=branch,
-        all_observers_success_count=all_count,
-        at_least_one_success_count=any_count,
-        error_count=err_count,
-        estimated_joint_probability=p_hat,
-        standard_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
-    )
+            return outcome_counts(ok_b & ok_c, ok_b, err | (ok_b & (out_c == wrong)), prep)
+        cloned = u[:, 1] < p_clone
+        ok_b &= cloned
+        ok_c &= cloned
+        return outcome_counts(ok_b & ok_c, ok_b | ok_c, cloned & (err | (out_c == wrong)), prep)
+
+    draws = {"1": 2, "2": 3, "3": 4}[kind]
+    return TallyReport.from_counts(trials, *run_trials(seed, trials, draws, kernel))
 
 
 _SVG_SERIES = (

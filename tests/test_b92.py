@@ -38,6 +38,7 @@ def test_config_validation_names_the_field():
         ({**good, "mode": "carrier_pigeon"}, "field 'mode'"),
         ({**good, "eve": "peek"}, "field 'eve'"),
         ({**good, "seed": -1}, "field 'seed'"),
+        ({**good, "seed": 2**128}, "field 'seed'"),
         ({**good, "tirals": 5}, "tirals"),
     ]
     for raw, needle in cases:

@@ -60,6 +60,18 @@ def test_simulate_rejects_zero_trials(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kind", "seq", "--s", "0.5", "--trials", "10"),
+    ("simulate", "--kind", "3", "--s", "0.5", "--trials", "10"),
+    ("b92", "--s", "0.5", "--rounds", "10", "--mode", "two_qubit"),
+])
+def test_seed_beyond_128_bits_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", str(2**128))
+    assert code == 2
+    assert out == ""
+    assert "seed" in err and "2**128" in err
+
+
 def test_optimize_rejects_bad_overlap(capsys):
     code, out, err = run_cli(capsys, "optimize", "--s", "1.5")
     assert code == 2

@@ -194,6 +194,40 @@ def test_classify_uniforms_agrees_with_apply():
         assert fast[j] == outcome
 
 
+def _classify_reference(boundaries, prep, u):
+    """The gather-and-masked-store classifier, kept as the reference."""
+    b = boundaries[prep - 1]
+    out = np.zeros(u.shape, dtype=np.int8)
+    out[u < b[:, 1]] = 2
+    out[u < b[:, 0]] = 1
+    return out
+
+
+@pytest.mark.parametrize("prep_dtype", [np.int8, np.int64])
+def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
+    optimal = sampling_boundaries(build_optimal_ud(make_state_pair(0.4)))
+    # the optimal measurement floors the wrong-outcome cell: lo == hi
+    assert optimal[0, 0] == optimal[0, 1]
+    rows = [(0.3, 0.7), (0.25, 0.25), (0.0, 0.4), (0.0, 0.0), (0.6, 1.0),
+            (0.0, 1.0), (1.0, 1.0), tuple(optimal[0]), tuple(optimal[1])]
+    rng = np.random.default_rng(7)
+    for row1 in rows:
+        for row2 in rows:
+            edges = np.array([0.0, 0.5, *row1, *row2])
+            near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+            values = np.concatenate([near, rng.random(64)])
+            u = np.repeat(values, 2)
+            prep = np.tile(np.array([1, 2], dtype=prep_dtype), len(values))
+            boundaries = np.array([row1, row2])
+            want = _classify_reference(boundaries, prep, u)
+            got = classify_uniforms(boundaries, prep, u)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
+            # simulators pass strided columns of the per-trial draw array
+            strided = np.stack([u, u], axis=1)[:, 1]
+            assert np.array_equal(classify_uniforms(boundaries, prep, strided), want)
+
+
 def test_measurement_matrices_are_read_only():
     meas = build_optimal_ud(make_state_pair(0.5))
     with pytest.raises(ValueError):

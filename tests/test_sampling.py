@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from seqdisc import sampling
+from seqdisc.b92 import EVE_POLICIES, MODES, SessionConfig, run_session
 from seqdisc.sampling import blocks_per_trial, chunk_ranges, trial_uniforms
+from seqdisc.sequential import build_chain, simulate_chain
+from seqdisc.strategies import simulate_strategy
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3, 4, 5, 6, 8, 9])
@@ -44,6 +48,8 @@ def test_blocks_per_trial():
 def test_argument_validation():
     with pytest.raises(ValueError):
         trial_uniforms(-1, 10, 2)
+    with pytest.raises(ValueError, match="seed"):
+        trial_uniforms(2**128, 10, 2)
     with pytest.raises(ValueError):
         trial_uniforms(1, -5, 2)
     with pytest.raises(ValueError):
@@ -56,3 +62,26 @@ def test_chunk_ranges_cover_exactly():
     ranges = list(chunk_ranges(10, 4))
     assert ranges == [(0, 4), (4, 4), (8, 2)]
     assert list(chunk_ranges(0)) == []
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    trials = 300
+    runs = [lambda: simulate_chain(build_chain(0.4, 3), trials, 5)]
+    runs += [lambda k=k: simulate_strategy(k, 0.4, trials, 5) for k in ("1", "2", "3")]
+    runs += [lambda m=m, e=e: run_session(SessionConfig(0.4, trials, m, e, seed=5))
+             for m in MODES for e in EVE_POLICIES]
+    calls = []
+    original = sampling.trial_uniforms
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sampling, "trial_uniforms", counting)
+    reports = []
+    for chunk in (1, 7, 1 << 18):
+        monkeypatch.setattr(sampling, "CHUNK_TRIALS", chunk)
+        calls.clear()
+        reports.append([run() for run in runs])
+        assert len(calls) == len(runs) * -(-trials // chunk)
+    assert reports[0] == reports[1] == reports[2]

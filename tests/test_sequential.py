@@ -75,6 +75,8 @@ def test_n_observer_closed_form():
         optimal_n_observer(s, 0)
     with pytest.raises(ValueError):
         optimal_n_observer(s, 2.5)
+    with pytest.raises(ValueError, match="n must be"):
+        optimal_n_observer(s, True)
 
 
 def test_n_observer_rate_decreases_with_overlap():
@@ -118,6 +120,8 @@ def test_build_chain_validation():
         build_chain(0.0, 2)
     with pytest.raises(ValueError):
         build_chain(0.5, 0)
+    with pytest.raises(ValueError, match="n must be"):
+        build_chain(0.3, True)
 
 
 def test_simulate_chain_matches_scalar_application():

@@ -1,10 +1,15 @@
 """Write the golden CLI fixtures in this directory.
 
 Each case runs `seqdisc.cli.main(argv)` in-process and stores its stdout,
-byte for byte, as `<name>.json`; `cases.json` maps every name to its argv.
-The fixtures pin the exact report bytes of the Monte Carlo commands, so a
-refactor of the sampling or classification code can be checked against
-them.  Regenerate only from a commit whose output is known to be right:
+byte for byte, as `<name>.json` (`<name>.csv` for `curves`, whose stdout is
+a table); `cases.json` maps every name to its argv.  A case can also pin
+the files a command writes: in its argv, the value after `--out`, `--svg`
+or `--matrix` is the name of the fixture that file is compared with, and
+the command is run with that value replaced by a scratch path.  The
+fixtures pin the exact report bytes of the Monte Carlo commands and the
+table and plot bytes of the analytic ones, so a refactor of the sampling,
+classification or formatting code can be checked against them.
+Regenerate only from a commit whose output is known to be right:
 
     PYTHONPATH=src python tests/golden/generate.py
 
@@ -19,6 +24,7 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 
 from seqdisc.cli import main
 
@@ -33,6 +39,8 @@ B92_PAIRS = (
     ("one_qubit_sequential", "none"),
     ("one_qubit_sequential", "intercept_ud"),
 )
+# Options whose value is a path the command writes to.
+FILE_FLAGS = ("--out", "--svg", "--matrix")
 
 
 def cases() -> dict:
@@ -48,24 +56,68 @@ def cases() -> dict:
             out[f"b92-{mode}-{eve}-seed{seed}"] = [
                 "b92", "--s", s, "--rounds", str(trials), "--mode", mode,
                 "--eve", eve, "--seed", str(seed)]
+    out["curves-default"] = ["curves", "--svg", "curves-default.svg"]
+    out["curves-steps1001"] = [
+        "curves", "--s-min", "0.123", "--s-max", "0.877", "--steps", "1001",
+        "--out", "curves-steps1001.out.csv"]
+    # a grid 1e-7 wide: the irrational cells need all 12 significant digits
+    out["curves-narrow"] = [
+        "curves", "--s-min", "0.3", "--s-max", "0.3000001", "--steps", "9",
+        "--svg", "curves-narrow.svg"]
+    # the imaginary parts of the real unitary print as 0, never -0
+    for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999")):
+        out[f"neumark-s{label}"] = [
+            "neumark", "--s", s, "--matrix", f"neumark-s{label}.matrix.csv"]
     return out
 
 
-def run(argv: list) -> bytes:
+def stdout_fixture(name: str, argv: list) -> str:
+    """File name of the fixture holding a case's stdout."""
+    return f"{name}.{'csv' if argv[0] == 'curves' else 'json'}"
+
+
+def written_fixtures(argv: list) -> dict:
+    """Map each file option in argv to the fixture its output is compared with."""
+    return {flag: argv[i + 1] for i, flag in enumerate(argv) if flag in FILE_FLAGS}
+
+
+def run(argv: list, workdir) -> tuple:
+    """Run one case with its output files under `workdir`.
+
+    Returns (stdout bytes, {fixture name: written bytes}) and raises
+    RuntimeError if the command exits non-zero."""
+    workdir = pathlib.Path(workdir)
+    files = written_fixtures(argv)
+    actual = [str(workdir / argv[i]) if i and argv[i - 1] in FILE_FLAGS else arg
+              for i, arg in enumerate(argv)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(list(argv))
+        code = main(actual)
     if code != 0:
-        raise SystemExit(f"{argv} exited {code}")
-    return buf.getvalue().encode("utf-8")
+        raise RuntimeError(f"{argv} exited {code}")
+    written = {f: (workdir / f).read_bytes() for f in files.values()}
+    return buf.getvalue().encode("utf-8"), written
+
+
+def fixture_names(table: dict) -> set:
+    """Every fixture file the cases in `table` need."""
+    names = set()
+    for name, argv in table.items():
+        names.add(stdout_fixture(name, argv))
+        names.update(written_fixtures(argv).values())
+    return names
 
 
 def generate() -> None:
     table = cases()
-    for name, argv in table.items():
-        (HERE / f"{name}.json").write_bytes(run(argv))
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argv in table.items():
+            stdout, written = run(argv, workdir)
+            (HERE / stdout_fixture(name, argv)).write_bytes(stdout)
+            for fixture, data in written.items():
+                (HERE / fixture).write_bytes(data)
     (HERE / "cases.json").write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} fixtures to {HERE}", file=sys.stderr)
+    print(f"wrote {len(fixture_names(table))} fixtures to {HERE}", file=sys.stderr)
 
 
 if __name__ == "__main__":

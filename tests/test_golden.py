@@ -1,23 +1,43 @@
-"""Byte-level regression of the Monte Carlo CLI reports.
+"""Byte-level regression of the CLI reports, tables, plots and matrices.
 
 The fixtures under tests/golden/ were written by tests/golden/generate.py
-from known-good code; this test only reads them.
+from known-good code; these tests only read them.
 """
 
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
-from seqdisc.cli import main
-
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
+_spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
+
+WRITES_FILES = sorted(name for name, argv in CASES.items() if generate.written_fixtures(argv))
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden_bytes(name, capsys):
-    code = main(list(CASES[name]))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+def test_stdout_matches_golden_bytes(name, tmp_path):
+    argv = CASES[name]
+    out, _ = generate.run(argv, tmp_path)
+    assert out == (GOLDEN / generate.stdout_fixture(name, argv)).read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITES_FILES)
+def test_written_files_match_golden_bytes(name, tmp_path):
+    _, written = generate.run(CASES[name], tmp_path)
+    assert written
+    for fixture, data in written.items():
+        assert data == (GOLDEN / fixture).read_bytes(), fixture
+
+
+def test_fixtures_match_the_generator():
+    assert generate.cases() == CASES
+    expected = generate.fixture_names(CASES)
+    present = {p.name for p in GOLDEN.iterdir() if p.is_file()} - {"cases.json", "generate.py"}
+    assert sorted(expected - present) == [], "cases without a fixture file"
+    assert sorted(present - expected) == [], "orphan fixture files"

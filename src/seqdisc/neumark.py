@@ -159,13 +159,7 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement, tol: float 
     return prob_gap + infidelity
 
 
-def unitary_csv_rows(dilation: DilationUnitary):
-    """Rows of U as alternating real and imaginary parts (6 rows of 12)."""
-    rows = []
-    for i in range(TOTAL_DIM):
-        row = []
-        for j in range(TOTAL_DIM):
-            row.append(float(dilation.u[i, j].real))
-            row.append(float(dilation.u[i, j].imag))
-        rows.append(row)
-    return rows
+def unitary_csv_rows(dilation: DilationUnitary) -> np.ndarray:
+    """Rows of U as alternating real and imaginary parts (6 rows of 12):
+    the float64 view of a row-major copy of the complex matrix."""
+    return np.ascontiguousarray(dilation.u).view(np.float64)

@@ -34,8 +34,6 @@ from .povm import (
 from .sampling import binomial_rate, run_trials
 from .states import make_state_pair
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -144,42 +142,17 @@ class OptimizationResult:
         return {"t_star": self.t_star, "q_star": self.q_star, "p_star": self.p_star}
 
 
-def _golden_max(f, lo: float, hi: float, width: float = 1e-12, max_iter: int = 200):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < width:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def optimize_two_observer(s: float) -> OptimizationResult:
-    """Maximize the symmetric-slice joint success over t in (s, 1).
+    """Maximize the symmetric-slice joint success over t in [s, 1].
 
-    Golden-section search; the result is cross-checked against the closed
-    form (1 - sqrt(s))^2 and both t_star and the common failure probability
-    q_star land on sqrt(s).
+    f(t) = (1 - s/t)(1 - t) has f'(t) = s/t^2 - 1, so the maximum sits at
+    t_star = sqrt(s), which is also the common failure probability q_star;
+    it holds for every s in (0, 1), however small.  p_star is f(t_star),
+    cross-checked against the closed form (1 - sqrt(s))^2.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s={s} outside (0, 1)")
-    t_star, p_star = _golden_max(
-        lambda t: (1.0 - s / t) * (1.0 - t), s + 1e-9, 1.0 - 1e-9
-    )
-    # a comparison-based search resolves a flat maximum only to about
-    # sqrt(machine eps); one Newton step on f'(t) = s/t^2 - 1 removes that
-    # noise floor (f''(t) = -2 s / t^3)
-    t_star = t_star - (1.0 - s / t_star**2) * t_star**3 / (2.0 * s)
+    t_star = math.sqrt(s)
     p_star = (1.0 - s / t_star) * (1.0 - t_star)
     closed = (1.0 - math.sqrt(s)) ** 2
     if abs(p_star - closed) > 1e-9:

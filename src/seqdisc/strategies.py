@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
-from .reporting import csv_text, fmt
+from .reporting import csv_text, fmt, format_rows
 from .sampling import run_trials
 from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
 from .states import make_state_pair
@@ -112,8 +112,7 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
 
 
 def curve_csv(curve: StrategyCurve) -> str:
-    rows = zip(curve.s, curve.p_seq, curve.p1, curve.p2, curve.p3, curve.at_least_one)
-    return csv_text(CSV_HEADER, rows)
+    return csv_text(CSV_HEADER, np.column_stack([getattr(curve, name) for name in CSV_HEADER]))
 
 
 def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
@@ -226,9 +225,9 @@ def curve_svg(curve: StrategyCurve, width: int = 640, height: int = 480) -> str:
         f'<text x="{fmt(left + pw / 2)}" y="{fmt(height - 8)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">overlap s</text>'
     )
+    xs = x(curve.s)
     for idx, (attr, label, dash) in enumerate(_SVG_SERIES):
-        values = getattr(curve, attr)
-        points = " ".join(f"{fmt(x(sv))},{fmt(y(pv))}" for sv, pv in zip(curve.s, values))
+        points = format_rows(np.column_stack([xs, y(getattr(curve, attr))]), ",", " ")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="black" '
@@ -244,5 +243,5 @@ def curve_svg(curve: StrategyCurve, width: int = 640, height: int = 480) -> str:
             f'<text x="{fmt(lx + 42)}" y="{fmt(ly)}" font-family="sans-serif" '
             f'font-size="12">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

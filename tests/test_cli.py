@@ -38,6 +38,15 @@ def test_optimize_csv_format(capsys):
     assert float(row["p_star"]) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("s", ["1e-300", "1e-19", "1e-18"])
+def test_optimize_accepts_tiny_overlaps(capsys, s):
+    code, out, err = run_cli(capsys, "optimize", "--s", s)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["t_star"] == report["q_star"] == round_sig(math.sqrt(float(s)))
+    assert report["p_star"] == report["p_star_closed_form"]
+
+
 def test_written_report_round_trips_at_output_precision(tmp_path, capsys):
     # re-reading the file reproduces the in-memory values at 12 significant
     # digits, the precision every emitter rounds to before serializing

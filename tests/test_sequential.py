@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from seqdisc.povm import apply
 from seqdisc.sampling import trial_uniforms
@@ -54,6 +56,24 @@ def test_optimizer_beats_exhaustive_grid(s):
     assert result.p_star >= grid_best - 1e-9
     assert result.t_star == pytest.approx(math.sqrt(s), abs=1e-8)
     assert result.q_star == pytest.approx(math.sqrt(s), abs=1e-8)
+    assert result.p_star == pytest.approx((1.0 - math.sqrt(s)) ** 2, abs=1e-12)
+
+
+# log-spaced overlaps over the whole domain: s = 10**e toward 0 and
+# s = 1 - 10**e toward 1
+LOG_SPACED_S = hst.one_of(
+    hst.floats(min_value=-300.0, max_value=-1e-3).map(lambda e: 10.0**e),
+    hst.floats(min_value=-12.0, max_value=-1e-3).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOG_SPACED_S)
+def test_optimizer_holds_across_the_domain(s):
+    result = optimize_two_observer(s)
+    assert result.t_star == result.q_star == math.sqrt(s)
+    assert s <= result.t_star <= 1.0
+    assert 0.0 <= result.p_star <= 1.0
     assert result.p_star == pytest.approx((1.0 - math.sqrt(s)) ** 2, abs=1e-12)
 
 

@@ -154,7 +154,7 @@ def optimize_two_observer(s: float) -> OptimizationResult:
         raise ValueError(f"s={s} outside (0, 1)")
     t_star = math.sqrt(s)
     p_star = (1.0 - s / t_star) * (1.0 - t_star)
-    closed = (1.0 - math.sqrt(s)) ** 2
+    closed = (1.0 - t_star) ** 2
     if abs(p_star - closed) > 1e-9:
         raise ArithmeticError(
             f"optimizer drifted from the closed form: {p_star} vs {closed}"

@@ -112,7 +112,8 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
 
 
 def curve_csv(curve: StrategyCurve) -> str:
-    return csv_text(CSV_HEADER, np.column_stack([getattr(curve, name) for name in CSV_HEADER]))
+    columns = (curve.s, curve.p_seq, curve.p1, curve.p2, curve.p3, curve.at_least_one)
+    return csv_text(CSV_HEADER, np.column_stack(columns))
 
 
 def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:

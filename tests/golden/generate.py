@@ -30,9 +30,21 @@ from seqdisc.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-# Two seeds, each with a trial count that is not a multiple of the 2^18
-# chunk size, so every case ends in a partial chunk.
+# Two seeds, each with a trial count that is not a multiple of 2^18, so
+# every case ends in a partial chunk when chunks hold 2^18 trials.
 RUNS = ((7, 262_145, "0.3"), (2024, 300_007, "0.45"))
+# Long draw rows.  With chunks sized by generated doubles (blocks of 4 per
+# trial) these runs split into many chunks whose trial count depends on the
+# row length, and none of the trial counts is a multiple of the chunk.
+CHUNKED_RUNS = (
+    ("simulate-seq-n16-seed7", ["simulate", "--kind", "seq", "--n", "16", "--s", "0.3",
+                                "--trials", "100003", "--seed", "7"]),
+    ("simulate-seq-n64-seed2024", ["simulate", "--kind", "seq", "--n", "64", "--s", "0.45",
+                                   "--trials", "30011", "--seed", "2024"]),
+    ("b92-two_qubit-intercept_ud-seed99", ["b92", "--s", "0.3", "--rounds", "100003",
+                                           "--mode", "two_qubit", "--eve", "intercept_ud",
+                                           "--seed", "99"]),
+)
 B92_PAIRS = (
     ("two_qubit", "none"),
     ("two_qubit", "intercept_ud"),
@@ -56,6 +68,7 @@ def cases() -> dict:
             out[f"b92-{mode}-{eve}-seed{seed}"] = [
                 "b92", "--s", s, "--rounds", str(trials), "--mode", mode,
                 "--eve", eve, "--seed", str(seed)]
+    out.update(CHUNKED_RUNS)
     out["curves-default"] = ["curves", "--svg", "curves-default.svg"]
     out["curves-steps1001"] = [
         "curves", "--s-min", "0.123", "--s-max", "0.877", "--steps", "1001",

@@ -98,12 +98,14 @@ class DiagnosticsReport:
         }
 
 
-def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasurement:
+def build_intermediate_ud(pair: StatePair, q1: float, q2: float, snap: bool = True) -> UDMeasurement:
     """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
 
     Requires q1*q2 >= s^2; at equality the output states coincide and the
     measurement extracts everything (exhausts_information is then True).
     q_i = 1 is allowed and simply means state i is never identified.
+    With `snap`, an output overlap within _OVERLAP_SNAP of 1 becomes exactly
+    1; build_chain snaps only its last stage.
     """
     s = pair.s
     if not 0.0 < s < 1.0:
@@ -120,7 +122,7 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
             "the failure probabilities cannot both be that small"
         )
     t = s / math.sqrt(q1 * q2)
-    if t > 1.0 - _OVERLAP_SNAP:
+    if snap and t > 1.0 - _OVERLAP_SNAP:
         t = 1.0
     output_pair = make_state_pair(t)
 

@@ -22,8 +22,9 @@ import numpy as np
 # doubles produced per 128-bit Philox counter increment
 _BLOCK = 4
 
-# Trials per chunk of run_trials(); bounds the memory of one chunk's draws.
-CHUNK_TRIALS = 1 << 18
+# Doubles Philox generates per chunk of run_trials() (1 MB): a chunk's draws
+# stay in cache while every kernel stage reads its column of them.
+CHUNK_DOUBLES = 1 << 17
 
 # Philox keys are 128-bit integers.
 SEED_LIMIT = 1 << 128
@@ -41,8 +42,9 @@ def blocks_per_trial(draws_per_trial: int) -> int:
 def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: int = 0) -> np.ndarray:
     """Uniform draws for trials [start_trial, start_trial + n_trials).
 
-    Returns an (n_trials, draws_per_trial) array in [0, 1).  Column j is
-    draw j of each trial; the values do not depend on how a run is split
+    Returns an (n_trials, draws_per_trial) view, with values in [0, 1), of
+    the (n_trials, 4 * blocks_per_trial) block Philox generates.  Column j
+    is draw j of each trial; the values do not depend on how a run is split
     into chunks.
     """
     check_seed(seed)
@@ -54,10 +56,10 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start_trial * blocks)
     raw = np.random.Generator(bitgen).random((n_trials, blocks * _BLOCK))
-    return np.ascontiguousarray(raw[:, :draws_per_trial])
+    return raw[:, :draws_per_trial]
 
 
-def chunk_ranges(n_trials: int, chunk_size: int = CHUNK_TRIALS):
+def chunk_ranges(n_trials: int, chunk_size: int):
     """Yield (start, count) pairs covering range(n_trials) in chunks."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -76,16 +78,18 @@ def state_index(u: np.ndarray) -> np.ndarray:
 def run_trials(seed: int, trials: int, draws_per_trial: int, kernel) -> tuple:
     """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
 
-    Each chunk gets its (count, draws_per_trial) draws from trial_uniforms;
-    draw 0 picks the prepared state (state_index), and kernel(u, prep)
-    returns a tuple of counts for the chunk.  The sums do not depend on the
-    chunk size, because neither the draws nor the per-trial kernel do.
+    Each chunk gets its (count, draws_per_trial) draws from trial_uniforms,
+    at most CHUNK_DOUBLES generated doubles or one trial; draw 0 picks the
+    prepared state (state_index), and kernel(u, prep) returns a tuple of
+    counts for the chunk.  The sums do not depend on the chunk size,
+    because neither the draws nor the per-trial kernel do.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     check_seed(seed)
+    chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws_per_trial) * _BLOCK))
     totals = None
-    for start, count in chunk_ranges(trials, CHUNK_TRIALS):
+    for start, count in chunk_ranges(trials, chunk):
         u = trial_uniforms(seed, count, draws_per_trial, start)
         counts = kernel(u, state_index(u[:, 0]))
         totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))

@@ -147,13 +147,14 @@ def optimize_two_observer(s: float) -> OptimizationResult:
 
     f(t) = (1 - s/t)(1 - t) has f'(t) = s/t^2 - 1, so the maximum sits at
     t_star = sqrt(s), which is also the common failure probability q_star;
-    it holds for every s in (0, 1), however small.  p_star is f(t_star),
+    it holds for every s in (0, 1), however small.  p_star is f(t_star)
+    written as ((1 - s) / (1 + t_star))^2, which does not cancel as s -> 1,
     cross-checked against the closed form (1 - sqrt(s))^2.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s={s} outside (0, 1)")
     t_star = math.sqrt(s)
-    p_star = (1.0 - s / t_star) * (1.0 - t_star)
+    p_star = ((1.0 - s) / (1.0 + t_star)) ** 2
     closed = (1.0 - t_star) ** 2
     if abs(p_star - closed) > 1e-9:
         raise ArithmeticError(
@@ -181,7 +182,8 @@ def build_chain(s: float, n: int) -> ChainSpec:
     Every stage uses the common failure probability q = s**(1/n); stage k
     sees input overlap s**((n-k+1)/n) and hands the next stage overlap
     s**((n-k)/n).  The last stage saturates its admissibility bound and
-    leaves nothing behind.
+    leaves nothing behind; only its output overlap is snapped to 1, so an s
+    whose earlier stages round to overlap 1 raises ValueError naming s, n.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s={s} outside (0, 1)")
@@ -190,7 +192,11 @@ def build_chain(s: float, n: int) -> ChainSpec:
     stages = []
     overlap = s
     for k in range(n):
-        stage = build_intermediate_ud(make_state_pair(overlap), q, q)
+        try:
+            stage = build_intermediate_ud(make_state_pair(overlap), q, q, snap=k == n - 1)
+        except ValueError as exc:
+            raise ValueError(f"no chain of n={n} observers for s={s}: "
+                             f"stage {k + 1} {exc}") from exc
         stages.append(stage)
         overlap = stage.output_overlap
         expected = s ** ((n - k - 1) / n) if k < n - 1 else 1.0

@@ -61,14 +61,18 @@ def test_argument_validation():
 def test_chunk_ranges_cover_exactly():
     ranges = list(chunk_ranges(10, 4))
     assert ranges == [(0, 4), (4, 4), (8, 2)]
-    assert list(chunk_ranges(0)) == []
+    assert list(chunk_ranges(0, 4)) == []
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     trials = 300
-    runs = [lambda: simulate_chain(build_chain(0.4, 3), trials, 5)]
-    runs += [lambda k=k: simulate_strategy(k, 0.4, trials, 5) for k in ("1", "2", "3")]
-    runs += [lambda m=m, e=e: run_session(SessionConfig(0.4, trials, m, e, seed=5))
+    # (draws per trial, run)
+    runs = [(4, lambda: simulate_chain(build_chain(0.4, 3), trials, 5))]
+    runs += [(d, lambda k=k: simulate_strategy(k, 0.4, trials, 5))
+             for k, d in (("1", 2), ("2", 3), ("3", 4))]
+    b92_draws = {("two_qubit", "none"): 3, ("one_qubit_sequential", "none"): 3,
+                 ("two_qubit", "intercept_ud"): 6, ("one_qubit_sequential", "intercept_ud"): 5}
+    runs += [(b92_draws[m, e], lambda m=m, e=e: run_session(SessionConfig(0.4, trials, m, e, seed=5)))
              for m in MODES for e in EVE_POLICIES]
     calls = []
     original = sampling.trial_uniforms
@@ -79,9 +83,15 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
 
     monkeypatch.setattr(sampling, "trial_uniforms", counting)
     reports = []
-    for chunk in (1, 7, 1 << 18):
-        monkeypatch.setattr(sampling, "CHUNK_TRIALS", chunk)
-        calls.clear()
-        reports.append([run() for run in runs])
-        assert len(calls) == len(runs) * -(-trials // chunk)
+    # a 1-trial floor for every run, chunks of 3 or 7 trials, one chunk per run
+    for budget in (1, 28, 1 << 17):
+        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        reports.append([])
+        for draws, run in runs:
+            calls.clear()
+            reports[-1].append(run())
+            doubles = blocks_per_trial(draws) * 4
+            assert len(calls) == -(-trials // max(1, budget // doubles))
+            assert all(args[2] == draws for args in calls)
+            assert all(args[1] == 1 or args[1] * doubles <= budget for args in calls)
     assert reports[0] == reports[1] == reports[2]

@@ -1,10 +1,11 @@
 """Tests for chain rates, the optimizer, and the chain simulator."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqdisc.povm import apply
@@ -77,6 +78,22 @@ def test_optimizer_holds_across_the_domain(s):
     assert result.p_star == pytest.approx((1.0 - math.sqrt(s)) ** 2, abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(hst.one_of(
+    hst.floats(min_value=-300.0, max_value=-1e-3).map(lambda e: 10.0**e),
+    hst.floats(min_value=-15.0, max_value=-1e-3).map(lambda e: 1.0 - 10.0**e),
+))
+@example(0.999999999999)
+@example(1.0 - 2.0**-52)
+@example(5e-324)
+def test_optimizer_p_star_is_accurate_to_the_last_digits(s):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = (1 - Decimal(s).sqrt()) ** 2
+    p_star = optimize_two_observer(s).p_star
+    assert abs(Decimal(p_star) - exact) <= Decimal("1e-14") * exact
+
+
 def test_optimizer_domain():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
@@ -142,6 +159,27 @@ def test_build_chain_validation():
         build_chain(0.5, 0)
     with pytest.raises(ValueError, match="n must be"):
         build_chain(0.3, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.floats(min_value=-16.0, max_value=-3.0), hst.integers(min_value=1, max_value=64))
+@example(-12.0, 2)
+@example(-11.0, 64)
+def test_build_chain_near_overlap_one(log_gap, n):
+    """Only the last stage's output overlap is snapped to 1; an s whose
+    earlier stages round to overlap 1 is refused with the caller's s and n."""
+    s = 1.0 - 10.0**log_gap
+    try:
+        chain = build_chain(s, n)
+    except ValueError as exc:
+        assert f"s={s}" in str(exc) and f"n={n}" in str(exc)
+        assert 1.0 - s < 1e-12
+        return
+    assert chain.q == s ** (1.0 / n) and len(chain.stages) == n
+    assert chain.stages[0].input_pair.s == s
+    for prev, nxt in zip(chain.stages, chain.stages[1:]):
+        assert prev.output_overlap == nxt.input_pair.s < 1.0
+    assert chain.stages[-1].output_overlap == 1.0
 
 
 def test_simulate_chain_matches_scalar_application():

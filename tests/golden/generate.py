@@ -1,11 +1,12 @@
 """Write the golden CLI fixtures in this directory.
 
 Each case runs `seqdisc.cli.main(argv)` in-process and stores its stdout,
-byte for byte, as `<name>.json` (`<name>.csv` for `curves`, whose stdout is
-a table); `cases.json` maps every name to its argv.  A case can also pin
-the files a command writes: in its argv, the value after `--out`, `--svg`
-or `--matrix` is the name of the fixture that file is compared with, and
-the command is run with that value replaced by a scratch path.  The
+byte for byte, as `<name>.json` (`<name>.csv` for `curves` and for
+`--format csv`, whose stdout is a table); `cases.json` maps every name to
+its argv.  A case can also pin the files a command writes: in its argv,
+the value after `--out`, `--svg` or `--matrix` is the name of the fixture
+that file is compared with, and the command is run with that value
+replaced by a scratch path.  The
 fixtures pin the exact report bytes of the Monte Carlo commands and the
 table and plot bytes of the analytic ones, so a refactor of the sampling,
 classification or formatting code can be checked against them.
@@ -81,12 +82,19 @@ def cases() -> dict:
     for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999")):
         out[f"neumark-s{label}"] = [
             "neumark", "--s", s, "--matrix", f"neumark-s{label}.matrix.csv"]
+    # both ends of the domain and the middle, as JSON and as CSV also
+    # written with --out
+    for label, s in (("1e-300", "1e-300"), ("0.3", "0.3"), ("1-1e-12", "0.999999999999")):
+        for n in ("1", "2", "64"):
+            name = f"optimize-s{label}-n{n}"
+            out[name] = ["optimize", "--s", s, "--n", n]
+            out[f"{name}-csv"] = [*out[name], "--format", "csv", "--out", f"{name}.out.csv"]
     return out
 
 
 def stdout_fixture(name: str, argv: list) -> str:
     """File name of the fixture holding a case's stdout."""
-    return f"{name}.{'csv' if argv[0] == 'curves' else 'json'}"
+    return f"{name}.{'csv' if argv[0] == 'curves' or 'csv' in argv else 'json'}"
 
 
 def written_fixtures(argv: list) -> dict:

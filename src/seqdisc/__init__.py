@@ -20,7 +20,7 @@ from .b92 import (
     run_session,
     session_config_from_dict,
 )
-from .linalg import complete_to_unitary, inner_product, is_positive_semidefinite, min_eigenvalue
+from .linalg import complete_to_unitary, min_eigenvalue
 from .neumark import (
     DilationUnitary,
     ancilla_vectors,
@@ -48,7 +48,7 @@ from .sequential import (
     optimize_two_observer,
     simulate_chain,
 )
-from .states import StatePair, make_state_pair, orthogonal_complement
+from .states import StatePair, check_overlap, make_state_pair, orthogonal_complement
 from .strategies import (
     StrategyCurve,
     at_least_one,
@@ -84,12 +84,11 @@ __all__ = [
     "build_dilation",
     "build_intermediate_ud",
     "build_optimal_ud",
+    "check_overlap",
     "complete_to_unitary",
     "dilation_statistics",
     "equal_failure_joint",
     "eve_knowledge_rate",
-    "inner_product",
-    "is_positive_semidefinite",
     "joint_success_analytic",
     "make_curve",
     "make_state_pair",

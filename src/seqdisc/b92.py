@@ -30,7 +30,7 @@ import numpy as np
 from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
 from .sampling import SEED_LIMIT, binomial_rate, run_trials, state_index
 from .sequential import build_chain
-from .states import make_state_pair
+from .states import check_overlap, make_state_pair
 
 MODE_TWO_QUBIT = "two_qubit"
 MODE_ONE_QUBIT = "one_qubit_sequential"
@@ -89,9 +89,7 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     for field in ("s", "rounds", "mode"):
         if field not in raw:
             raise ValueError(f"config field '{field}' is required")
-    s = float(raw["s"])
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"config field 's'={s} outside (0, 1)")
+    s = check_overlap(raw["s"], "config field 's'")
     rounds = raw["rounds"]
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise ValueError(f"config field 'rounds'={rounds!r} must be a positive integer")

@@ -14,12 +14,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import b92, neumark, reporting, sequential, strategies
-from .linalg import dagger
-from .povm import build_intermediate_ud
-from .states import make_state_pair
 
 
 def _emit(text: str, out_path) -> None:
@@ -81,22 +76,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_neumark(args) -> int:
     dilation = neumark.build_dilation(args.s)
-    rs = math.sqrt(args.s)
-    meas = build_intermediate_ud(make_state_pair(args.s), rs, rs)
-    unitarity = float(np.linalg.norm(dagger(dilation.u) @ dilation.u - np.eye(6)))
-    wrong = 0.0
-    for i in (1, 2):
-        probs, _ = neumark.dilation_statistics(dilation, i)
-        wrong = max(wrong, probs[3 - i])
-    report = {
-        "s": args.s,
-        "theta": dilation.theta,
-        "theta_prime": dilation.theta_prime,
-        "unitarity_residual": unitarity,
-        "equivalence_residual": neumark.povm_equivalence(dilation, meas),
-        "max_wrong_outcome_probability": wrong,
-    }
-    _emit(reporting.dumps_json(report), args.out)
+    _emit(reporting.dumps_json(neumark.dilation_report(dilation)), args.out)
     if args.matrix:
         header = []
         for j in range(neumark.TOTAL_DIM):

@@ -46,45 +46,13 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def inner_product(a, b) -> complex:
-    """<a|b>, conjugating the first argument."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return complex(np.vdot(a, b))
-
-
-def require_hermitian(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def min_eigenvalue(m, tol: float = DEFAULT_TOL) -> float:
+    """Smallest eigenvalue of a Hermitian matrix; a matrix that is not
+    Hermitian within `tol` raises ValueError."""
     m = _as_square(m)
     if np.linalg.norm(m - dagger(m)) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return m
-
-
-def min_eigenvalue(m, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = require_hermitian(m, tol)
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
-    """Decide positive semidefiniteness of a Hermitian matrix.
-
-    A 2x2 matrix is handled through its trace and determinant, which avoids
-    an eigendecomposition and keeps the test exact up to rounding: both
-    eigenvalues are nonnegative iff trace >= 0 and det >= 0.  Larger
-    matrices fall back to the eigenvalue floor.  Slightly negative values
-    within `tol` (the determinant threshold scaled by the matrix norm) are
-    accepted.
-    """
-    m = require_hermitian(m, tol)
-    if m.shape[0] == 2:
-        scale = max(1.0, float(np.linalg.norm(m)))
-        tr = float(np.real(m[0, 0] + m[1, 1]))
-        det = float(np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-        return tr >= -tol and det >= -tol * scale
-    return min_eigenvalue(m, tol) >= -tol
 
 
 def complete_to_unitary(columns, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, complete_to_unitary, freeze
-from .povm import UDMeasurement, outcome_probabilities
-from .states import make_state_pair
+from .linalg import DEFAULT_TOL, complete_to_unitary, dagger, freeze
+from .povm import UDMeasurement, build_intermediate_ud, outcome_probabilities
+from .states import check_overlap, make_state_pair
 
 QUBIT_DIM = 2
 ANCILLA_DIM = 3
@@ -53,8 +53,7 @@ class DilationUnitary:
 
 def ancilla_vectors(s: float):
     """The two ancilla vectors that synthesize the optimal-stage columns."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     rs = math.sqrt(s)
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -73,8 +72,7 @@ def build_dilation(s: float) -> DilationUnitary:
     measurement; the other four are completed deterministically by
     Gram-Schmidt over the canonical basis.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     rs = math.sqrt(s)
     v1, v2 = ancilla_vectors(s)
     e0q = np.array([1.0, 0.0], dtype=complex)
@@ -157,6 +155,24 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement, tol: float 
             overlap = abs(complex(np.vdot(dil_posts[outcome], post))) ** 2
             infidelity = max(infidelity, 1.0 - overlap)
     return prob_gap + infidelity
+
+
+def dilation_report(dilation: DilationUnitary) -> dict:
+    """The `neumark` command's report: the dilation's angles, how far U is
+    from unitary, its povm_equivalence() residual against the Kraus form
+    it realizes, and the largest wrong-outcome probability of either input."""
+    rs = math.sqrt(dilation.s)
+    meas = build_intermediate_ud(make_state_pair(dilation.s), rs, rs)
+    unitarity = float(np.linalg.norm(dagger(dilation.u) @ dilation.u - np.eye(TOTAL_DIM)))
+    return {
+        "s": dilation.s,
+        "theta": dilation.theta,
+        "theta_prime": dilation.theta_prime,
+        "unitarity_residual": unitarity,
+        "equivalence_residual": povm_equivalence(dilation, meas),
+        "max_wrong_outcome_probability": max(
+            dilation_statistics(dilation, i)[0][3 - i] for i in (1, 2)),
+    }
 
 
 def unitary_csv_rows(dilation: DilationUnitary) -> np.ndarray:

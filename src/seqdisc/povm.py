@@ -19,12 +19,13 @@ admissibility condition q1 q2 >= s^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, dagger, freeze, min_eigenvalue
-from .states import StatePair, make_state_pair
+from .states import StatePair, check_overlap, make_state_pair
 
 # Outcome probabilities below this floor are rounded to exactly zero.  The
 # wrong-state outcomes carry only accumulated float noise (~1e-16); flooring
@@ -49,10 +50,6 @@ class UDMeasurement:
     output_pair: StatePair
     q1: float
     q2: float
-    c1: float
-    c2: float
-    a1: float
-    a2: float
     kraus: tuple
     povm: tuple
 
@@ -107,21 +104,20 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float, snap: bool = Tr
     With `snap`, an output overlap within _OVERLAP_SNAP of 1 becomes exactly
     1; build_chain snaps only its last stage.
     """
-    s = pair.s
-    if not 0.0 < s < 1.0:
-        raise ValueError(
-            f"input overlap s={s} must lie strictly between 0 and 1; "
-            "identical or orthogonal pairs need no intermediate measurement"
-        )
+    s = check_overlap(pair.s, "input overlap s")
     for name, q in (("q1", q1), ("q2", q2)):
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{name}={q} outside (0, 1]")
-    if q1 * q2 < s * s * (1.0 - 1e-12):
+    qq = q1 * q2
+    if qq < s * s * (1.0 - 1e-12):
         raise ValueError(
-            f"q1*q2 = {q1 * q2} below the admissibility bound s^2 = {s * s}; "
+            f"q1*q2 = {qq} below the admissibility bound s^2 = {s * s}; "
             "the failure probabilities cannot both be that small"
         )
-    t = s / math.sqrt(q1 * q2)
+    # q1*q2 is subnormal and has lost digits for s below about 1e-154 (at
+    # q1 = q2 = s); only then are the roots taken apart, so ordinary
+    # overlaps keep the bits of sqrt(q1*q2)
+    t = s / math.sqrt(qq) if qq >= sys.float_info.min else s / math.sqrt(q1) / math.sqrt(q2)
     if snap and t > 1.0 - _OVERLAP_SNAP:
         t = 1.0
     output_pair = make_state_pair(t)
@@ -147,10 +143,6 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float, snap: bool = Tr
         output_pair=output_pair,
         q1=float(q1),
         q2=float(q2),
-        c1=c1,
-        c2=c2,
-        a1=a1,
-        a2=a2,
         kraus=(freeze(A1), freeze(A2), freeze(A0)),
         povm=(freeze(Pi1), freeze(Pi2), freeze(Pi0)),
     )
@@ -171,11 +163,12 @@ def validate(meas: UDMeasurement, tol: float = DEFAULT_TOL) -> DiagnosticsReport
     A1, A2, A0 = meas.kraus
     pair = meas.input_pair
     s = pair.s
+    c1, c2 = ((1.0 - q) / (1.0 - s * s) for q in (meas.q1, meas.q2))
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
     eigs = tuple(min_eigenvalue(P, tol) for P in (Pi1, Pi2, Pi0))
-    trace_pi0 = 2.0 - meas.c1 - meas.c2
-    det_pi0 = 1.0 - meas.c1 - meas.c2 + meas.c1 * meas.c2 * (1.0 - s * s)
+    trace_pi0 = 2.0 - c1 - c2
+    det_pi0 = 1.0 - c1 - c2 + c1 * c2 * (1.0 - s * s)
     zero_err = (
         abs(complex(np.vdot(pair.psi2, Pi1 @ pair.psi2))),
         abs(complex(np.vdot(pair.psi1, Pi2 @ pair.psi1))),

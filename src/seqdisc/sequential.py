@@ -32,7 +32,7 @@ from .povm import (
     sampling_boundaries,
 )
 from .sampling import binomial_rate, run_trials
-from .states import make_state_pair
+from .states import check_overlap, make_state_pair
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def outcome_counts(joint, at_least_one, error, prep) -> tuple:
 def equal_failure_joint(s: float, t: float) -> float:
     """Joint success on the symmetric slice: first observer fails with
     probability s/t per state, second with t per state."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     if not s <= t <= 1.0:
         raise ValueError(f"t={t} outside [s, 1] for s={s}")
     return (1.0 - s / t) * (1.0 - t)
@@ -111,8 +110,7 @@ def joint_success_analytic(s: float, q_bob, q_charlie, tol: float = 1e-9) -> flo
     observer.  Raises ValueError, naming the violated relation, when the
     pairs are not an admissible chain for overlap s.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     q1b, q2b = (float(q) for q in q_bob)
     q1c, q2c = (float(q) for q in q_charlie)
     for name, q in (("q1_bob", q1b), ("q2_bob", q2b), ("q1_charlie", q1c), ("q2_charlie", q2c)):
@@ -151,8 +149,7 @@ def optimize_two_observer(s: float) -> OptimizationResult:
     written as ((1 - s) / (1 + t_star))^2, which does not cancel as s -> 1,
     cross-checked against the closed form (1 - sqrt(s))^2.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     t_star = math.sqrt(s)
     p_star = ((1.0 - s) / (1.0 + t_star)) ** 2
     closed = (1.0 - t_star) ** 2
@@ -170,8 +167,7 @@ def _check_chain_length(n) -> None:
 
 def optimal_n_observer(s: float, n: int) -> float:
     """Best probability that all n observers identify the state."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     _check_chain_length(n)
     return (1.0 - s ** (1.0 / n)) ** n
 
@@ -183,29 +179,29 @@ def build_chain(s: float, n: int) -> ChainSpec:
     sees input overlap s**((n-k+1)/n) and hands the next stage overlap
     s**((n-k)/n).  The last stage saturates its admissibility bound and
     leaves nothing behind; only its output overlap is snapped to 1, so an s
-    whose earlier stages round to overlap 1 raises ValueError naming s, n.
+    whose earlier stages round to overlap 1 raises ValueError.  That error,
+    and the ArithmeticError of a stage that drifts, both name s and n.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+    s = check_overlap(s)
     _check_chain_length(n)
     q = s ** (1.0 / n)
+    where = f"no chain of n={n} observers for s={s}"
     stages = []
     overlap = s
     for k in range(n):
         try:
             stage = build_intermediate_ud(make_state_pair(overlap), q, q, snap=k == n - 1)
         except ValueError as exc:
-            raise ValueError(f"no chain of n={n} observers for s={s}: "
-                             f"stage {k + 1} {exc}") from exc
+            raise ValueError(f"{where}: stage {k + 1} {exc}") from exc
         stages.append(stage)
         overlap = stage.output_overlap
         expected = s ** ((n - k - 1) / n) if k < n - 1 else 1.0
         if abs(overlap - expected) > 1e-9:
             raise ArithmeticError(
-                f"stage {k + 1} output overlap {overlap} drifted from {expected}"
+                f"{where}: stage {k + 1} output overlap {overlap} drifted from {expected}"
             )
     if not stages[-1].exhausts_information:
-        raise ArithmeticError("final stage failed to exhaust the state pair")
+        raise ArithmeticError(f"{where}: final stage failed to exhaust the state pair")
     return ChainSpec(s=s, n=n, q=q, stages=tuple(stages))
 
 

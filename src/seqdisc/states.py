@@ -37,6 +37,15 @@ class StatePair:
     psi2_perp: np.ndarray
 
 
+def check_overlap(s, name: str = "s") -> float:
+    """`s` as a float, after checking the open domain 0 < s < 1 of every
+    discrimination problem here; the ValueError names `name` and the value."""
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"{name}={s} outside (0, 1)")
+    return s
+
+
 def orthogonal_complement(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unit vector orthogonal to the qubit state `v`.
 

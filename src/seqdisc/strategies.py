@@ -19,11 +19,13 @@ For every strategy the chance that at least one receiver learns the state
 is the same, 1 - s.  Strategies 1-3 all consume the state or communicate
 classically; the sequential chain is the only one that does neither, and
 it pays for that with the strictly smallest joint rate.
+
+Each rate function takes one overlap or an array of them, and make_curve
+tabulates the rates through those functions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,42 +34,43 @@ from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sampling import run_trials
 from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
-from .states import make_state_pair
+from .states import check_overlap, make_state_pair
 
 KINDS = ("1", "2", "3", "seq")
 
 CSV_HEADER = ("s", "p_seq", "p1", "p2", "p3", "at_least_one")
 
 
-def _check_unit_interval(s: float) -> float:
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
+def _check_unit_interval(s):
+    """`s` as a float, or a float array for array input, every value in [0, 1]."""
+    a = np.asarray(s, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError(f"s={s} outside [0, 1]")
-    return s
+    return float(a) if a.ndim == 0 else a
 
 
-def strategy1(s: float) -> float:
+def strategy1(s):
     """Both learn the state iff the broadcast measurement succeeds."""
     return 1.0 - _check_unit_interval(s)
 
 
-def strategy2(s: float) -> float:
+def strategy2(s):
     """Two independent minimum-failure measurements must both succeed."""
     return (1.0 - _check_unit_interval(s)) ** 2
 
 
-def strategy3(s: float) -> float:
+def strategy3(s):
     """Cloning succeeds with 1/(1+s), then two independent measurements."""
     s = _check_unit_interval(s)
     return (1.0 - s) ** 2 / (1.0 + s)
 
 
-def strategy_seq(s: float) -> float:
+def strategy_seq(s):
     """Optimal two-observer sequential rate."""
-    return (1.0 - math.sqrt(_check_unit_interval(s))) ** 2
+    return (1.0 - np.sqrt(_check_unit_interval(s))) ** 2
 
 
-def at_least_one(s: float) -> float:
+def at_least_one(s):
     """Probability that at least one receiver identifies the state; the
     same for all four strategies."""
     return 1.0 - _check_unit_interval(s)
@@ -96,10 +99,7 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     grid = np.linspace(s_min, s_max, steps)
-    p1 = 1.0 - grid
-    p2 = (1.0 - grid) ** 2
-    p3 = (1.0 - grid) ** 2 / (1.0 + grid)
-    p_seq = (1.0 - np.sqrt(grid)) ** 2
+    p1, p2, p3, p_seq = strategy1(grid), strategy2(grid), strategy3(grid), strategy_seq(grid)
     interior = (grid > 0.0) & (grid < 1.0)
     ordered = (
         np.all(p1[interior] > p2[interior])
@@ -108,7 +108,7 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     )
     if not ordered:
         raise ArithmeticError("strategy ordering p1 > p2 > p3 > p_seq failed on the grid")
-    return StrategyCurve(s=grid, p_seq=p_seq, p1=p1, p2=p2, p3=p3, at_least_one=1.0 - grid)
+    return StrategyCurve(s=grid, p_seq=p_seq, p1=p1, p2=p2, p3=p3, at_least_one=at_least_one(grid))
 
 
 def curve_csv(curve: StrategyCurve) -> str:
@@ -135,10 +135,8 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "seq":
-        return simulate_chain(build_chain(float(s), 2), trials, seed)
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s={s} outside (0, 1)")
+        return simulate_chain(build_chain(s, 2), trials, seed)
+    s = check_overlap(s)
     bounds = sampling_boundaries(build_optimal_ud(make_state_pair(s)))
     p_clone = 1.0 / (1.0 + s)
     col = 2 if kind == "3" else 1  # first receiver's draw

@@ -6,10 +6,10 @@ byte for byte, as `<name>.json` (`<name>.csv` for `curves` and for
 its argv.  A case can also pin the files a command writes: in its argv,
 the value after `--out`, `--svg` or `--matrix` is the name of the fixture
 that file is compared with, and the command is run with that value
-replaced by a scratch path.  The
-fixtures pin the exact report bytes of the Monte Carlo commands and the
-table and plot bytes of the analytic ones, so a refactor of the sampling,
-classification or formatting code can be checked against them.
+replaced by a scratch path.  The fixtures pin the exact report bytes of
+the Monte Carlo commands and the table and plot bytes of the analytic
+ones, so a refactor of the sampling, classification or formatting code can
+be checked against them.
 Regenerate only from a commit whose output is known to be right:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -78,8 +78,10 @@ def cases() -> dict:
     out["curves-narrow"] = [
         "curves", "--s-min", "0.3", "--s-max", "0.3000001", "--steps", "9",
         "--svg", "curves-narrow.svg"]
-    # the imaginary parts of the real unitary print as 0, never -0
-    for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999")):
+    # the imaginary parts of the real unitary print as 0, never -0; at
+    # 0.803606 equivalence_residual shows one rounding in the measurement
+    for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999"),
+                     ("0.803606", "0.803606")):
         out[f"neumark-s{label}"] = [
             "neumark", "--s", s, "--matrix", f"neumark-s{label}.matrix.csv"]
     # both ends of the domain and the middle, as JSON and as CSV also

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hst
 
 from seqdisc.cli import main
 from seqdisc.reporting import round_sig
@@ -86,6 +88,62 @@ def test_optimize_rejects_bad_overlap(capsys):
     assert code == 2
     assert out == ""
     assert "outside (0, 1)" in err
+
+
+# every command that takes an overlap; b92 reads it as config field 's'
+OVERLAP_COMMANDS = {
+    "optimize": ["optimize", "--s", "{s}"],
+    **{f"simulate-{kind}": ["simulate", "--kind", kind, "--s", "{s}", "--trials", "10"]
+       for kind in ("1", "2", "3", "seq")},
+    "neumark": ["neumark", "--s", "{s}"],
+    "b92-flag": ["b92", "--s", "{s}", "--rounds", "10", "--mode", "two_qubit"],
+    "b92-config": ["b92", "--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERLAP_COMMANDS))
+@pytest.mark.parametrize("s", ["0", "1", "-0.5", "1.5", "nan", "inf"])
+def test_overlap_outside_the_open_interval_is_named(tmp_path, capsys, command, s):
+    config = tmp_path / "session.json"
+    config.write_text(json.dumps({"s": float(s), "rounds": 10, "mode": "two_qubit"}))
+    argv = [a.format(s=s, config=config) for a in OVERLAP_COMMANDS[command]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    name = "config field 's'" if argv[0] == "b92" else "s"
+    assert err.startswith("error: ") and f"{name}={float(s)}" in err, err
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hst.floats(min_value=math.log10(5e-324), max_value=-150.0),
+       hst.integers(min_value=1, max_value=64))
+@example(math.log10(5e-324), 64)
+@example(-163.0, 2)
+def test_tiny_overlaps_give_error_free_reports(capsys, log_s, n):
+    """Down to the smallest subnormal overlap every one-measurement command
+    and short chain reports zero errors; a long chain may instead refuse s
+    with a message naming s and n."""
+    s = max(10.0**log_s, 5e-324)
+    common = ["--s", repr(s), "--seed", "3"]
+    for kind in ("1", "2", "3"):
+        code, out, err = run_cli(capsys, "simulate", "--kind", kind, "--trials", "300", *common)
+        assert code == 0, err
+        assert json.loads(out)["tally"]["error_count"] == 0
+    for mode in ("two_qubit", "one_qubit_sequential"):
+        for eve in ("none", "intercept_ud"):
+            code, out, err = run_cli(capsys, "b92", "--rounds", "300", "--mode", mode,
+                                     "--eve", eve, *common)
+            assert code == 0, err
+            report = json.loads(out)["report"]
+            assert report["errors_bob"] == report["errors_charlie"] == 0
+    for chain_n in sorted({1, 2, n}):
+        code, out, err = run_cli(capsys, "simulate", "--kind", "seq", "--n", str(chain_n),
+                                 "--trials", "300", *common)
+        if code == 0:
+            assert json.loads(out)["tally"]["error_count"] == 0
+        else:
+            assert chain_n > 2 and code == 2
+            assert f"s={s}" in err and f"n={chain_n}" in err, err
 
 
 def test_curves_writes_csv_and_svg(tmp_path, capsys):

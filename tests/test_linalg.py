@@ -2,15 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from seqdisc.linalg import (
     MAX_DIM,
     complete_to_unitary,
     dagger,
-    inner_product,
-    is_positive_semidefinite,
     min_eigenvalue,
 )
 
@@ -19,62 +15,13 @@ def _random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def test_inner_product_conjugates_first_argument():
-    a = np.array([1.0, 1j])
-    b = np.array([1j, 0.0])
-    assert inner_product(a, b) == pytest.approx(1j)
-    assert inner_product(b, a) == pytest.approx(-1j)
-
-
-def test_inner_product_rejects_bad_shapes():
+def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        inner_product(np.ones(2), np.ones(3))
+        min_eigenvalue(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        inner_product(np.ones(7), np.ones(7))
+        min_eigenvalue(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        inner_product(np.ones((2, 2)), np.ones((2, 2)))
-
-
-@given(hst.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_inner_product_hermitian_symmetry(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, MAX_DIM + 1))
-    a = _random_complex(rng, n)
-    b = _random_complex(rng, n)
-    assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-    norm_sq = inner_product(a, a)
-    assert norm_sq.imag == 0.0
-    assert norm_sq.real >= 0.0
-
-
-def test_psd_known_cases():
-    assert is_positive_semidefinite(np.eye(2))
-    assert is_positive_semidefinite(np.zeros((2, 2)))
-    assert is_positive_semidefinite(np.array([[1.0, 1.0], [1.0, 1.0]]))  # det = 0
-    assert not is_positive_semidefinite(np.diag([1.0, -1e-3]))
-    assert not is_positive_semidefinite(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert is_positive_semidefinite(np.diag([0.0, 1.0, 2.0]))
-    assert not is_positive_semidefinite(np.diag([1.0, 1.0, -1e-5]))
-
-
-def test_psd_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        is_positive_semidefinite(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        is_positive_semidefinite(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        is_positive_semidefinite(np.eye(7))
-
-
-def test_psd_trace_det_path_agrees_with_eigenvalues():
-    rng = np.random.default_rng(202408)
-    for _ in range(1000):
-        h = _random_complex(rng, 2, 2)
-        h = h + dagger(h)
-        fast = is_positive_semidefinite(h)
-        slow = min_eigenvalue(h) >= -1e-10
-        assert fast == slow, f"disagreement on\n{h}"
+        min_eigenvalue(np.eye(7))
 
 
 def test_min_eigenvalue_matches_numpy():

@@ -84,11 +84,9 @@ def test_validate_flags_a_tampered_failure_operator():
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
     ket1 = np.outer(meas.output_pair.psi1, np.conj(meas.input_pair.psi2_perp))
     ket2 = np.outer(meas.output_pair.psi2, np.conj(meas.input_pair.psi1_perp))
-    bad_a1 = meas.a1 + 0.01
-    bad_A0 = math.sqrt(bad_a1) * ket1 + math.sqrt(meas.a2) * ket2
-    tampered = dataclasses.replace(
-        meas, a1=bad_a1, kraus=(meas.kraus[0], meas.kraus[1], bad_A0)
-    )
+    a1, a2 = (q / (1.0 - 0.3**2) for q in (meas.q1, meas.q2))
+    bad_A0 = math.sqrt(a1 + 0.01) * ket1 + math.sqrt(a2) * ket2
+    tampered = dataclasses.replace(meas, kraus=(meas.kraus[0], meas.kraus[1], bad_A0))
     report = validate(tampered)
     assert report.consistency_gap > 1e-4
     assert not report.passed

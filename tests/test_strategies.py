@@ -40,6 +40,16 @@ def test_closed_forms_at_endpoints():
             f(1.1)
 
 
+def test_rates_take_arrays_elementwise():
+    grid = np.array([0.0, 1e-300, 0.25, 0.3, 0.999999999999, 1.0])
+    for f in (strategy1, strategy2, strategy3, strategy_seq, at_least_one):
+        assert f(grid).tolist() == [f(float(s)) for s in grid]
+        with pytest.raises(ValueError):
+            f(np.array([0.5, 1.1]))
+        with pytest.raises(ValueError):
+            f(math.nan)
+
+
 def test_strict_ordering_on_the_open_interval():
     grid = np.linspace(0.0, 1.0, 1000)
     curve = make_curve(steps=1000)

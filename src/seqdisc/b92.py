@@ -23,7 +23,7 @@ receivers, which never happen on a clean line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class KeyReport:
-    """Counts over a session; `rates` maps each count to its fraction of
-    rounds with a binomial standard error."""
+    """Counts over a session; `rates` maps each count's name to
+    {"rate": its fraction of rounds, "stderr": that rate's binomial
+    standard error}."""
 
     rounds: int
     both_sifted: int
@@ -64,26 +65,10 @@ class KeyReport:
     errors_charlie: int
     rates: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "both_sifted": self.both_sifted,
-            "bob_sifted": self.bob_sifted,
-            "charlie_sifted": self.charlie_sifted,
-            "eve_known": self.eve_known,
-            "errors_bob": self.errors_bob,
-            "errors_charlie": self.errors_charlie,
-            "rates": {
-                name: {"rate": rate, "stderr": err}
-                for name, (rate, err) in sorted(self.rates.items())
-            },
-        }
-
 
 def session_config_from_dict(raw: dict) -> SessionConfig:
     """Validate a configuration mapping, naming the offending field."""
-    known = {"s", "rounds", "mode", "eve", "seed"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in fields(SessionConfig)})
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     for field in ("s", "rounds", "mode"):
@@ -180,4 +165,5 @@ def run_session(config: SessionConfig) -> KeyReport:
     n = config.rounds
     counts = dict(zip(names, run_trials(config.seed, n, _draws_per_round(config), kernel)))
     return KeyReport(rounds=n, **counts,
-                     rates={name: binomial_rate(c, n) for name, c in counts.items()})
+                     rates={name: dict(zip(("rate", "stderr"), binomial_rate(c, n)))
+                            for name, c in counts.items()})

@@ -10,17 +10,22 @@ sorted, so runs with the same arguments and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import b92, neumark, reporting, sequential, strategies
 
 
-def _emit(text: str, out_path) -> None:
-    sys.stdout.write(text)
+def _emit(text: str, out_path, extra=None) -> None:
+    """Write `extra`, an optional (path, text) pair, then `text` to
+    `out_path` if given, and only then `text` to stdout, so a path that
+    cannot be written leaves stdout empty."""
+    if extra:
+        reporting.write_text(*extra)
     if out_path:
         reporting.write_text(out_path, text)
+    sys.stdout.write(text)
 
 
 def _cmd_optimize(args) -> int:
@@ -28,10 +33,7 @@ def _cmd_optimize(args) -> int:
     report = {
         "s": args.s,
         "n": args.n,
-        "t_star": result.t_star,
-        "q_star": result.q_star,
-        "p_star": result.p_star,
-        "p_star_closed_form": (1.0 - math.sqrt(args.s)) ** 2,
+        **reporting.jsonable(result),
         "p_all_n": sequential.optimal_n_observer(args.s, args.n),
     }
     if args.format == "csv":
@@ -45,10 +47,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_curves(args) -> int:
     curve = strategies.make_curve(args.s_min, args.s_max, args.steps)
-    text = strategies.curve_csv(curve)
-    _emit(text, args.out)
-    if args.svg:
-        reporting.write_text(args.svg, strategies.curve_svg(curve))
+    svg = (args.svg, strategies.curve_svg(curve)) if args.svg else None
+    _emit(strategies.curve_csv(curve), args.out, svg)
     return 0
 
 
@@ -68,7 +68,7 @@ def _cmd_simulate(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         },
-        "tally": tally.as_dict(),
+        "tally": tally,
     }
     _emit(reporting.dumps_json(report), args.out)
     return 0
@@ -76,14 +76,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_neumark(args) -> int:
     dilation = neumark.build_dilation(args.s)
-    _emit(reporting.dumps_json(neumark.dilation_report(dilation)), args.out)
+    matrix = None
     if args.matrix:
         header = []
         for j in range(neumark.TOTAL_DIM):
             header.extend([f"re{j}", f"im{j}"])
-        reporting.write_text(
-            args.matrix, reporting.csv_text(header, neumark.unitary_csv_rows(dilation))
-        )
+        matrix = (args.matrix,
+                  reporting.csv_text(header, neumark.unitary_csv_rows(dilation)))
+    _emit(reporting.dumps_json(neumark.dilation_report(dilation)), args.out, matrix)
     return 0
 
 
@@ -95,22 +95,12 @@ def _cmd_b92(args) -> int:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
     # explicit flags win over config-file values
-    for field in ("s", "rounds", "mode", "eve", "seed"):
-        value = getattr(args, field)
+    for field in dataclasses.fields(b92.SessionConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            raw[field] = value
+            raw[field.name] = value
     config = b92.session_config_from_dict(raw)
-    run = b92.run_session(config)
-    payload = {
-        "config": {
-            "s": config.s,
-            "rounds": config.rounds,
-            "mode": config.mode,
-            "eve": config.eve,
-            "seed": config.seed,
-        },
-        "report": run.as_dict(),
-    }
+    payload = {"config": config, "report": b92.run_session(config)}
     _emit(reporting.dumps_json(payload), args.out)
     return 0
 

@@ -46,23 +46,23 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def min_eigenvalue(m, tol: float = DEFAULT_TOL) -> float:
+def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix; a matrix that is not
-    Hermitian within `tol` raises ValueError."""
+    Hermitian within DEFAULT_TOL raises ValueError."""
     m = _as_square(m)
-    if np.linalg.norm(m - dagger(m)) > tol:
+    if np.linalg.norm(m - dagger(m)) > DEFAULT_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def complete_to_unitary(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
+def complete_to_unitary(columns) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
     The result has the given vectors as its first columns, in order.  The
     remaining columns are produced by Gram-Schmidt over the canonical basis
     vectors taken in ascending index order; candidates whose residual after
-    projection falls below `tol` are skipped.  That makes the completion
-    deterministic: the same inputs always give the same matrix.
+    projection falls below DEFAULT_TOL are skipped.  That makes the
+    completion deterministic: the same inputs always give the same matrix.
     """
     cols = [_as_vector(c, f"column {i}") for i, c in enumerate(columns)]
     if not cols:
@@ -75,7 +75,7 @@ def complete_to_unitary(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"got {len(cols)} columns for dimension {dim}")
     given = np.column_stack(cols)
     gram = dagger(given) @ given
-    if np.linalg.norm(gram - np.eye(len(cols))) > tol:
+    if np.linalg.norm(gram - np.eye(len(cols))) > DEFAULT_TOL:
         raise ValueError("input columns are not orthonormal within tolerance")
 
     basis = list(cols)
@@ -89,7 +89,7 @@ def complete_to_unitary(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
             for b in basis:
                 v = v - np.vdot(b, v) * b
         norm = float(np.linalg.norm(v))
-        if norm < tol:
+        if norm < DEFAULT_TOL:
             continue
         basis.append(v / norm)
     if len(basis) != dim:

@@ -22,16 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, complete_to_unitary, dagger, freeze
-from .povm import UDMeasurement, build_intermediate_ud, outcome_probabilities
+from .povm import PROB_FLOOR, UDMeasurement, build_intermediate_ud, outcome_probabilities
 from .states import check_overlap, make_state_pair
 
 QUBIT_DIM = 2
 ANCILLA_DIM = 3
 TOTAL_DIM = QUBIT_DIM * ANCILLA_DIM
-
-# normalized post-measurement probabilities are compared against this floor
-# before a conditional state is defined
-_PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,8 @@ def dilation_statistics(dilation: DilationUnitary, input_index: int):
 
     Returns (probs, post_states): probs is the probability of ancilla
     outcomes (0, 1, 2) and post_states the matching normalized qubit
-    states.  A state whose outcome probability is below 1e-12 is returned
-    unnormalized (it is never observed).
+    states.  A state whose outcome probability is at most PROB_FLOOR is
+    returned unnormalized (it is never observed).
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
@@ -115,11 +111,11 @@ def dilation_statistics(dilation: DilationUnitary, input_index: int):
         amp = np.array([evolved[m], evolved[ANCILLA_DIM + m]])
         p = float(np.real(np.vdot(amp, amp)))
         probs.append(p)
-        posts.append(freeze(amp / math.sqrt(p)) if p > _PROB_FLOOR else freeze(amp))
+        posts.append(freeze(amp / math.sqrt(p)) if p > PROB_FLOOR else freeze(amp))
     return tuple(probs), tuple(posts)
 
 
-def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement, tol: float = DEFAULT_TOL) -> float:
+def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement) -> float:
     """Largest deviation between the dilation and the Kraus description.
 
     `meas` must be the measurement the dilation realizes: same input
@@ -128,12 +124,12 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement, tol: float 
     infidelity over both inputs (ancilla outcome i matching measurement
     outcome i, with 0 the failure)."""
     rs = math.sqrt(dilation.s)
-    if abs(meas.input_pair.s - dilation.s) > tol:
+    if abs(meas.input_pair.s - dilation.s) > DEFAULT_TOL:
         raise ValueError(
             f"measurement input overlap {meas.input_pair.s} does not match "
             f"the dilation's s={dilation.s}"
         )
-    if abs(meas.q1 - rs) > tol or abs(meas.q2 - rs) > tol:
+    if abs(meas.q1 - rs) > DEFAULT_TOL or abs(meas.q2 - rs) > DEFAULT_TOL:
         raise ValueError(
             f"dilation realizes the symmetric point q1=q2=sqrt(s)={rs}; "
             f"got q1={meas.q1}, q2={meas.q2}"
@@ -147,7 +143,7 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement, tol: float 
         psi = meas.input_pair.psi1 if i == 1 else meas.input_pair.psi2
         for outcome in (0, 1, 2):
             prob_gap = max(prob_gap, abs(dil_probs[outcome] - meas_probs[outcome]))
-            if dil_probs[outcome] <= _PROB_FLOOR or meas_probs[outcome] <= _PROB_FLOOR:
+            if dil_probs[outcome] <= PROB_FLOOR or meas_probs[outcome] <= PROB_FLOOR:
                 continue
             kraus = meas.kraus[2] if outcome == 0 else meas.kraus[outcome - 1]
             post = kraus @ psi

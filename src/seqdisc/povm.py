@@ -82,18 +82,6 @@ class DiagnosticsReport:
     tol: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "completeness_residual": self.completeness_residual,
-            "min_eigenvalues": list(self.min_eigenvalues),
-            "trace_pi0": self.trace_pi0,
-            "det_pi0": self.det_pi0,
-            "zero_error_residuals": list(self.zero_error_residuals),
-            "consistency_gap": self.consistency_gap,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
 
 def build_intermediate_ud(pair: StatePair, q1: float, q2: float, snap: bool = True) -> UDMeasurement:
     """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
@@ -157,7 +145,7 @@ def build_optimal_ud(pair: StatePair) -> UDMeasurement:
     return build_intermediate_ud(pair, pair.s, pair.s)
 
 
-def validate(meas: UDMeasurement, tol: float = DEFAULT_TOL) -> DiagnosticsReport:
+def validate(meas: UDMeasurement) -> DiagnosticsReport:
     """Check completeness, positivity, and the zero-error property."""
     Pi1, Pi2, Pi0 = meas.povm
     A1, A2, A0 = meas.kraus
@@ -166,7 +154,7 @@ def validate(meas: UDMeasurement, tol: float = DEFAULT_TOL) -> DiagnosticsReport
     c1, c2 = ((1.0 - q) / (1.0 - s * s) for q in (meas.q1, meas.q2))
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
-    eigs = tuple(min_eigenvalue(P, tol) for P in (Pi1, Pi2, Pi0))
+    eigs = tuple(min_eigenvalue(P) for P in (Pi1, Pi2, Pi0))
     trace_pi0 = 2.0 - c1 - c2
     det_pi0 = 1.0 - c1 - c2 + c1 * c2 * (1.0 - s * s)
     zero_err = (
@@ -176,12 +164,12 @@ def validate(meas: UDMeasurement, tol: float = DEFAULT_TOL) -> DiagnosticsReport
     gap = float(np.linalg.norm(Pi0 - dagger(A0) @ A0))
 
     passed = (
-        completeness <= tol
-        and all(e >= -tol for e in eigs)
-        and trace_pi0 >= -tol
-        and det_pi0 >= -tol
-        and all(r <= tol for r in zero_err)
-        and gap <= tol
+        completeness <= DEFAULT_TOL
+        and all(e >= -DEFAULT_TOL for e in eigs)
+        and trace_pi0 >= -DEFAULT_TOL
+        and det_pi0 >= -DEFAULT_TOL
+        and all(r <= DEFAULT_TOL for r in zero_err)
+        and gap <= DEFAULT_TOL
     )
     return DiagnosticsReport(
         completeness_residual=completeness,
@@ -190,7 +178,7 @@ def validate(meas: UDMeasurement, tol: float = DEFAULT_TOL) -> DiagnosticsReport
         det_pi0=det_pi0,
         zero_error_residuals=zero_err,
         consistency_gap=gap,
-        tol=tol,
+        tol=DEFAULT_TOL,
         passed=passed,
     )
 

@@ -7,6 +7,7 @@ with identical inputs produce byte-identical files on any platform.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -33,7 +34,11 @@ def round_sig(x: float) -> float:
 
 
 def jsonable(obj):
-    """Recursively convert a report structure to JSON-ready values."""
+    """Recursively convert a report structure to JSON-ready values; a
+    dataclass instance becomes the mapping of its fields, so a report's
+    schema is the field list of its dataclass."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -63,19 +63,6 @@ class TallyReport:
     estimated_joint_probability: float
     standard_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "per_branch_success_counts": {
-                str(k): v for k, v in sorted(self.per_branch_success_counts.items())
-            },
-            "all_observers_success_count": self.all_observers_success_count,
-            "at_least_one_success_count": self.at_least_one_success_count,
-            "error_count": self.error_count,
-            "estimated_joint_probability": self.estimated_joint_probability,
-            "standard_error": self.standard_error,
-        }
-
     @classmethod
     def from_counts(cls, trials, branch1, branch2, all_count, any_count, err_count):
         """Report from summed outcome_counts(); the joint estimate is
@@ -103,7 +90,7 @@ def equal_failure_joint(s: float, t: float) -> float:
     return (1.0 - s / t) * (1.0 - t)
 
 
-def joint_success_analytic(s: float, q_bob, q_charlie, tol: float = 1e-9) -> float:
+def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
     """Joint success probability for explicit failure pairs.
 
     `q_bob` and `q_charlie` are the (q1, q2) pairs of the first and second
@@ -117,12 +104,12 @@ def joint_success_analytic(s: float, q_bob, q_charlie, tol: float = 1e-9) -> flo
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{name}={q} outside (0, 1]")
     t = math.sqrt(q1c * q2c)
-    if t < s - tol or t > 1.0 + tol:
+    if t < s - 1e-9 or t > 1.0 + 1e-9:
         raise ValueError(
             f"t = sqrt(q1_charlie*q2_charlie) = {t} violates s <= t <= 1 (s={s})"
         )
     want_b = s * s / (t * t)
-    if abs(q1b * q2b - want_b) > tol:
+    if abs(q1b * q2b - want_b) > 1e-9:
         raise ValueError(
             f"q1_bob*q2_bob = {q1b * q2b} violates the chaining constraint "
             f"q1_bob*q2_bob = s^2/t^2 = {want_b}"
@@ -135,9 +122,7 @@ class OptimizationResult:
     t_star: float
     q_star: float
     p_star: float
-
-    def as_dict(self) -> dict:
-        return {"t_star": self.t_star, "q_star": self.q_star, "p_star": self.p_star}
+    p_star_closed_form: float
 
 
 def optimize_two_observer(s: float) -> OptimizationResult:
@@ -147,7 +132,8 @@ def optimize_two_observer(s: float) -> OptimizationResult:
     t_star = sqrt(s), which is also the common failure probability q_star;
     it holds for every s in (0, 1), however small.  p_star is f(t_star)
     written as ((1 - s) / (1 + t_star))^2, which does not cancel as s -> 1,
-    cross-checked against the closed form (1 - sqrt(s))^2.
+    cross-checked against, and reported beside, the closed form
+    (1 - sqrt(s))^2.
     """
     s = check_overlap(s)
     t_star = math.sqrt(s)
@@ -157,7 +143,8 @@ def optimize_two_observer(s: float) -> OptimizationResult:
         raise ArithmeticError(
             f"optimizer drifted from the closed form: {p_star} vs {closed}"
         )
-    return OptimizationResult(t_star=t_star, q_star=t_star, p_star=p_star)
+    return OptimizationResult(t_star=t_star, q_star=t_star, p_star=p_star,
+                              p_star_closed_form=closed)
 
 
 def _check_chain_length(n) -> None:

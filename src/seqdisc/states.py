@@ -14,6 +14,7 @@ and comparable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,22 @@ class StatePair:
 
 def check_overlap(s, name: str = "s") -> float:
     """`s` as a float, after checking the open domain 0 < s < 1 of every
-    discrimination problem here; the ValueError names `name` and the value."""
-    s = float(s)
+    discrimination problem here; the ValueError names `name` and the value.
+
+    Only real numbers pass: a bool, a string or None is refused rather than
+    converted, and an int too large for a float is out of range."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise ValueError(f"{name}={s!r} is not a number")
+    try:
+        s = float(s)
+    except OverflowError as exc:
+        raise ValueError(f"{name} outside (0, 1): {exc}") from None
     if not 0.0 < s < 1.0:
         raise ValueError(f"{name}={s} outside (0, 1)")
     return s
 
 
-def orthogonal_complement(v, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthogonal_complement(v) -> np.ndarray:
     """Unit vector orthogonal to the qubit state `v`.
 
     For v = (a, b) the complement is (conj(b), -conj(a)), with an overall
@@ -58,7 +67,7 @@ def orthogonal_complement(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2,):
         raise ValueError(f"expected a qubit state of shape (2,), got {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
         raise ValueError("input state must be unit norm")
     w = np.array([np.conj(v[1]), -np.conj(v[0])])
     if w[0].real < 0.0:

@@ -172,11 +172,12 @@ _SVG_SERIES = (
 )
 
 
-def curve_svg(curve: StrategyCurve, width: int = 640, height: int = 480) -> str:
-    """Line plot of the four joint rates against the overlap.
+def curve_svg(curve: StrategyCurve) -> str:
+    """Line plot of the four joint rates against the overlap, 640 by 480.
 
     Self-contained SVG with no external references; identical input yields
     identical bytes."""
+    width, height = 640, 480
     left, right, top, bottom = 56.0, 16.0, 16.0, 44.0
     pw = width - left - right
     ph = height - top - bottom

@@ -94,7 +94,7 @@ def test_criterion_2_measurement_grid():
             lo = s * s / q1
             q2 = lo + (1.0 - lo) * (1.0 - u)
             meas = build_intermediate_ud(pair, float(q1), float(q2))
-            report = validate(meas, tol=1e-10)
+            report = validate(meas)
             ok &= report.passed
             ok &= all(min_eigenvalue(p) >= -1e-10 for p in meas.povm)
             want_t = s / math.sqrt(q1 * q2)
@@ -190,7 +190,7 @@ def test_criterion_7_key_distribution():
         report = run_session(SessionConfig(s=s, rounds=rounds, mode=mode, seed=303))
         _register_clean_session(report)
         se = math.sqrt(want_both * (1.0 - want_both) / rounds)
-        ok &= abs(report.rates["both_sifted"][0] - want_both) <= 4 * se
+        ok &= abs(report.rates["both_sifted"]["rate"] - want_both) <= 4 * se
         ok &= report.errors_bob == 0 and report.errors_charlie == 0
     # intercepted lines: knowledge and error rates against the enumeration oracle
     for mode in (MODE_TWO_QUBIT, MODE_ONE_QUBIT):
@@ -199,11 +199,11 @@ def test_criterion_7_key_distribution():
         oracle = session_rate_oracle(s, mode, EVE_INTERCEPT)
         know = eve_knowledge_rate(config)
         se = math.sqrt(know * (1.0 - know) / rounds)
-        ok &= abs(report.rates["eve_known"][0] - know) <= 4 * se
+        ok &= abs(report.rates["eve_known"]["rate"] - know) <= 4 * se
         for name in ("errors_bob", "errors_charlie", "both_sifted"):
             want = oracle[name]
             se = math.sqrt(want * (1.0 - want) / rounds)
-            ok &= abs(report.rates[name][0] - want) <= 4 * se
+            ok &= abs(report.rates[name]["rate"] - want) <= 4 * se
         ok &= report.errors_bob > 0 and report.errors_charlie > 0
     _verdict(
         "criterion 7: sift rates (1-s)^2 and (1-sqrt(s))^2 within 4 sigma; "

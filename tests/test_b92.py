@@ -15,12 +15,13 @@ from seqdisc.b92 import (
     run_session,
     session_config_from_dict,
 )
+from seqdisc.reporting import jsonable
 
 
 def _assert_within_4_sigma(report, oracle):
     n = report.rounds
     for name, want in oracle.items():
-        got = report.rates[name][0]
+        got = report.rates[name]["rate"]
         se = math.sqrt(want * (1.0 - want) / n)
         assert abs(got - want) <= 4 * se + 1e-12, (name, got, want)
 
@@ -84,7 +85,7 @@ def test_clean_sessions_have_no_errors(mode, s):
     _assert_within_4_sigma(report, session_rate_oracle(s, mode, EVE_NONE))
     # headline sift rates
     q = s if mode == MODE_TWO_QUBIT else math.sqrt(s)
-    assert report.rates["both_sifted"][0] == pytest.approx((1.0 - q) ** 2, abs=0.01)
+    assert report.rates["both_sifted"]["rate"] == pytest.approx((1.0 - q) ** 2, abs=0.01)
 
 
 @pytest.mark.parametrize("mode", [MODE_TWO_QUBIT, MODE_ONE_QUBIT])
@@ -97,7 +98,7 @@ def test_intercepted_sessions_match_the_oracle(mode):
     assert oracle["errors_bob"] > 0
     assert report.errors_bob > 0
     assert report.errors_charlie > 0
-    assert report.rates["eve_known"][0] == pytest.approx(
+    assert report.rates["eve_known"]["rate"] == pytest.approx(
         eve_knowledge_rate(config), abs=0.01
     )
 
@@ -127,5 +128,5 @@ def test_report_consistency():
     r = run_session(config)
     assert r.both_sifted <= min(r.bob_sifted, r.charlie_sifted)
     assert r.errors_bob <= r.bob_sifted
-    d = r.as_dict()
+    d = jsonable(r)
     assert d["rates"]["both_sifted"]["rate"] == pytest.approx(r.both_sifted / r.rounds)

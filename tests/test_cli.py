@@ -101,16 +101,56 @@ OVERLAP_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(OVERLAP_COMMANDS))
-@pytest.mark.parametrize("s", ["0", "1", "-0.5", "1.5", "nan", "inf"])
-def test_overlap_outside_the_open_interval_is_named(tmp_path, capsys, command, s):
+# overlaps only a config file can carry, each with how its message goes on
+# after the field's name: JSON values that are no real number, and an int
+# too large for a float
+CONFIG_ONLY_OVERLAPS = {
+    "null": (None, "=None"),
+    "list": ([0.3], "=[0.3]"),
+    "string": ("0.3", "='0.3'"),
+    "true": (True, "=True"),
+    "huge-int": (10**400, " outside (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("s, command", [
+    *((s, c) for s in ("0", "1", "-0.5", "1.5", "nan", "inf") for c in sorted(OVERLAP_COMMANDS)),
+    *((s, "b92-config") for s in CONFIG_ONLY_OVERLAPS)])
+def test_overlap_outside_the_open_interval_is_named(tmp_path, capsys, s, command):
+    if s in CONFIG_ONLY_OVERLAPS:
+        value, tail = CONFIG_ONLY_OVERLAPS[s]
+    else:
+        value, tail = float(s), f"={float(s)}"
     config = tmp_path / "session.json"
-    config.write_text(json.dumps({"s": float(s), "rounds": 10, "mode": "two_qubit"}))
+    config.write_text(json.dumps({"s": value, "rounds": 10, "mode": "two_qubit"}))
     argv = [a.format(s=s, config=config) for a in OVERLAP_COMMANDS[command]]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     name = "config field 's'" if argv[0] == "b92" else "s"
-    assert err.startswith("error: ") and f"{name}={float(s)}" in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name + tail in err, err
+
+
+# every output file of every command; {bad} lies in a missing directory
+UNWRITABLE_OUTPUTS = {
+    "optimize": ["optimize", "--s", "0.3", "--out", "{bad}"],
+    "optimize-csv": ["optimize", "--s", "0.3", "--format", "csv", "--out", "{bad}"],
+    "curves": ["curves", "--steps", "3", "--out", "{bad}"],
+    "curves-svg": ["curves", "--steps", "3", "--svg", "{bad}", "--out", "{good}"],
+    "simulate": ["simulate", "--kind", "seq", "--s", "0.3", "--trials", "10", "--out", "{bad}"],
+    "neumark": ["neumark", "--s", "0.3", "--out", "{bad}"],
+    "neumark-matrix": ["neumark", "--s", "0.3", "--matrix", "{bad}", "--out", "{good}"],
+    "b92": ["b92", "--s", "0.3", "--rounds", "10", "--mode", "two_qubit", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_file_leaves_stdout_empty(tmp_path, capsys, command):
+    good = tmp_path / "report.out"
+    argv = [a.format(bad=tmp_path / "missing" / "x", good=good)
+            for a in UNWRITABLE_OUTPUTS[command]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: "), err
+    assert not good.exists()
 
 
 @settings(max_examples=20, deadline=None,

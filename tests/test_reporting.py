@@ -1,13 +1,15 @@
-"""The batched table formatter against the per-cell formatting it replaced."""
+"""The batched table formatter against the per-cell formatting it replaced,
+and JSON reports built from dataclass fields."""
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from seqdisc import reporting
-from seqdisc.reporting import csv_text, fmt, format_rows
+from seqdisc.reporting import csv_text, dumps_json, fmt, format_rows
 from seqdisc.strategies import curve_svg, make_curve
 
 # Cells at the edges of %.12g: signed zeros, the smallest subnormal, huge
@@ -91,3 +93,39 @@ def test_svg_points_match_per_point_reference(curve):
     assert len(points) == 4
     for got, attr in zip(points, ("p_seq", "p1", "p2", "p3")):
         assert first_difference(got, reference_points(curve, attr), " ") is None, attr
+
+
+@dataclass(frozen=True)
+class _Inner:
+    rate: float
+
+
+@dataclass(frozen=True)
+class _Report:
+    counts: dict
+    pair: tuple
+    count: np.int64
+    share: np.float64
+    inner: _Inner
+
+
+def test_dumps_json_serializes_dataclass_fields():
+    report = _Report(counts={2: np.int64(5), 1: 7}, pair=(1, 0.5), count=np.int64(3),
+                     share=np.float64(1 / 3), inner=_Inner(rate=2 / 3))
+    assert dumps_json(report) == """\
+{
+  "count": 3,
+  "counts": {
+    "1": 7,
+    "2": 5
+  },
+  "inner": {
+    "rate": 0.666666666667
+  },
+  "pair": [
+    1,
+    0.5
+  ],
+  "share": 0.333333333333
+}
+"""

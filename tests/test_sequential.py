@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqdisc.povm import apply
+from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
     build_chain,
@@ -245,7 +246,7 @@ def test_simulate_chain_validation():
 def test_tally_report_as_dict_round_trip():
     chain = build_chain(0.25, 2)
     report = simulate_chain(chain, 1000, seed=1)
-    d = report.as_dict()
+    d = jsonable(report)
     assert d["trials"] == 1000
     assert set(d["per_branch_success_counts"]) == {"1", "2"}
     assert d["all_observers_success_count"] == report.all_observers_success_count

@@ -76,13 +76,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_neumark(args) -> int:
     dilation = neumark.build_dilation(args.s)
-    matrix = None
-    if args.matrix:
-        header = []
-        for j in range(neumark.TOTAL_DIM):
-            header.extend([f"re{j}", f"im{j}"])
-        matrix = (args.matrix,
-                  reporting.csv_text(header, neumark.unitary_csv_rows(dilation)))
+    matrix = (args.matrix, neumark.unitary_csv(dilation)) if args.matrix else None
     _emit(reporting.dumps_json(neumark.dilation_report(dilation)), args.out, matrix)
     return 0
 
@@ -91,7 +85,10 @@ def _cmd_b92(args) -> int:
     raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long
+                raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
     # explicit flags win over config-file values

@@ -23,6 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, complete_to_unitary, dagger, freeze
 from .povm import PROB_FLOOR, UDMeasurement, build_intermediate_ud, outcome_probabilities
+from .reporting import csv_text
 from .states import check_overlap, make_state_pair
 
 QUBIT_DIM = 2
@@ -175,3 +176,10 @@ def unitary_csv_rows(dilation: DilationUnitary) -> np.ndarray:
     """Rows of U as alternating real and imaginary parts (6 rows of 12):
     the float64 view of a row-major copy of the complex matrix."""
     return np.ascontiguousarray(dilation.u).view(np.float64)
+
+
+def unitary_csv(dilation: DilationUnitary) -> str:
+    """The `neumark --matrix` table: header re0,im0,...,re5,im5, then the
+    rows of unitary_csv_rows()."""
+    header = [f"{part}{j}" for j in range(TOTAL_DIM) for part in ("re", "im")]
+    return csv_text(header, unitary_csv_rows(dilation))

@@ -19,7 +19,6 @@ admissibility condition q1 q2 >= s^2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +30,6 @@ from .states import StatePair, check_overlap, make_state_pair
 # wrong-state outcomes carry only accumulated float noise (~1e-16); flooring
 # them makes "never misidentifies" hold exactly in sampled runs as well.
 PROB_FLOOR = 1e-12
-
-# Output overlaps this close to 1 are snapped to exactly 1, so a chain whose
-# last stage saturates q1*q2 = s^2 reports a clean product-state output.
-_OVERLAP_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class UDMeasurement:
     def exhausts_information(self) -> bool:
         """True when the conditional output states coincide, i.e. nothing
         is left for a later observer to discriminate."""
-        return self.output_pair.s >= 1.0 - _OVERLAP_SNAP
+        return self.output_pair.s == 1.0
 
 
 @dataclass(frozen=True)
@@ -83,32 +78,28 @@ class DiagnosticsReport:
     passed: bool
 
 
-def build_intermediate_ud(pair: StatePair, q1: float, q2: float, snap: bool = True) -> UDMeasurement:
+def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasurement:
     """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
 
     Requires q1*q2 >= s^2; at equality the output states coincide and the
     measurement extracts everything (exhausts_information is then True).
     q_i = 1 is allowed and simply means state i is never identified.
-    With `snap`, an output overlap within _OVERLAP_SNAP of 1 becomes exactly
-    1; build_chain snaps only its last stage.
+    The output overlap is s / q at q1 = q2 = q (exactly 1 at q = s) and
+    s / sqrt(q1) / sqrt(q2) otherwise; neither squares, so admissibility
+    is checked on it even where s^2 underflows, and up to 1e-12 above 1
+    it is capped at 1.
     """
     s = check_overlap(pair.s, "input overlap s")
     for name, q in (("q1", q1), ("q2", q2)):
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{name}={q} outside (0, 1]")
-    qq = q1 * q2
-    if qq < s * s * (1.0 - 1e-12):
+    t = s / q1 if q1 == q2 else s / math.sqrt(q1) / math.sqrt(q2)
+    if t > 1.0 + 1e-12:
         raise ValueError(
-            f"q1*q2 = {qq} below the admissibility bound s^2 = {s * s}; "
-            "the failure probabilities cannot both be that small"
+            f"output overlap s/sqrt(q1*q2) = {t} > 1: q1={q1}, q2={q2} violate the "
+            f"admissibility bound q1*q2 >= s^2 for s={s}"
         )
-    # q1*q2 is subnormal and has lost digits for s below about 1e-154 (at
-    # q1 = q2 = s); only then are the roots taken apart, so ordinary
-    # overlaps keep the bits of sqrt(q1*q2)
-    t = s / math.sqrt(qq) if qq >= sys.float_info.min else s / math.sqrt(q1) / math.sqrt(q2)
-    if snap and t > 1.0 - _OVERLAP_SNAP:
-        t = 1.0
-    output_pair = make_state_pair(t)
+    output_pair = make_state_pair(min(t, 1.0))
 
     one_minus_s2 = 1.0 - s * s
     c1 = (1.0 - q1) / one_minus_s2

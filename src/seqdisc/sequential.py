@@ -28,6 +28,7 @@ import numpy as np
 from .povm import (
     UDMeasurement,
     build_intermediate_ud,
+    build_optimal_ud,
     classify_uniforms,
     sampling_boundaries,
 )
@@ -40,9 +41,9 @@ class ChainSpec:
     """A fully specified n-observer chain.
 
     stages[k] (0-based) is observer k+1's measurement.  Its input overlap
-    is s**((n-k)/n) and its output overlap s**((n-k-1)/n), so consecutive
-    stages chain exactly and the last one outputs overlap 1.  Every stage
-    uses the common per-state failure probability q = s**(1/n).
+    is s**((n-k)/n), its input pair the previous stage's output pair.  Every
+    stage but the last fails with per-state probability q = s**(1/n); the
+    last fails with its own input overlap and outputs overlap exactly 1.
     """
 
     s: float
@@ -162,33 +163,32 @@ def optimal_n_observer(s: float, n: int) -> float:
 def build_chain(s: float, n: int) -> ChainSpec:
     """Concrete measurements realizing the optimal n-observer chain.
 
-    Every stage uses the common failure probability q = s**(1/n); stage k
-    sees input overlap s**((n-k+1)/n) and hands the next stage overlap
-    s**((n-k)/n).  The last stage saturates its admissibility bound and
-    leaves nothing behind; only its output overlap is snapped to 1, so an s
-    whose earlier stages round to overlap 1 raises ValueError.  That error,
-    and the ArithmeticError of a stage that drifts, both name s and n.
+    Stage k sees input overlap s**((n-k+1)/n) and each stage hands its
+    output pair on unchanged.  Every stage but the last uses the common
+    failure probability q = s**(1/n); the last is build_optimal_ud on the
+    pair it receives, so it saturates q1*q2 = s^2 and outputs overlap
+    exactly 1.  An s so close to 1 that an earlier stage's output rounds
+    to 1 raises ValueError; that error, and the ArithmeticError of a stage
+    that drifts, both name s and n.
     """
     s = check_overlap(s)
     _check_chain_length(n)
     q = s ** (1.0 / n)
     where = f"no chain of n={n} observers for s={s}"
     stages = []
-    overlap = s
+    pair = make_state_pair(s)
     for k in range(n):
         try:
-            stage = build_intermediate_ud(make_state_pair(overlap), q, q, snap=k == n - 1)
+            stage = build_intermediate_ud(pair, q, q) if k < n - 1 else build_optimal_ud(pair)
         except ValueError as exc:
             raise ValueError(f"{where}: stage {k + 1} {exc}") from exc
         stages.append(stage)
-        overlap = stage.output_overlap
-        expected = s ** ((n - k - 1) / n) if k < n - 1 else 1.0
-        if abs(overlap - expected) > 1e-9:
+        pair = stage.output_pair
+        expected = s ** ((n - k - 1) / n)
+        if abs(pair.s - expected) > 1e-9:
             raise ArithmeticError(
-                f"{where}: stage {k + 1} output overlap {overlap} drifted from {expected}"
+                f"{where}: stage {k + 1} output overlap {pair.s} drifted from {expected}"
             )
-    if not stages[-1].exhausts_information:
-        raise ArithmeticError(f"{where}: final stage failed to exhaust the state pair")
     return ChainSpec(s=s, n=n, q=q, stages=tuple(stages))
 
 

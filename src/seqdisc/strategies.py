@@ -5,7 +5,7 @@ s) and are scored by the probability that both receivers identify the
 state with certainty:
 
     1  measure-and-broadcast: the first receiver runs the minimum-failure
-       measurement and announces the result.          p1 = 1 - s
+       measurement (a one-observer chain) and announces it.  p1 = 1 - s
     2  measure-and-resend: the first receiver measures, and on success
        prepares a fresh copy for the second to measure independently.
                                                       p2 = (1 - s)^2
@@ -122,7 +122,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     Fixed draw layout per trial (unused draws are still consumed, so a
     given trial index always sees the same numbers):
 
-        kind 1:  0 prepared state, 1 receiver measurement
+        kind 1:  the one-observer chain: 0 prepared, 1 receiver
         kind 2:  0 prepared, 1 first receiver, 2 second receiver
         kind 3:  0 prepared, 1 cloner, 2 first receiver, 3 second receiver
         seq:     the two-observer chain's own layout
@@ -134,8 +134,8 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     kind = str(kind)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "seq":
-        return simulate_chain(build_chain(s, 2), trials, seed)
+    if kind in ("1", "seq"):
+        return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
     s = check_overlap(s)
     bounds = sampling_boundaries(build_optimal_ud(make_state_pair(s)))
     p_clone = 1.0 / (1.0 + s)
@@ -146,8 +146,6 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         out_b = classify_uniforms(bounds, prep, u[:, col])
         ok_b = out_b == prep
         err = out_b == wrong
-        if kind == "1":
-            return outcome_counts(ok_b, ok_b, err, prep)
         out_c = classify_uniforms(bounds, prep, u[:, col + 1])
         ok_c = out_c == prep
         if kind == "2":
@@ -159,8 +157,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         ok_c &= cloned
         return outcome_counts(ok_b & ok_c, ok_b | ok_c, cloned & (err | (out_c == wrong)), prep)
 
-    draws = {"1": 2, "2": 3, "3": 4}[kind]
-    return TallyReport.from_counts(trials, *run_trials(seed, trials, draws, kernel))
+    return TallyReport.from_counts(trials, *run_trials(seed, trials, col + 2, kernel))
 
 
 _SVG_SERIES = (

@@ -299,6 +299,25 @@ def test_b92_rejects_non_object_config(tmp_path, capsys):
     assert "JSON object" in err
 
 
+# the long value is "s", not "rounds": where ints have no digit limit the
+# file parses and still exits 2 on the overlap instead of running the rounds
+UNREADABLE_CONFIGS = {
+    "5001-digit-integer": b'{"s": 1' + b"0" * 5000 + b', "rounds": 10, "mode": "two_qubit"}',
+    "truncated": b'{"s": 0.3, "rounds": 10, "mode": "two_qubit"',
+    "not-utf-8": b'{"s": 0.3, "rounds": 10, "mode": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+def test_unreadable_config_file_is_named(tmp_path, capsys, case):
+    cfg = tmp_path / "session.json"
+    cfg.write_bytes(UNREADABLE_CONFIGS[case])
+    code, out, err = run_cli(capsys, "b92", "--config", str(cfg))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and str(cfg) in line
+
+
 def test_missing_config_file_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "b92", "--config", "/nonexistent/nope.json")
     assert code == 2

@@ -129,6 +129,18 @@ def test_admissibility_bound_is_enforced():
     assert meas.exhausts_information
 
 
+def test_admissibility_holds_where_the_products_underflow():
+    # at s = 1e-170 both s^2 and q1*q2 round to 0, so only the output
+    # overlap can tell admissible failure probabilities from the rest
+    pair = make_state_pair(1e-170)
+    for q1, q2 in ((1e-200, 1e-200), (1e-200, 2e-200)):
+        with pytest.raises(ValueError, match="admissibility"):
+            build_intermediate_ud(pair, q1, q2)
+    meas = build_intermediate_ud(pair, 2e-170, 5e-171)
+    assert meas.output_overlap == pytest.approx(1.0, abs=1e-15)
+    assert validate(meas).passed
+
+
 def test_failure_probability_range_is_enforced():
     pair = make_state_pair(0.5)
     for q1, q2 in ((0.0, 0.9), (1.2, 0.9), (0.9, -0.1)):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqdisc.povm import apply
+from seqdisc.linalg import DEFAULT_TOL
+from seqdisc.povm import apply, validate
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
@@ -167,8 +168,9 @@ def test_build_chain_validation():
 @example(-12.0, 2)
 @example(-11.0, 64)
 def test_build_chain_near_overlap_one(log_gap, n):
-    """Only the last stage's output overlap is snapped to 1; an s whose
-    earlier stages round to overlap 1 is refused with the caller's s and n."""
+    """The last stage saturates on the overlap it is handed and outputs
+    exactly 1; an s whose earlier stages round to overlap 1 is refused
+    with the caller's s and n."""
     s = 1.0 - 10.0**log_gap
     try:
         chain = build_chain(s, n)
@@ -180,7 +182,17 @@ def test_build_chain_near_overlap_one(log_gap, n):
     assert chain.stages[0].input_pair.s == s
     for prev, nxt in zip(chain.stages, chain.stages[1:]):
         assert prev.output_overlap == nxt.input_pair.s < 1.0
-    assert chain.stages[-1].output_overlap == 1.0
+    last = chain.stages[-1]
+    assert last.q1 == last.q2 == last.input_pair.s
+    assert last.output_overlap == 1.0
+
+
+@pytest.mark.parametrize("s, n", [(1.0 - 1e-10, 64), (0.999999999999, 2)])
+def test_near_one_chain_stages_are_positive(s, n):
+    """Every stage of these chains is a measurement: no POVM element has an
+    eigenvalue below -DEFAULT_TOL."""
+    for stage in build_chain(s, n).stages:
+        assert min(validate(stage).min_eigenvalues) >= -DEFAULT_TOL
 
 
 def test_simulate_chain_matches_scalar_application():

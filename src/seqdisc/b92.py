@@ -99,13 +99,6 @@ def eve_knowledge_rate(config: SessionConfig) -> float:
     return 1.0 - config.s
 
 
-def _draws_per_round(config: SessionConfig) -> int:
-    # layout: prep, [eve link draws..., guess,] bob, charlie
-    if config.eve == EVE_NONE:
-        return 3
-    return 6 if config.mode == MODE_TWO_QUBIT else 5
-
-
 def run_session(config: SessionConfig) -> KeyReport:
     """Simulate a whole session round by round.
 
@@ -124,24 +117,26 @@ def run_session(config: SessionConfig) -> KeyReport:
         chain = build_chain(config.s, 2)
         bob_bounds = sampling_boundaries(chain.stages[0])
         charlie_bounds = sampling_boundaries(chain.stages[1])
+    # Bob's draw follows prep and any eavesdropper draws; Charlie's is the last
+    if config.eve == EVE_NONE:
+        col = 1
+    else:
+        col = 4 if config.mode == MODE_TWO_QUBIT else 3
 
     def kernel(u, prep):
         if config.eve == EVE_NONE:
             forwarded = prep
             known = np.zeros(len(prep), dtype=bool)
-            col = 1
         elif config.mode == MODE_TWO_QUBIT:
             out_e1 = classify_uniforms(eve_bounds, prep, u[:, 1])
             out_e2 = classify_uniforms(eve_bounds, prep, u[:, 2])
             known = (out_e1 != 0) | (out_e2 != 0)
             identified = np.where(out_e1 != 0, out_e1, out_e2)
             forwarded = np.where(known, identified, state_index(u[:, 3]))
-            col = 4
         else:
             out_e = classify_uniforms(eve_bounds, prep, u[:, 1])
             known = out_e != 0
             forwarded = np.where(known, out_e, state_index(u[:, 2]))
-            col = 3
 
         out_b = classify_uniforms(bob_bounds, forwarded, u[:, col])
         # on the sequential path Charlie receives Bob's conditional output,
@@ -163,7 +158,7 @@ def run_session(config: SessionConfig) -> KeyReport:
     names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",
              "errors_bob", "errors_charlie")
     n = config.rounds
-    counts = dict(zip(names, run_trials(config.seed, n, _draws_per_round(config), kernel)))
+    counts = dict(zip(names, run_trials(config.seed, n, col + 2, kernel)))
     return KeyReport(rounds=n, **counts,
                      rates={name: dict(zip(("rate", "stderr"), binomial_rate(c, n)))
                             for name, c in counts.items()})

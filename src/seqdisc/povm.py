@@ -49,10 +49,6 @@ class UDMeasurement:
     povm: tuple
 
     @property
-    def output_overlap(self) -> float:
-        return self.output_pair.s
-
-    @property
     def exhausts_information(self) -> bool:
         """True when the conditional output states coincide, i.e. nothing
         is left for a later observer to discriminate."""

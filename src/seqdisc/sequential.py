@@ -35,6 +35,9 @@ from .povm import (
 from .sampling import binomial_rate, run_trials
 from .states import check_overlap, make_state_pair
 
+# Observers build_chain accepts; every stage is built and kept in memory.
+MAX_CHAIN_LENGTH = 10**4
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -151,6 +154,10 @@ def optimize_two_observer(s: float) -> OptimizationResult:
 def _check_chain_length(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"n must fit in a float, got a {n.bit_length()}-bit integer") from None
 
 
 def optimal_n_observer(s: float, n: int) -> float:
@@ -169,10 +176,12 @@ def build_chain(s: float, n: int) -> ChainSpec:
     pair it receives, so it saturates q1*q2 = s^2 and outputs overlap
     exactly 1.  An s so close to 1 that an earlier stage's output rounds
     to 1 raises ValueError; that error, and the ArithmeticError of a stage
-    that drifts, both name s and n.
+    that drifts, both name s and n.  n is capped at MAX_CHAIN_LENGTH.
     """
     s = check_overlap(s)
     _check_chain_length(n)
+    if n > MAX_CHAIN_LENGTH:
+        raise ValueError(f"n must be at most {MAX_CHAIN_LENGTH}, got {n}")
     q = s ** (1.0 / n)
     where = f"no chain of n={n} observers for s={s}"
     stages = []

@@ -40,6 +40,9 @@ KINDS = ("1", "2", "3", "seq")
 
 CSV_HEADER = ("s", "p_seq", "p1", "p2", "p3", "at_least_one")
 
+# Grid points make_curve accepts; a million rows already take seconds to write.
+MAX_STEPS = 10**6
+
 
 def _check_unit_interval(s):
     """`s` as a float, or a float array for array input, every value in [0, 1]."""
@@ -96,8 +99,8 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     s_min, s_max = float(s_min), float(s_max)
     if not 0.0 <= s_min < s_max <= 1.0:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
     grid = np.linspace(s_min, s_max, steps)
     p1, p2, p3, p_seq = strategy1(grid), strategy2(grid), strategy3(grid), strategy_seq(grid)
     interior = (grid > 0.0) & (grid < 1.0)

@@ -207,6 +207,11 @@ def test_curves_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "curves", "--s-min", "0.9", "--s-max", "0.1")
     assert code == 2
     assert "s_min < s_max" in err
+    # refused before the grid is allocated
+    for steps in (1000001, 10**13):
+        code, out, err = run_cli(capsys, "curves", "--steps", str(steps))
+        assert (code, out) == (2, "")
+        assert err == f"error: steps must be in [2, 1000000], got {steps}\n"
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
@@ -247,6 +252,18 @@ def test_simulate_chain_length(capsys):
     report = json.loads(out)
     se = math.sqrt(0.001 * 0.999 / 200000)
     assert abs(report["tally"]["estimated_joint_probability"] - 0.001) < 4 * se
+    # refused by message, before any stage is built
+    simulate = ["simulate", "--kind", "seq", "--s", "0.3", "--trials", "10"]
+    for argv, n, message in (
+        (simulate, 10001, "n must be at most 10000, got 10001"),
+        (simulate, 10**300, f"n must be at most 10000, got {10**300}"),
+        (simulate, 2**1100, "n must fit in a float, got a 1101-bit integer"),
+        (["optimize", "--s", "0.3"], 2**1100, "n must fit in a float, got a 1101-bit integer"),
+        (["optimize", "--s", "0.3", "--format", "csv"], 2**1100,
+         "n must fit in a float, got a 1101-bit integer"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n", str(n))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_neumark_report_and_matrix(tmp_path, capsys):

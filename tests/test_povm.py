@@ -35,7 +35,7 @@ def _q_grid(s, count=8):
 def test_optimal_measurement_is_valid_and_exhausting(s):
     meas = build_optimal_ud(make_state_pair(s))
     assert meas.q1 == meas.q2 == s
-    assert meas.output_overlap == 1.0
+    assert meas.output_pair.s == 1.0
     assert meas.exhausts_information
     report = validate(meas)
     assert report.passed
@@ -50,7 +50,7 @@ def test_intermediate_measurements_validate_on_a_grid(s):
         report = validate(meas)
         assert report.passed, (s, q1, q2, report)
         want_t = min(1.0, s / math.sqrt(q1 * q2))
-        assert meas.output_overlap == pytest.approx(want_t, abs=1e-10)
+        assert meas.output_pair.s == pytest.approx(want_t, abs=1e-10)
 
 
 @pytest.mark.parametrize("s", S_GRID)
@@ -137,7 +137,7 @@ def test_admissibility_holds_where_the_products_underflow():
         with pytest.raises(ValueError, match="admissibility"):
             build_intermediate_ud(pair, q1, q2)
     meas = build_intermediate_ud(pair, 2e-170, 5e-171)
-    assert meas.output_overlap == pytest.approx(1.0, abs=1e-15)
+    assert meas.output_pair.s == pytest.approx(1.0, abs=1e-15)
     assert validate(meas).passed
 
 

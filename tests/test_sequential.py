@@ -116,6 +116,8 @@ def test_n_observer_closed_form():
         optimal_n_observer(s, 2.5)
     with pytest.raises(ValueError, match="n must be"):
         optimal_n_observer(s, True)
+    with pytest.raises(ValueError, match="^n must fit in a float, got a 1101-bit integer$"):
+        optimal_n_observer(s, 2**1100)
 
 
 def test_n_observer_rate_decreases_with_overlap():
@@ -149,9 +151,9 @@ def test_build_chain_schedule(n):
         assert stage.input_pair.s == pytest.approx(s ** ((n - k) / n), abs=1e-12)
         assert stage.q1 == stage.q2 == pytest.approx(chain.q)
     for prev, nxt in zip(chain.stages, chain.stages[1:]):
-        assert prev.output_overlap == pytest.approx(nxt.input_pair.s, abs=1e-12)
+        assert prev.output_pair.s == pytest.approx(nxt.input_pair.s, abs=1e-12)
     assert chain.stages[-1].exhausts_information
-    assert chain.stages[-1].output_overlap == 1.0
+    assert chain.stages[-1].output_pair.s == 1.0
 
 
 def test_build_chain_validation():
@@ -161,6 +163,12 @@ def test_build_chain_validation():
         build_chain(0.5, 0)
     with pytest.raises(ValueError, match="n must be"):
         build_chain(0.3, True)
+    # refused by message alone: a chain this long is never built
+    for n in (10001, 10**300):
+        with pytest.raises(ValueError, match=f"^n must be at most 10000, got {n}$"):
+            build_chain(0.3, n)
+    with pytest.raises(ValueError, match="^n must fit in a float, got a 1101-bit integer$"):
+        build_chain(0.3, 2**1100)
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,10 +189,10 @@ def test_build_chain_near_overlap_one(log_gap, n):
     assert chain.q == s ** (1.0 / n) and len(chain.stages) == n
     assert chain.stages[0].input_pair.s == s
     for prev, nxt in zip(chain.stages, chain.stages[1:]):
-        assert prev.output_overlap == nxt.input_pair.s < 1.0
+        assert prev.output_pair.s == nxt.input_pair.s < 1.0
     last = chain.stages[-1]
     assert last.q1 == last.q2 == last.input_pair.s
-    assert last.output_overlap == 1.0
+    assert last.output_pair.s == 1.0
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-10, 64), (0.999999999999, 2)])

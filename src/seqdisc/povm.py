@@ -60,8 +60,9 @@ class DiagnosticsReport:
     """Numerical health check of a UDMeasurement.
 
     trace_pi0 and det_pi0 come from the closed forms
-    2 - c1 - c2 and 1 - c1 - c2 + c1 c2 (1 - s^2); both must be
-    nonnegative for Pi0 to be a valid element.
+    (q1 + q2 - 2 s^2) / (1 - s^2) and (q1 q2 - s^2) / (1 - s^2), with
+    1 - s^2 taken as (1 - s)(1 + s); both must be nonnegative for Pi0 to
+    be a valid element. Factored this way neither cancels as s nears 1.
     """
 
     completeness_residual: float
@@ -138,12 +139,12 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     A1, A2, A0 = meas.kraus
     pair = meas.input_pair
     s = pair.s
-    c1, c2 = ((1.0 - q) / (1.0 - s * s) for q in (meas.q1, meas.q2))
+    one_minus_s2 = (1.0 - s) * (1.0 + s)
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
     eigs = tuple(min_eigenvalue(P) for P in (Pi1, Pi2, Pi0))
-    trace_pi0 = 2.0 - c1 - c2
-    det_pi0 = 1.0 - c1 - c2 + c1 * c2 * (1.0 - s * s)
+    trace_pi0 = (meas.q1 + meas.q2 - 2.0 * s * s) / one_minus_s2
+    det_pi0 = (meas.q1 * meas.q2 - s * s) / one_minus_s2
     zero_err = (
         abs(complex(np.vdot(pair.psi2, Pi1 @ pair.psi2))),
         abs(complex(np.vdot(pair.psi1, Pi2 @ pair.psi1))),

@@ -8,12 +8,14 @@ with identical inputs produce byte-identical files on any platform.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 
 SIG_DIGITS = 12
-# rows rendered per %-format call by format_rows; bounds its temporary tuple
+# rows format_rows renders at once; bounds its per-block arrays (a 6-column
+# block of cell slots is under 1 MB)
 FORMAT_BLOCK_ROWS = 4096
 
 
@@ -56,19 +58,96 @@ def dumps_json(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache
+def _tables():
+    """format_rows's tables, built on first use: groups 0000-9999 as ASCII
+    digits interleaved with 0xff, their trailing zeros, 10**0 .. 10**22, and a
+    slot per exponent, trailing zeros and sign, 0xff where %g keeps a digit."""
+    groups = np.full((10,) * 4 + (8,), 0xFF, np.uint8)
+    groups[..., ::2] = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + ord("0")
+    z = (np.arange(10) == 0).astype(np.uint8)
+    trailing = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    pow10 = np.cumprod([1.0] + [10.0] * 22)  # every product is exact
+    e, zeros, neg = np.indices((23, 13, 2)).reshape(3, -1) + [[-11], [0], [0]]
+    fixed = e >= -4
+    int_digits = np.where(fixed, np.maximum(e + 1, 0), 1)
+    keep = np.maximum(12 - zeros, int_digits)[:, None]  # %g drops the fraction's trailing zeros
+    lead = np.where(fixed & (e < 0), 1 - e, 0)[:, None]  # length of "0.000"[:lead]
+    k = np.arange(12)
+    # a slot: the sign, the "0.000" of values in [1e-4, 1), twelve digits
+    # each followed by a point slot, and "e-XX"; NULs fill what is unused
+    slot = np.zeros((len(e), 34), np.uint8)
+    slot[:, 0] = neg * ord("-")
+    slot[:, 1:6] = (k[:5] < lead) * np.frombuffer(b"0.000", np.uint8)
+    slot[:, 6:30:2] = (k < keep) * 0xFF
+    slot[:, 7:30:2] = ((k == int_digits[:, None] - 1) & (k + 1 < keep)) * ord(".")
+    slot[~fixed, 30:34] = [list(b"e-%02d" % -v) for v in e[~fixed]]
+    tables = groups.reshape(10**4, 8).view(np.uint64).ravel(), trailing.ravel(), pow10, slot
+    return tuple(table.setflags(write=False) or table for table in tables)  # shared: read-only
+
+
+def _significand(ax, e, pow10):
+    """rint(ax * 10**(11 - e)), correctly rounded: within 1e-4 of a tie,
+    Dekker's TwoProduct (Veltkamp split) gives the product's exact rounding
+    error, whose sign settles the tie; an exact tie keeps rint's
+    round-half-even, as CPython's dtoa does."""
+    scale = pow10[11 - e]
+    p = ax * scale
+    m = np.rint(p)
+    near = np.flatnonzero(np.abs(np.abs(p - m) - 0.5) < 1e-4)
+    a, b, p, d = ax[near], scale[near], p[near], p[near] - m[near]
+    ah, bh = (c - (c - v) for c, v in ((134217729.0 * a, a), (134217729.0 * b, b)))
+    err = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    m[near] += ((d == 0.5) & (err > 0)).astype(float) - ((d == -0.5) & (err < 0))
+    return m
+
+
+def _slots(x, sep):
+    """A slot of _tables() per cell of `x`, with its digits and followed by
+    the bytes `sep`; every cell is 0 or 1e-11 <= |x| < 1e11."""
+    groups, trailing, pow10, slot = _tables()
+    ax = np.where(x == 0.0, 1.0, np.abs(x))  # log10 stays finite; 0 gets its digits below
+    e = np.clip(np.floor(np.log10(ax)).astype(np.intp), -11, 11)  # 10**(11 - e) stays exact
+    m = _significand(ax, e, pow10)
+    # log10 may miss the decade by one, and rounding may carry into the next
+    moved = np.flatnonzero((m >= 1e12) | (m < 1e11))
+    e[moved] += np.where(m[moved] >= 1e12, 1, -1)
+    m[moved] = _significand(ax[moved], e[moved], pow10)
+    m = np.where(x == 0.0, 0, m).astype(np.int64)
+    q0, q1, q2 = m // 10**8, m // 10**4 % 10**4, m % 10**4
+    zeros = trailing[q2] + (q2 == 0) * (trailing[q1] + (q1 == 0) * trailing[q0])
+    layouts = np.hstack([slot, np.broadcast_to(sep, (len(slot), len(sep)))])
+    out = np.take(layouts, ((e + 11) * 13 + zeros) * 2 + (x < 0), axis=0)
+    for j, q in enumerate((q0, q1, q2)):
+        out[:, 6:30].view(np.uint64)[:, j] &= groups[q]
+    return out
+
+
+def _kernel_text(block, sep: str, eol: str):
+    """The rows of a block in fmt()'s format, each ending in eol, or None
+    when a cell is outside the kernel's domain: 0 and 1e-11 <= |x| < 1e11."""
+    ab = np.abs(block)
+    if not (block.size and "\0" not in sep + eol and np.all(
+            (ab < 1e11) & ((ab >= 1e-11) | (ab == 0.0)))):
+        return None
+    w = max(len(sep.encode()), len(eol.encode()))
+    sep_b, eol_b = (np.frombuffer(s.encode().ljust(w, b"\0"), np.uint8) for s in (sep, eol))
+    out = _slots(block.ravel(), sep_b)
+    out.reshape(len(block), -1)[:, -w:] = eol_b
+    return out.tobytes().translate(None, b"\0").decode()
+
+
 def format_rows(a, sep: str, eol: str) -> str:
     """Every number of a 2-D array in fmt()'s format: cells joined by sep,
-    rows by eol.
-
-    One %-template per block of FORMAT_BLOCK_ROWS rows replaces a Python
-    call per number; `%.12g` and fmt()'s f-string run the same conversion,
-    and adding 0.0 normalizes -0.0 as fmt() does, so the bytes are fmt()'s."""
+    rows by eol. A block of FORMAT_BLOCK_ROWS rows goes through the numpy
+    kernel of _kernel_text when it can, else through the `%.12g` template
+    that fmt() runs, with -0.0 normalized by adding 0.0."""
     a = np.asarray(a, dtype=np.float64)
-    line = sep.join([f"%.{SIG_DIGITS}g"] * a.shape[1])
-    return eol.join(
-        eol.join([line] * len(block)) % tuple((block + 0.0).ravel().tolist())
-        for block in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS))
-    )
+    line = sep.join([f"%.{SIG_DIGITS}g"] * a.shape[1]) + eol
+    blocks = [_kernel_text(b, sep, eol) or line * len(b) % tuple((b + 0.0).ravel().tolist())
+              for b in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS))]
+    blocks[-1] = blocks[-1][:len(blocks[-1]) - len(eol)]  # the last row ends without eol
+    return "".join(blocks)
 
 
 def csv_text(header, rows) -> str:

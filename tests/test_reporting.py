@@ -4,9 +4,13 @@ and JSON reports built from dataclass fields."""
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from seqdisc import reporting
 from seqdisc.reporting import csv_text, dumps_json, fmt, format_rows
@@ -65,6 +69,99 @@ def test_format_rows_does_not_depend_on_the_block_size(monkeypatch, block):
     monkeypatch.setattr(reporting, "FORMAT_BLOCK_ROWS", block)
     want = "|".join(";".join(fmt(c) for c in r) for r in rows)
     assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
+
+
+@pytest.fixture
+def kernel_cells(monkeypatch):
+    """The sizes of the blocks format_rows renders through its numpy kernel
+    rather than the `%.12g` template."""
+    sizes = []
+    slots = reporting._slots
+
+    def spy(x, sep):
+        sizes.append(x.size)
+        return slots(x, sep)
+
+    monkeypatch.setattr(reporting, "_slots", spy)
+    return sizes
+
+
+def assert_kernel_matches_fmt(values, kernel_cells, cols=5):
+    """The values, both signs of each, in rows of `cols` cells: format_rows
+    gives fmt()'s bytes, and its kernel rendered every cell."""
+    values = np.concatenate([np.ravel(v) for v in values]).astype(float)
+    values = np.concatenate([values, -values])
+    rows = np.resize(values, (-(-len(values) // cols), cols))
+    want = "\n".join(",".join(fmt(c) for c in row) for row in rows)
+    assert first_difference(format_rows(rows, ",", "\n"), want) is None
+    assert sum(kernel_cells) == rows.size
+
+
+@pytest.mark.parametrize("k", range(-11, 11))
+def test_kernel_near_ties_at_the_twelfth_digit(k, kernel_cells):
+    """(m + 0.5) * 10**(k - 11) and its neighbouring floats round to the
+    twelfth digit as fmt() does, on either side of the tie."""
+    m = np.random.default_rng(k + 11).integers(10**11, 10**12, 400).astype(float)
+    ties = (m + 0.5) * 10.0 ** (k - 11)
+    assert_kernel_matches_fmt([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)],
+                              kernel_cells)
+
+
+@pytest.mark.parametrize("e", range(-6, 11))
+def test_kernel_exact_ties_round_half_even(e, kernel_cells):
+    """j / 2**(12 - e) with j odd has exactly 13 significant digits, the last
+    a 5: an exact tie, which fmt() rounds to the even twelfth digit."""
+    t = 12 - e
+    lo, hi = math.ceil(10.0**e * 2**t), math.floor(10.0 ** (e + 1) * 2**t)
+    j = np.random.default_rng(e + 20).integers(lo // 2, hi // 2, 400) * 2 + 1
+    ties = j / 2.0**t
+    for x in ties[:20]:
+        digits = Decimal(float(x)).as_tuple().digits
+        assert len(digits) == 13 and digits[-1] == 5, x
+    assert_kernel_matches_fmt(ties, kernel_cells)
+
+
+def test_kernel_powers_of_ten_and_their_neighbours(kernel_cells):
+    powers = np.array([float(f"1e{k}") for k in range(-11, 11)])
+    neighbours = [np.nextafter(powers[1:], 0), np.nextafter(powers, np.inf)]
+    assert_kernel_matches_fmt([powers, *neighbours], kernel_cells)
+
+
+def test_kernel_rounding_into_the_next_decade(kernel_cells):
+    """A twelfth-digit carry that makes the next power of ten moves the
+    exponent, here across the fixed/exponent switch at 1e-4 and up to 1e11."""
+    below = (1e12 - 0.5) * 10.0 ** (np.arange(-10, 12) - 12)
+    assert_kernel_matches_fmt([9.9999999999995e-3, 99999999999.95, 99999999999.99998,
+                               9.9999999999995e-5, 9.99999999999949e-5, below,
+                               np.nextafter(below, 0), np.nextafter(below, np.inf)],
+                              kernel_cells)
+
+
+def test_kernel_covers_every_exponent_and_signed_zero(kernel_cells):
+    """Every decade from 1e-11 to 1e11 in fixed and exponent notation,
+    trailing zeros that %g drops, and both zeros printed as 0."""
+    exponents = 10.0 ** np.arange(-11, 11)
+    mantissas = np.array([1.0, 1.5, 1.23456789012, 9.87654321098765, 3.0000000000001])
+    assert_kernel_matches_fmt([np.outer(exponents, mantissas), 0.0, -0.0, 1e-4, 1e-5],
+                              kernel_cells)
+
+
+def test_template_renders_blocks_outside_the_kernel_domain(monkeypatch, kernel_cells):
+    """A block holding nan, infinities, 1e300 or a subnormal goes through
+    the template whole; the in-domain block before it through the kernel."""
+    monkeypatch.setattr(reporting, "FORMAT_BLOCK_ROWS", 2)
+    rows = np.array([[0.25, -3.5, 1e10], [7.0, 0.0, -1e-11],
+                     [math.nan, math.inf, 0.5], [-math.inf, 1e300, 5e-324]])
+    want = "|".join(";".join(fmt(c) for c in row) for row in rows)
+    assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
+    assert kernel_cells == [6]
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+                  elements=hst.floats() | hst.floats(-1e11, 1e11, exclude_max=True)))
+def test_format_rows_matches_fmt_on_arbitrary_arrays(rows):
+    want = "\n".join(",".join(fmt(c) for c in row) for row in rows)
+    assert format_rows(rows, ",", "\n") == want
 
 
 def reference_points(curve, attr, width=640, height=480) -> str:

@@ -203,6 +203,15 @@ def test_near_one_chain_stages_are_positive(s, n):
         assert min(validate(stage).min_eigenvalues) >= -DEFAULT_TOL
 
 
+def test_near_one_chain_pi0_determinants_are_nonnegative():
+    """The closed-form det Pi0 of every stage stays above -DEFAULT_TOL for
+    1 - s log-spaced in [1e-12, 1e-1]; unfactored, 1 - s^2 cancels there."""
+    for gap in np.logspace(-12, -1, 60):
+        for n in (2, 64):
+            for stage in build_chain(1.0 - gap, n).stages:
+                assert validate(stage).det_pi0 >= -DEFAULT_TOL, (gap, n)
+
+
 def test_simulate_chain_matches_scalar_application():
     """The vectorized sampler must agree, trial by trial, with walking the
     chain through apply() on the same draw windows."""

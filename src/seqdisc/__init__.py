@@ -10,6 +10,6 @@ cross-checks everything with seeded Monte Carlo.
 """
 
 # Eager on purpose: the traced benchmark reads numpy's import time from `import seqdisc`.
-from . import b92, linalg, neumark, povm, reporting, sampling, sequential, states, strategies
+from . import b92, neumark, povm, reporting, sampling, sequential, states, strategies
 
 __version__ = "0.1.0"

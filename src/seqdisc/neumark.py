@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, complete_to_unitary, dagger, freeze
-from .povm import PROB_FLOOR, UDMeasurement, build_intermediate_ud, outcome_probabilities
+from .povm import (DEFAULT_TOL, PROB_FLOOR, UDMeasurement, build_intermediate_ud,
+                   outcome_probabilities)
 from .reporting import csv_text
-from .states import check_overlap, make_state_pair
+from .states import check_overlap, freeze, make_state_pair
 
 QUBIT_DIM = 2
 ANCILLA_DIM = 3
@@ -78,10 +78,26 @@ def build_dilation(s: float) -> DilationUnitary:
         2.0 * (1.0 + s)
     )
     col_10 = (np.kron(e0q, v2) + np.kron(e1q, v1)) / math.sqrt(2.0)
-    w = complete_to_unitary([col_00, col_10])
+    given = np.column_stack([col_00, col_10])
+    if np.linalg.norm(given.conj().T @ given - np.eye(2)) > DEFAULT_TOL:
+        raise ValueError("physical columns are not orthonormal within tolerance")
+    # canonical basis vectors in ascending order, projected twice for
+    # numerical stability; one already spanned leaves a residual below DEFAULT_TOL
+    basis = [col_00, col_10]
+    for v in np.eye(TOTAL_DIM, dtype=complex):
+        if len(basis) == TOTAL_DIM:
+            break
+        for _ in range(2):
+            for b in basis:
+                v = v - np.vdot(b, v) * b
+        norm = float(np.linalg.norm(v))
+        if norm >= DEFAULT_TOL:
+            basis.append(v / norm)
+    if len(basis) != TOTAL_DIM:
+        raise ValueError("could not complete the physical columns to a unitary")
     # route the physical columns to the |0>|0> and |1>|0> slots (composite
     # indices 0 and 3); a column permutation preserves unitarity
-    u = w[:, [0, 2, 3, 1, 4, 5]]
+    u = np.column_stack(basis)[:, [0, 2, 3, 1, 4, 5]]
     return DilationUnitary(
         s=float(s),
         theta=0.5 * math.acos(s),
@@ -160,7 +176,7 @@ def dilation_report(dilation: DilationUnitary) -> dict:
     it realizes, and the largest wrong-outcome probability of either input."""
     rs = math.sqrt(dilation.s)
     meas = build_intermediate_ud(make_state_pair(dilation.s), rs, rs)
-    unitarity = float(np.linalg.norm(dagger(dilation.u) @ dilation.u - np.eye(TOTAL_DIM)))
+    unitarity = float(np.linalg.norm(dilation.u.conj().T @ dilation.u - np.eye(TOTAL_DIM)))
     return {
         "s": dilation.s,
         "theta": dilation.theta,

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, freeze, min_eigenvalue
-from .states import StatePair, check_overlap, make_state_pair
+from .states import StatePair, check_overlap, freeze, make_state_pair
+
+# Absolute tolerance of every numerical check in validate() and neumark.
+DEFAULT_TOL = 1e-10
 
 # Outcome probabilities below this floor are rounded to exactly zero.  The
 # wrong-state outcomes carry only accumulated float noise (~1e-16); flooring
@@ -110,8 +112,8 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
     A2 = math.sqrt(c2) * ket2
     A0 = math.sqrt(a1) * ket1 + math.sqrt(a2) * ket2
 
-    Pi1 = dagger(A1) @ A1
-    Pi2 = dagger(A2) @ A2
+    Pi1 = A1.conj().T @ A1
+    Pi2 = A2.conj().T @ A2
     Pi0 = np.eye(2, dtype=complex) - Pi1 - Pi2
 
     return UDMeasurement(
@@ -134,7 +136,8 @@ def build_optimal_ud(pair: StatePair) -> UDMeasurement:
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
-    """Check completeness, positivity, and the zero-error property."""
+    """Check completeness, positivity, and the zero-error property; a POVM
+    element that is not Hermitian within DEFAULT_TOL raises ValueError."""
     Pi1, Pi2, Pi0 = meas.povm
     A1, A2, A0 = meas.kraus
     pair = meas.input_pair
@@ -142,14 +145,17 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     one_minus_s2 = (1.0 - s) * (1.0 + s)
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
-    eigs = tuple(min_eigenvalue(P) for P in (Pi1, Pi2, Pi0))
+    for P in meas.povm:
+        if np.linalg.norm(P - P.conj().T) > DEFAULT_TOL:
+            raise ValueError("POVM element is not Hermitian within tolerance")
+    eigs = tuple(float(np.linalg.eigvalsh(P)[0]) for P in meas.povm)
     trace_pi0 = (meas.q1 + meas.q2 - 2.0 * s * s) / one_minus_s2
     det_pi0 = (meas.q1 * meas.q2 - s * s) / one_minus_s2
     zero_err = (
         abs(complex(np.vdot(pair.psi2, Pi1 @ pair.psi2))),
         abs(complex(np.vdot(pair.psi1, Pi2 @ pair.psi1))),
     )
-    gap = float(np.linalg.norm(Pi0 - dagger(A0) @ A0))
+    gap = float(np.linalg.norm(Pi0 - A0.conj().T @ A0))
 
     passed = (
         completeness <= DEFAULT_TOL

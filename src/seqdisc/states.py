@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, freeze
+
+def freeze(array) -> np.ndarray:
+    """Return a read-only complex copy of `array`."""
+    out = np.array(array, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -27,8 +32,9 @@ class StatePair:
     """Two unit-norm qubit states with real overlap `s`, plus the unit
     vectors orthogonal to each.
 
-    The complements are phased so that <psi2_perp|psi1> and <psi1_perp|psi2>
-    are both real and equal to +sqrt(1 - s^2) (for s < 1).
+    With psi_1 = (c, d) and psi_2 = (c, -d) the complements are
+    psi1_perp = (d, -c) and psi2_perp = (d, c), phased so that
+    <psi2_perp|psi1> and <psi1_perp|psi2> both equal +sqrt(1 - s^2).
     """
 
     s: float
@@ -55,26 +61,6 @@ def check_overlap(s, name: str = "s") -> float:
     return s
 
 
-def orthogonal_complement(v) -> np.ndarray:
-    """Unit vector orthogonal to the qubit state `v`.
-
-    For v = (a, b) the complement is (conj(b), -conj(a)), with an overall
-    sign flip applied when the first component comes out with negative real
-    part.  The sign convention makes the map deterministic and, for the
-    real embedding used by make_state_pair, gives complements whose overlap
-    with the opposite state is positive.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError(f"expected a qubit state of shape (2,), got {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
-        raise ValueError("input state must be unit norm")
-    w = np.array([np.conj(v[1]), -np.conj(v[0])])
-    if w[0].real < 0.0:
-        w = -w
-    return freeze(w)
-
-
 def make_state_pair(s: float) -> StatePair:
     """Build the canonical pair with overlap `s`, 0 <= s <= 1."""
     s = float(s)
@@ -82,12 +68,10 @@ def make_state_pair(s: float) -> StatePair:
         raise ValueError(f"overlap s={s} outside [0, 1]")
     theta = 0.5 * math.acos(s)
     c, d = math.cos(theta), math.sin(theta)
-    psi1 = np.array([c, d], dtype=complex)
-    psi2 = np.array([c, -d], dtype=complex)
     return StatePair(
         s=s,
-        psi1=freeze(psi1),
-        psi2=freeze(psi2),
-        psi1_perp=orthogonal_complement(psi1),
-        psi2_perp=orthogonal_complement(psi2),
+        psi1=freeze([c, d]),
+        psi2=freeze([c, -d]),
+        psi1_perp=freeze([d, -c]),
+        psi2_perp=freeze([d, c]),
     )

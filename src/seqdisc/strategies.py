@@ -69,8 +69,10 @@ def strategy3(s):
 
 
 def strategy_seq(s):
-    """Optimal two-observer sequential rate."""
-    return (1.0 - np.sqrt(_check_unit_interval(s))) ** 2
+    """Optimal two-observer sequential rate, written as
+    ((1 - s) / (1 + sqrt(s)))^2 so that it does not cancel near s = 1."""
+    s = _check_unit_interval(s)
+    return ((1.0 - s) / (1.0 + np.sqrt(s))) ** 2
 
 
 def at_least_one(s):
@@ -95,13 +97,19 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     """Evaluate all strategies on a uniform grid of overlaps.
 
     The strict ordering p1 > p2 > p3 > p_seq is asserted at every interior
-    grid point before the curve is returned."""
+    grid point before the curve is returned.  A grid with a point in
+    (0, 2**-53], where 1 + s rounds to 1 and p2 == p3, raises ValueError."""
     s_min, s_max = float(s_min), float(s_max)
     if not 0.0 <= s_min < s_max <= 1.0:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
     grid = np.linspace(s_min, s_max, steps)
+    tiny = grid[(grid > 0.0) & (1.0 + grid == 1.0)]
+    if tiny.size:
+        raise ValueError(
+            f"s_min={s_min}, s_max={s_max}: grid point s={tiny[0]} is in (0, 2**-53], "
+            "where 1 + s rounds to 1 and p2 = p3 as doubles")
     p1, p2, p3, p_seq = strategy1(grid), strategy2(grid), strategy3(grid), strategy_seq(grid)
     interior = (grid > 0.0) & (grid < 1.0)
     ordered = (

@@ -214,6 +214,21 @@ def test_curves_rejects_bad_range(capsys):
         assert err == f"error: steps must be in [2, 1000000], got {steps}\n"
 
 
+def test_curves_refuses_grid_points_where_one_plus_s_rounds_to_one(tmp_path, capsys):
+    out_path = tmp_path / "curves.csv"
+    code, out, err = run_cli(capsys, "curves", "--s-min", "0", "--s-max", "1e-15",
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "s_min=0.0" in err and "s_max=1e-15" in err and "s=1e-17" in err
+    assert not out_path.exists()
+
+
+def test_curves_near_one_keeps_the_strict_ordering(capsys):
+    code, out, _ = run_cli(capsys, "curves", "--s-min", "0.99999999999999", "--s-max", "1")
+    assert code == 0 and len(out.splitlines()) == 102
+
+
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -92,6 +92,13 @@ def test_validate_flags_a_tampered_failure_operator():
     assert not report.passed
 
 
+def test_validate_refuses_a_non_hermitian_element():
+    meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
+    skewed = meas.povm[2] + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate(dataclasses.replace(meas, povm=(meas.povm[0], meas.povm[1], skewed)))
+
+
 def test_sampled_outcome_rates_match_branch_probabilities():
     # classify_uniforms shares apply()'s cells exactly (checked below), so
     # a vectorized run stands in for a million scalar applications per input

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqdisc.linalg import DEFAULT_TOL
-from seqdisc.povm import apply, validate
+from seqdisc.povm import DEFAULT_TOL, apply, validate
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (

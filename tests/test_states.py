@@ -4,10 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
-from seqdisc.states import make_state_pair, orthogonal_complement
+from seqdisc.states import make_state_pair
 
 S_GRID = [0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
 
@@ -63,54 +61,13 @@ def test_degenerate_endpoints():
     assert np.allclose(one.psi1, one.psi2, atol=0)
     assert np.allclose(one.psi1, [1.0, 0.0], atol=0)
     assert np.allclose(one.psi1_perp, [0.0, -1.0], atol=0)
+    assert np.allclose(one.psi2_perp, [0.0, 1.0], atol=0)
 
 
 def test_overlap_range_is_enforced():
     for bad in (-0.1, 1.1, 2.0):
         with pytest.raises(ValueError):
             make_state_pair(bad)
-
-
-def test_complement_fixed_points():
-    w = orthogonal_complement(np.array([1.0, 0.0]))
-    assert np.allclose(w, [0.0, -1.0], atol=0)
-    # negative first component triggers the sign flip
-    w = orthogonal_complement(np.array([0.6, -0.8]))
-    assert np.allclose(w, [0.8, 0.6], atol=1e-15)
-
-
-def test_complement_handles_complex_states():
-    v = np.array([0.6, 0.8j])
-    w = orthogonal_complement(v)
-    assert abs(np.vdot(w, v)) < 1e-15
-    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_complement_input_validation():
-    with pytest.raises(ValueError):
-        orthogonal_complement(np.array([1.0, 1.0]))  # not unit norm
-    with pytest.raises(ValueError):
-        orthogonal_complement(np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        orthogonal_complement(np.array([1.0, 0.0, 0.0]))
-
-
-@given(
-    hst.floats(min_value=-1.0, max_value=1.0),
-    hst.floats(min_value=-1.0, max_value=1.0),
-    hst.floats(min_value=-1.0, max_value=1.0),
-    hst.floats(min_value=-1.0, max_value=1.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_complement_orthogonality_property(ar, ai, br, bi):
-    v = np.array([complex(ar, ai), complex(br, bi)])
-    norm = np.linalg.norm(v)
-    if norm < 1e-3:
-        return
-    v = v / norm
-    w = orthogonal_complement(v)
-    assert abs(np.vdot(w, v)) < 1e-12
-    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_states_are_read_only():

@@ -1,6 +1,7 @@
 """Tests for the four-strategy comparison."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ def test_rates_take_arrays_elementwise():
             f(math.nan)
 
 
+@pytest.mark.parametrize("s", [1e-300, 0.25, 0.7, 1 - 1e-6, 1 - 1e-12, 0.9999999999999999])
+def test_strategy_seq_does_not_cancel_near_one(s):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (1 - Decimal(s).sqrt()) ** 2
+    assert abs(Decimal(strategy_seq(s)) - exact) <= Decimal("1e-15") * exact
+
+
 def test_strict_ordering_on_the_open_interval():
     grid = np.linspace(0.0, 1.0, 1000)
     curve = make_curve(steps=1000)
@@ -68,6 +77,10 @@ def test_make_curve_validation():
         make_curve(-0.1, 1.0)
     with pytest.raises(ValueError):
         make_curve(0.0, 1.0, steps=1)
+    # 1 + s rounds to 1 at the grid point 2**-53, so p2 == p3 there
+    with pytest.raises(ValueError, match=r"s_min=0\.0, s_max=2\.2"):
+        make_curve(0.0, 2.0**-52, steps=3)
+    make_curve(2.0**-52, 2.0**-51, steps=3)
 
 
 def test_curve_csv_schema_and_round_trip():

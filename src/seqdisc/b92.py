@@ -27,10 +27,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
+from .povm import classify_uniforms, sampling_boundaries
 from .sampling import SEED_LIMIT, binomial_rate, run_trials, state_index
 from .sequential import build_chain
-from .states import check_overlap, make_state_pair
+from .states import check_overlap
 
 MODE_TWO_QUBIT = "two_qubit"
 MODE_ONE_QUBIT = "one_qubit_sequential"
@@ -108,15 +108,15 @@ def run_session(config: SessionConfig) -> KeyReport:
     receiver's round is sifted when his outcome is conclusive, and counted
     as an error when the conclusive outcome differs from Alice's bit.
     """
-    pair = make_state_pair(config.s)
-    eve_bounds = sampling_boundaries(build_optimal_ud(pair))
+    s = check_overlap(config.s)
+    eve_bounds = sampling_boundaries(s, s)
     if config.mode == MODE_TWO_QUBIT:
         bob_bounds = eve_bounds
         charlie_bounds = eve_bounds
     else:
-        chain = build_chain(config.s, 2)
-        bob_bounds = sampling_boundaries(chain.stages[0])
-        charlie_bounds = sampling_boundaries(chain.stages[1])
+        bob, charlie = build_chain(s, 2).stages
+        bob_bounds = sampling_boundaries(bob.q1, bob.q2)
+        charlie_bounds = sampling_boundaries(charlie.q1, charlie.q2)
     # Bob's draw follows prep and any eavesdropper draws; Charlie's is the last
     if config.eve == EVE_NONE:
         col = 1

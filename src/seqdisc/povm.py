@@ -2,18 +2,25 @@
 without error, at a tunable failure probability per state.
 
 Outcome labels: 1 means "state 1 identified", 2 means "state 2 identified",
-0 means the inconclusive result.  For a pair with overlap s and failure
-probabilities q1, q2 the Kraus operators are rank one,
+0 means the inconclusive result.  In the angle form s = cos 2 theta, with
+psi_1, psi_2 = (c, +-d) for c, d = cos theta, sin theta, the dual vectors
+w_1, w_2 = (1/2c, +-1/2d) satisfy <w_i|psi_j> = [i == j].  For failure
+probabilities q1, q2 the Kraus operators are
 
-    A_1 = sqrt(c1) |phi_1><psi2_perp|      c_i = (1 - q_i) / (1 - s^2)
-    A_2 = sqrt(c2) |phi_2><psi1_perp|      a_i = q_i / (1 - s^2)
-    A_0 = sqrt(a1) |phi_1><psi2_perp| + sqrt(a2) |phi_2><psi1_perp|
+    A_1 = sqrt(1 - q1) |phi_1><w_1|
+    A_2 = sqrt(1 - q2) |phi_2><w_2|
+    A_0 = sqrt(q1) |phi_1><w_1| + sqrt(q2) |phi_2><w_2|
 
-where the conditional states phi_1, phi_2 form a pair with overlap
+and each POVM element is Pi_i = A_i^dag A_i.  The columns of A_0 are
+(sqrt(q1) phi_1 +- sqrt(q2) phi_2) / (2c or 2d); at q1 = q2 = q it is
+diag(sqrt((q + s)/(1 + s)), sqrt((q - s)/(1 - s))), where q - s is exact
+near s = 1.  The conditional states phi_1, phi_2 form a pair with overlap
 t = s / sqrt(q1 q2).  Both the identifying and the failure branch leave the
 qubit in the same phi_i, so the only information lost to the next observer
 is the increase of the overlap from s to t.  Requiring t <= 1 gives the
-admissibility condition q1 q2 >= s^2.
+admissibility condition q1 q2 >= s^2.  The outcome probabilities are
+(1 - q1, 0, q1) for psi_1 and (0, 1 - q2, q2) for psi_2, so sampling
+needs only q1 and q2.
 """
 
 from __future__ import annotations
@@ -28,9 +35,10 @@ from .states import StatePair, check_overlap, freeze, make_state_pair
 # Absolute tolerance of every numerical check in validate() and neumark.
 DEFAULT_TOL = 1e-10
 
-# Outcome probabilities below this floor are rounded to exactly zero.  The
-# wrong-state outcomes carry only accumulated float noise (~1e-16); flooring
-# them makes "never misidentifies" hold exactly in sampled runs as well.
+# A wrong-state outcome probability below this floor is rounded to exactly
+# zero by outcome_probabilities() (and so apply()); it carries only float
+# noise (~1e-17).  neumark skips outcomes at or below it when comparing
+# conditional states.  sampling_boundaries() does not use it.
 PROB_FLOOR = 1e-12
 
 
@@ -38,9 +46,9 @@ PROB_FLOOR = 1e-12
 class UDMeasurement:
     """An unambiguous discrimination measurement for a fixed state pair.
 
-    `kraus` holds (A1, A2, A0) and `povm` the matching (Pi1, Pi2, Pi0).
-    Pi0 is stored as identity minus the other two, so completeness is exact
-    by construction; validate() reports how far A0^dag A0 sits from it.
+    `kraus` holds (A1, A2, A0) and `povm` the matching (Pi1, Pi2, Pi0),
+    each Pi_i = A_i^dag A_i; validate() reports how far their sum sits
+    from the identity.
     """
 
     input_pair: StatePair
@@ -100,29 +108,24 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
         )
     output_pair = make_state_pair(min(t, 1.0))
 
-    one_minus_s2 = 1.0 - s * s
-    c1 = (1.0 - q1) / one_minus_s2
-    c2 = (1.0 - q2) / one_minus_s2
-    a1 = q1 / one_minus_s2
-    a2 = q2 / one_minus_s2
-
-    ket1 = np.outer(output_pair.psi1, np.conj(pair.psi2_perp))
-    ket2 = np.outer(output_pair.psi2, np.conj(pair.psi1_perp))
-    A1 = math.sqrt(c1) * ket1
-    A2 = math.sqrt(c2) * ket2
-    A0 = math.sqrt(a1) * ket1 + math.sqrt(a2) * ket2
-
-    Pi1 = A1.conj().T @ A1
-    Pi2 = A2.conj().T @ A2
-    Pi0 = np.eye(2, dtype=complex) - Pi1 - Pi2
+    c, d = pair.psi1.real
+    phi1, phi2 = output_pair.psi1, output_pair.psi2
+    A1 = math.sqrt(1.0 - q1) * np.outer(phi1, [0.5 / c, 0.5 / d])
+    A2 = math.sqrt(1.0 - q2) * np.outer(phi2, [0.5 / c, -0.5 / d])
+    if q1 == q2:  # q1 - s < 0 only where t was capped at 1
+        A0 = np.diag([math.sqrt((q1 + s) / (1.0 + s)), math.sqrt(max(q1 - s, 0.0) / (1.0 - s))])
+    else:
+        r1, r2 = math.sqrt(q1) * phi1, math.sqrt(q2) * phi2
+        A0 = np.column_stack(((r1 + r2) / (2.0 * c), (r1 - r2) / (2.0 * d)))
+    kraus = tuple(freeze(A) for A in (A1, A2, A0))
 
     return UDMeasurement(
         input_pair=pair,
         output_pair=output_pair,
         q1=float(q1),
         q2=float(q2),
-        kraus=(freeze(A1), freeze(A2), freeze(A0)),
-        povm=(freeze(Pi1), freeze(Pi2), freeze(Pi0)),
+        kraus=kraus,
+        povm=tuple(freeze(A.conj().T @ A) for A in kraus),
     )
 
 
@@ -180,32 +183,29 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
 def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
     """Probabilities of outcomes (1, 2, 0) when state `input_index` is sent.
 
-    Values below PROB_FLOOR are rounded to exactly zero; for states in the
-    declared pair that only affects the forbidden wrong-state outcome.
+    The wrong-state outcome's probability is rounded to exactly zero when
+    it is below PROB_FLOOR; the other two are returned as computed.
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
     psi = meas.input_pair.psi1 if input_index == 1 else meas.input_pair.psi2
-    probs = []
-    for P in meas.povm:  # (Pi1, Pi2, Pi0)
-        p = float(np.real(np.vdot(psi, P @ psi)))
-        probs.append(0.0 if p < PROB_FLOOR else p)
+    probs = [float(np.real(np.vdot(psi, P @ psi))) for P in meas.povm]  # (Pi1, Pi2, Pi0)
+    wrong = 2 - input_index
+    if probs[wrong] < PROB_FLOOR:
+        probs[wrong] = 0.0
     return tuple(probs)
 
 
-def sampling_boundaries(meas: UDMeasurement) -> np.ndarray:
-    """Cumulative outcome boundaries for classifying uniform draws.
+def sampling_boundaries(q1: float, q2: float) -> np.ndarray:
+    """Cumulative outcome boundaries for classifying uniform draws against
+    a measurement with failure probabilities q1, q2.
 
     Row i-1 holds (P(1), P(1)+P(2)) for input state i: a uniform u maps to
     outcome 1 below the first entry, 2 below the second, and 0 otherwise.
-    The failure cell extends to 1 so rounding in the sums never leaks
-    probability into a wrong outcome.
+    The rows are the closed forms (1 - q1, 1 - q1) and (0, 1 - q2), so the
+    wrong-state cells are empty by construction, not by rounding.
     """
-    rows = []
-    for i in (1, 2):
-        p1, p2, _ = outcome_probabilities(meas, i)
-        rows.append((p1, p1 + p2))
-    return np.array(rows)
+    return np.array(((1.0 - q1, 1.0 - q1), (0.0, 1.0 - q2)))
 
 
 def classify_uniforms(boundaries: np.ndarray, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -215,7 +215,8 @@ def classify_uniforms(boundaries: np.ndarray, prep: np.ndarray, u: np.ndarray) -
     int8 array of outcomes in {0, 1, 2} using the same cell layout as
     apply().  With lo, hi = the row of `prep`, the outcome is
     2*(u < hi) - (u < lo), which gives those cells only because every row
-    has lo <= hi (P(2) >= 0); lo == hi is an empty outcome-2 cell.
+    has lo <= hi, as sampling_boundaries() rows do; lo == hi, as in the row
+    of input 1, is an empty outcome-2 cell.
     """
     idx = prep - 1
     below_lo = (u < np.take(boundaries[:, 0], idx)).view(np.int8)

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import (
-    UDMeasurement,
-    build_intermediate_ud,
-    build_optimal_ud,
-    classify_uniforms,
-    sampling_boundaries,
-)
+from .povm import build_intermediate_ud, build_optimal_ud, classify_uniforms, sampling_boundaries
 from .sampling import binomial_rate, run_trials
 from .states import check_overlap, make_state_pair
 
@@ -211,7 +205,7 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     so stage k's outcome distribution depends only on the prepared index.
     An observer "succeeds" when its outcome equals the prepared index.
     """
-    bounds = [sampling_boundaries(stage) for stage in chain.stages]
+    bounds = [sampling_boundaries(stage.q1, stage.q2) for stage in chain.stages]
 
     def kernel(u, prep):
         wrong = 3 - prep

@@ -29,19 +29,12 @@ def freeze(array) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StatePair:
-    """Two unit-norm qubit states with real overlap `s`, plus the unit
-    vectors orthogonal to each.
-
-    With psi_1 = (c, d) and psi_2 = (c, -d) the complements are
-    psi1_perp = (d, -c) and psi2_perp = (d, c), phased so that
-    <psi2_perp|psi1> and <psi1_perp|psi2> both equal +sqrt(1 - s^2).
-    """
+    """Two unit-norm qubit states psi_1 = (c, d) and psi_2 = (c, -d) with
+    real overlap `s` = c^2 - d^2."""
 
     s: float
     psi1: np.ndarray
     psi2: np.ndarray
-    psi1_perp: np.ndarray
-    psi2_perp: np.ndarray
 
 
 def check_overlap(s, name: str = "s") -> float:
@@ -68,10 +61,4 @@ def make_state_pair(s: float) -> StatePair:
         raise ValueError(f"overlap s={s} outside [0, 1]")
     theta = 0.5 * math.acos(s)
     c, d = math.cos(theta), math.sin(theta)
-    return StatePair(
-        s=s,
-        psi1=freeze([c, d]),
-        psi2=freeze([c, -d]),
-        psi1_perp=freeze([d, -c]),
-        psi2_perp=freeze([d, c]),
-    )
+    return StatePair(s=s, psi1=freeze([c, d]), psi2=freeze([c, -d]))

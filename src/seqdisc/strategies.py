@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import build_optimal_ud, classify_uniforms, sampling_boundaries
+from .povm import classify_uniforms, sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sampling import run_trials
 from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
-from .states import check_overlap, make_state_pair
+from .states import check_overlap
 
 KINDS = ("1", "2", "3", "seq")
 
@@ -148,7 +148,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     if kind in ("1", "seq"):
         return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
     s = check_overlap(s)
-    bounds = sampling_boundaries(build_optimal_ud(make_state_pair(s)))
+    bounds = sampling_boundaries(s, s)
     p_clone = 1.0 / (1.0 + s)
     col = 2 if kind == "3" else 1  # first receiver's draw
 

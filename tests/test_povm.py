@@ -15,6 +15,7 @@ from seqdisc.povm import (
     sampling_boundaries,
     validate,
 )
+from seqdisc.sequential import build_chain
 from seqdisc.states import make_state_pair
 
 S_GRID = [0.04, 0.25, 0.5, 0.75, 0.9]
@@ -31,7 +32,7 @@ def _q_grid(s, count=8):
     return pairs
 
 
-@pytest.mark.parametrize("s", S_GRID)
+@pytest.mark.parametrize("s", S_GRID + [1.0 - 1e-8])
 def test_optimal_measurement_is_valid_and_exhausting(s):
     meas = build_optimal_ud(make_state_pair(s))
     assert meas.q1 == meas.q2 == s
@@ -68,6 +69,33 @@ def test_branch_probabilities_match_failure_targets(s):
         assert wrong2 == 0.0
 
 
+def test_outcome_probabilities_keep_tiny_success_probabilities():
+    # at s = 1 - 1e-12 the first of two observers succeeds with probability
+    # 1 - s**0.5 = 5.0e-13, below PROB_FLOOR; only the wrong outcome is floored
+    stage = build_chain(1.0 - 1e-12, 2).stages[0]
+    p1, wrong, p0 = outcome_probabilities(stage, 1)
+    assert p1 == pytest.approx(1.0 - stage.q1, rel=1e-12)
+    assert p1 > 4e-13 and wrong == 0.0
+    assert p0 == pytest.approx(stage.q1, rel=1e-15)
+    assert apply(stage, 1, 1e-13)[0] == 1
+    assert apply(stage, 2, 1e-13)[0] == 2
+
+
+def test_cumulative_outcome_probabilities_match_sampling_boundaries():
+    # the sampler's closed-form cells against the measurement's own
+    # probabilities, including the pre-floor wrong-outcome mass
+    stages = [stage for gap in np.logspace(-12, -1, 60) for n in (2, 64)
+              for stage in build_chain(1.0 - gap, n).stages]
+    stages += [build_intermediate_ud(make_state_pair(s), q1, q2)
+               for s in S_GRID for q1, q2 in _q_grid(s)]
+    for stage in stages:
+        bounds = sampling_boundaries(stage.q1, stage.q2)
+        for i in (1, 2):
+            p1, p2, _ = outcome_probabilities(stage, i)
+            assert np.max(np.abs(np.array([p1, p1 + p2]) - bounds[i - 1])) <= 1e-15
+        assert max(validate(stage).zero_error_residuals) <= 1e-15
+
+
 def test_validate_formulas_match_direct_matrix_values():
     meas = build_intermediate_ud(make_state_pair(0.3), 0.7, 0.5)
     report = validate(meas)
@@ -79,13 +107,10 @@ def test_validate_formulas_match_direct_matrix_values():
 
 
 def test_validate_flags_a_tampered_failure_operator():
-    # nudge the failure weight a1 without touching the POVM: the rebuilt
-    # A0 no longer satisfies A0^dag A0 = Pi0 and the gap must show it
+    # scale A0 without touching the POVM: it no longer satisfies
+    # A0^dag A0 = Pi0 and the gap must show it
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
-    ket1 = np.outer(meas.output_pair.psi1, np.conj(meas.input_pair.psi2_perp))
-    ket2 = np.outer(meas.output_pair.psi2, np.conj(meas.input_pair.psi1_perp))
-    a1, a2 = (q / (1.0 - 0.3**2) for q in (meas.q1, meas.q2))
-    bad_A0 = math.sqrt(a1 + 0.01) * ket1 + math.sqrt(a2) * ket2
+    bad_A0 = 1.01 * meas.kraus[2]
     tampered = dataclasses.replace(meas, kraus=(meas.kraus[0], meas.kraus[1], bad_A0))
     report = validate(tampered)
     assert report.consistency_gap > 1e-4
@@ -103,7 +128,7 @@ def test_sampled_outcome_rates_match_branch_probabilities():
     # classify_uniforms shares apply()'s cells exactly (checked below), so
     # a vectorized run stands in for a million scalar applications per input
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
-    bounds = sampling_boundaries(meas)
+    bounds = sampling_boundaries(meas.q1, meas.q2)
     n = 1_000_000
     rng = np.random.default_rng(2024)
     for i, q in ((1, meas.q1), (2, meas.q2)):
@@ -131,9 +156,11 @@ def test_admissibility_bound_is_enforced():
     pair = make_state_pair(0.5)
     with pytest.raises(ValueError, match="admissibility"):
         build_intermediate_ud(pair, 0.5, 0.49)
-    # the boundary itself is accepted
-    meas = build_intermediate_ud(pair, 0.5, 0.5)
-    assert meas.exhausts_information
+    # the boundary itself is accepted, and so is q up to 1e-12 below it
+    for q in (0.5, 0.5 - 1e-14):
+        meas = build_intermediate_ud(pair, q, q)
+        assert meas.exhausts_information
+        assert validate(meas).passed
 
 
 def test_admissibility_holds_where_the_products_underflow():
@@ -201,7 +228,7 @@ def test_apply_validates_arguments():
 
 def test_classify_uniforms_agrees_with_apply():
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
-    bounds = sampling_boundaries(meas)
+    bounds = sampling_boundaries(meas.q1, meas.q2)
     rng = np.random.default_rng(99)
     u = rng.random(500)
     prep = rng.integers(1, 3, size=500).astype(np.int8)
@@ -222,8 +249,8 @@ def _classify_reference(boundaries, prep, u):
 
 @pytest.mark.parametrize("prep_dtype", [np.int8, np.int64])
 def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
-    optimal = sampling_boundaries(build_optimal_ud(make_state_pair(0.4)))
-    # the optimal measurement floors the wrong-outcome cell: lo == hi
+    optimal = sampling_boundaries(0.4, 0.4)
+    # input 1 has an empty outcome-2 cell: lo == hi
     assert optimal[0, 0] == optimal[0, 1]
     rows = [(0.3, 0.7), (0.25, 0.25), (0.0, 0.4), (0.0, 0.0), (0.6, 1.0),
             (0.0, 1.0), (1.0, 1.0), tuple(optimal[0]), tuple(optimal[1])]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqdisc.povm import DEFAULT_TOL, apply, validate
+from seqdisc.povm import apply, validate
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
@@ -192,23 +192,24 @@ def test_build_chain_near_overlap_one(log_gap, n):
     last = chain.stages[-1]
     assert last.q1 == last.q2 == last.input_pair.s
     assert last.output_pair.s == 1.0
+    assert all(validate(stage).passed for stage in chain.stages)
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-10, 64), (0.999999999999, 2)])
 def test_near_one_chain_stages_are_positive(s, n):
-    """Every stage of these chains is a measurement: no POVM element has an
-    eigenvalue below -DEFAULT_TOL."""
+    """Every stage of these chains passes validate(): complete, positive,
+    zero-error and consistent within DEFAULT_TOL."""
     for stage in build_chain(s, n).stages:
-        assert min(validate(stage).min_eigenvalues) >= -DEFAULT_TOL
+        assert validate(stage).passed
 
 
 def test_near_one_chain_pi0_determinants_are_nonnegative():
-    """The closed-form det Pi0 of every stage stays above -DEFAULT_TOL for
-    1 - s log-spaced in [1e-12, 1e-1]; unfactored, 1 - s^2 cancels there."""
+    """Every stage passes validate(), det Pi0 >= -DEFAULT_TOL among its
+    checks, for 1 - s log-spaced in [1e-12, 1e-1]."""
     for gap in np.logspace(-12, -1, 60):
         for n in (2, 64):
             for stage in build_chain(1.0 - gap, n).stages:
-                assert validate(stage).det_pi0 >= -DEFAULT_TOL, (gap, n)
+                assert validate(stage).passed, (gap, n)
 
 
 def test_simulate_chain_matches_scalar_application():

@@ -1,7 +1,5 @@
 """Tests for the canonical state-pair embedding."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,53 +13,25 @@ def test_pair_overlap_and_norms(s):
     pair = make_state_pair(s)
     assert np.vdot(pair.psi1, pair.psi2).real == pytest.approx(s, abs=1e-12)
     assert np.vdot(pair.psi1, pair.psi2).imag == 0.0
-    for v in (pair.psi1, pair.psi2, pair.psi1_perp, pair.psi2_perp):
+    for v in (pair.psi1, pair.psi2):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("s", S_GRID)
-def test_complements_are_orthogonal_and_positively_phased(s):
-    pair = make_state_pair(s)
-    assert abs(np.vdot(pair.psi1_perp, pair.psi1)) < 1e-15
-    assert abs(np.vdot(pair.psi2_perp, pair.psi2)) < 1e-15
-    want = math.sqrt(1.0 - s * s)
-    cross1 = complex(np.vdot(pair.psi2_perp, pair.psi1))
-    cross2 = complex(np.vdot(pair.psi1_perp, pair.psi2))
-    assert cross1 == pytest.approx(want, abs=1e-12)
-    assert cross2 == pytest.approx(want, abs=1e-12)
 
 
 def test_invariants_hold_on_dense_grid():
     # one sweep over 100 interior overlaps, every pair invariant at once
-    eye = np.eye(2)
     for s in np.linspace(0.005, 0.995, 100):
         pair = make_state_pair(float(s))
         assert abs(np.vdot(pair.psi1, pair.psi2) - s) < 1e-12
-        for v in (pair.psi1, pair.psi2, pair.psi1_perp, pair.psi2_perp):
+        for v in (pair.psi1, pair.psi2):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert abs(np.vdot(pair.psi1_perp, pair.psi1)) < 1e-12
-        assert abs(np.vdot(pair.psi2_perp, pair.psi2)) < 1e-12
-        want = math.sqrt(1.0 - s * s)
-        assert abs(np.vdot(pair.psi2_perp, pair.psi1) - want) < 1e-12
-        assert abs(np.vdot(pair.psi1_perp, pair.psi2) - want) < 1e-12
-        # each state and its complement resolve the identity
-        res1 = np.outer(pair.psi1, np.conj(pair.psi1))
-        res1 = res1 + np.outer(pair.psi1_perp, np.conj(pair.psi1_perp))
-        res2 = np.outer(pair.psi2, np.conj(pair.psi2))
-        res2 = res2 + np.outer(pair.psi2_perp, np.conj(pair.psi2_perp))
-        assert np.max(np.abs(res1 - eye)) < 1e-12
-        assert np.max(np.abs(res2 - eye)) < 1e-12
 
 
 def test_degenerate_endpoints():
     zero = make_state_pair(0.0)
     assert abs(np.vdot(zero.psi1, zero.psi2)) < 1e-15
-    assert np.allclose(zero.psi1_perp, zero.psi2, atol=1e-14)
     one = make_state_pair(1.0)
     assert np.allclose(one.psi1, one.psi2, atol=0)
     assert np.allclose(one.psi1, [1.0, 0.0], atol=0)
-    assert np.allclose(one.psi1_perp, [0.0, -1.0], atol=0)
-    assert np.allclose(one.psi2_perp, [0.0, 1.0], atol=0)
 
 
 def test_overlap_range_is_enforced():

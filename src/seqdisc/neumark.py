@@ -36,15 +36,12 @@ class DilationUnitary:
     """The 6x6 unitary together with the geometry it was built from.
 
     theta encodes the input pair (s = cos 2*theta) and theta_prime the
-    output pair (sqrt(s) = cos 2*theta_prime).  v1 and v2 are the ancilla
-    vectors appearing in the columns of U.
+    output pair (sqrt(s) = cos 2*theta_prime).
     """
 
     s: float
     theta: float
     theta_prime: float
-    v1: np.ndarray
-    v2: np.ndarray
     u: np.ndarray
 
 
@@ -102,8 +99,6 @@ def build_dilation(s: float) -> DilationUnitary:
         s=float(s),
         theta=0.5 * math.acos(s),
         theta_prime=0.5 * math.acos(rs),
-        v1=v1,
-        v2=v2,
         u=freeze(u),
     )
 

@@ -38,7 +38,7 @@ DEFAULT_TOL = 1e-10
 # A wrong-state outcome probability below this floor is rounded to exactly
 # zero by outcome_probabilities() (and so apply()); it carries only float
 # noise (~1e-17).  neumark skips outcomes at or below it when comparing
-# conditional states.  sampling_boundaries() does not use it.
+# conditional states.  The sampler's thresholds 1 - q_i do not use it.
 PROB_FLOOR = 1e-12
 
 
@@ -197,30 +197,25 @@ def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
 
 
 def sampling_boundaries(q1: float, q2: float) -> np.ndarray:
-    """Cumulative outcome boundaries for classifying uniform draws against
-    a measurement with failure probabilities q1, q2.
+    """Success thresholds (1 - q1, 1 - q2) for classifying uniform draws
+    against a measurement with failure probabilities q1, q2.
 
-    Row i-1 holds (P(1), P(1)+P(2)) for input state i: a uniform u maps to
-    outcome 1 below the first entry, 2 below the second, and 0 otherwise.
-    The rows are the closed forms (1 - q1, 1 - q1) and (0, 1 - q2), so the
-    wrong-state cells are empty by construction, not by rounding.
+    Entry i-1 is the probability that input state i is identified; the
+    measurement never names the wrong state, so a uniform u maps to
+    outcome i below it and to 0 otherwise.
     """
-    return np.array(((1.0 - q1, 1.0 - q1), (0.0, 1.0 - q2)))
+    return np.array((1.0 - q1, 1.0 - q2))
 
 
-def classify_uniforms(boundaries: np.ndarray, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
+def classify_uniforms(thresholds: np.ndarray, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized outcome classification against sampling_boundaries().
 
     `prep` holds prepared indices (1 or 2), `u` the uniforms; returns an
-    int8 array of outcomes in {0, 1, 2} using the same cell layout as
-    apply().  With lo, hi = the row of `prep`, the outcome is
-    2*(u < hi) - (u < lo), which gives those cells only because every row
-    has lo <= hi, as sampling_boundaries() rows do; lo == hi, as in the row
-    of input 1, is an empty outcome-2 cell.
+    int8 array that is `prep` where u < thresholds[prep - 1] and 0
+    elsewhere, the cells apply() uses.
     """
-    idx = prep - 1
-    below_lo = (u < np.take(boundaries[:, 0], idx)).view(np.int8)
-    return 2 * (u < np.take(boundaries[:, 1], idx)).view(np.int8) - below_lo
+    identified = (u < np.take(thresholds, prep - 1)).view(np.int8)
+    return np.multiply(identified, prep, dtype=np.int8)
 
 
 def apply(meas: UDMeasurement, input_index: int, rand: float):

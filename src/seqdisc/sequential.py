@@ -93,7 +93,8 @@ def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
 
     `q_bob` and `q_charlie` are the (q1, q2) pairs of the first and second
     observer.  Raises ValueError, naming the violated relation, when the
-    pairs are not an admissible chain for overlap s.
+    pairs are not an admissible chain for overlap s; both relations are
+    checked on square roots to a relative 1e-9, so neither underflows.
     """
     s = check_overlap(s)
     q1b, q2b = (float(q) for q in q_bob)
@@ -101,16 +102,16 @@ def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
     for name, q in (("q1_bob", q1b), ("q2_bob", q2b), ("q1_charlie", q1c), ("q2_charlie", q2c)):
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{name}={q} outside (0, 1]")
-    t = math.sqrt(q1c * q2c)
-    if t < s - 1e-9 or t > 1.0 + 1e-9:
+    t = math.sqrt(q1c) * math.sqrt(q2c)
+    if t < s * (1.0 - 1e-9):
         raise ValueError(
             f"t = sqrt(q1_charlie*q2_charlie) = {t} violates s <= t <= 1 (s={s})"
         )
-    want_b = s * s / (t * t)
-    if abs(q1b * q2b - want_b) > 1e-9:
+    root_b, want = math.sqrt(q1b) * math.sqrt(q2b), s / t
+    if abs(root_b - want) > 1e-9 * want:
         raise ValueError(
-            f"q1_bob*q2_bob = {q1b * q2b} violates the chaining constraint "
-            f"q1_bob*q2_bob = s^2/t^2 = {want_b}"
+            f"sqrt(q1_bob*q2_bob) = {root_b} violates the chaining constraint "
+            f"q1_bob*q2_bob = s^2/t^2, whose root is s/t = {want}"
         )
     return 0.5 * ((1.0 - q1b) * (1.0 - q1c) + (1.0 - q2b) * (1.0 - q2c))
 

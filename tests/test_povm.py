@@ -82,17 +82,17 @@ def test_outcome_probabilities_keep_tiny_success_probabilities():
 
 
 def test_cumulative_outcome_probabilities_match_sampling_boundaries():
-    # the sampler's closed-form cells against the measurement's own
-    # probabilities, including the pre-floor wrong-outcome mass
+    # the sampler's closed-form success thresholds against the measurement's
+    # own probabilities, and its pre-floor wrong-outcome mass
     stages = [stage for gap in np.logspace(-12, -1, 60) for n in (2, 64)
               for stage in build_chain(1.0 - gap, n).stages]
     stages += [build_intermediate_ud(make_state_pair(s), q1, q2)
                for s in S_GRID for q1, q2 in _q_grid(s)]
     for stage in stages:
-        bounds = sampling_boundaries(stage.q1, stage.q2)
+        thresholds = sampling_boundaries(stage.q1, stage.q2)
         for i in (1, 2):
-            p1, p2, _ = outcome_probabilities(stage, i)
-            assert np.max(np.abs(np.array([p1, p1 + p2]) - bounds[i - 1])) <= 1e-15
+            identified = outcome_probabilities(stage, i)[i - 1]
+            assert abs(identified - thresholds[i - 1]) <= 1e-15
         assert max(validate(stage).zero_error_residuals) <= 1e-15
 
 
@@ -249,27 +249,29 @@ def _classify_reference(boundaries, prep, u):
 
 @pytest.mark.parametrize("prep_dtype", [np.int8, np.int64])
 def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
-    optimal = sampling_boundaries(0.4, 0.4)
-    # input 1 has an empty outcome-2 cell: lo == hi
-    assert optimal[0, 0] == optimal[0, 1]
-    rows = [(0.3, 0.7), (0.25, 0.25), (0.0, 0.4), (0.0, 0.0), (0.6, 1.0),
-            (0.0, 1.0), (1.0, 1.0), tuple(optimal[0]), tuple(optimal[1])]
+    q = math.sqrt(0.3)  # both observers' failure probability at the s = 0.3 optimum
+    optimal = sampling_boundaries(q, q)
+    assert optimal.shape == (2,) and optimal[0] == optimal[1] == 1.0 - q
+    # the reference reads thresholds (t1, t2) as the cell table
+    # ((t1, t1), (0, t2)): input 1 has an empty outcome-2 cell (lo == hi),
+    # input 2 an empty outcome-1 cell (lo == 0)
+    levels = [0.0, 0.25, 0.3, 0.4, 0.6, 0.7, 1.0]
+    pairs = [(t1, t2) for t1 in levels for t2 in levels] + [tuple(optimal)]
     rng = np.random.default_rng(7)
-    for row1 in rows:
-        for row2 in rows:
-            edges = np.array([0.0, 0.5, *row1, *row2])
-            near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-            values = np.concatenate([near, rng.random(64)])
-            u = np.repeat(values, 2)
-            prep = np.tile(np.array([1, 2], dtype=prep_dtype), len(values))
-            boundaries = np.array([row1, row2])
-            want = _classify_reference(boundaries, prep, u)
-            got = classify_uniforms(boundaries, prep, u)
-            assert got.dtype == np.int8
-            assert np.array_equal(got, want)
-            # simulators pass strided columns of the per-trial draw array
-            strided = np.stack([u, u], axis=1)[:, 1]
-            assert np.array_equal(classify_uniforms(boundaries, prep, strided), want)
+    for t1, t2 in pairs:
+        edges = np.array([0.0, 0.5, t1, t2])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        values = np.concatenate([near, rng.random(64)])
+        u = np.repeat(values, 2)
+        prep = np.tile(np.array([1, 2], dtype=prep_dtype), len(values))
+        thresholds = np.array((t1, t2))
+        want = _classify_reference(np.array(((t1, t1), (0.0, t2))), prep, u)
+        got = classify_uniforms(thresholds, prep, u)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+        # simulators pass strided columns of the per-trial draw array
+        strided = np.stack([u, u], axis=1)[:, 1]
+        assert np.array_equal(classify_uniforms(thresholds, prep, strided), want)
 
 
 def test_measurement_matrices_are_read_only():

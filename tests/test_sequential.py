@@ -27,6 +27,8 @@ def test_joint_success_worked_examples():
     # asymmetric second observer: q_charlie = (0.25, 1.0) gives t = 0.5,
     # so q_bob must satisfy q1*q2 = s^2/t^2 = 0.25
     assert joint_success_analytic(0.25, (0.5, 0.5), (0.25, 1.0)) == pytest.approx(0.1875)
+    # small s: t = 1e-6 and q1_bob*q2_bob = s^2/t^2 = 1e-12 exactly
+    assert joint_success_analytic(1e-12, (1e-6, 1e-6), (1e-6, 1e-6)) == (1.0 - 1e-6) ** 2
 
 
 def test_joint_success_constraint_violations_are_named():
@@ -34,6 +36,10 @@ def test_joint_success_constraint_violations_are_named():
         joint_success_analytic(0.5, (1.0, 1.0), (0.3, 0.3))  # t = 0.3 < s
     with pytest.raises(ValueError, match=r"s\^2/t\^2"):
         joint_success_analytic(0.25, (0.9, 0.9), (0.5, 0.5))
+    # q1_bob*q2_bob = 1e-26 is below s^2 = 1e-24, though within 1e-9 of
+    # s^2/t^2 = 1e-10: an absolute slack would accept it
+    with pytest.raises(ValueError, match=r"s\^2/t\^2"):
+        joint_success_analytic(1e-12, (1e-13, 1e-13), (1e-7, 1e-7))
     with pytest.raises(ValueError, match="q1_charlie"):
         joint_success_analytic(0.25, (0.5, 0.5), (0.0, 1.0))
     with pytest.raises(ValueError):

@@ -105,8 +105,9 @@ def run_session(config: SessionConfig) -> KeyReport:
     Draw layout per round: draw 0 picks Alice's bit; with an eavesdropper,
     the next draws classify her measurement(s) followed by one guess draw;
     the last two draws classify Bob's and Charlie's measurements.  A
-    receiver's round is sifted when his outcome is conclusive, and counted
-    as an error when the conclusive outcome differs from Alice's bit.
+    receiver's round is sifted when his outcome is conclusive.  His
+    conclusive outcome is the state he received, so it is an error exactly
+    when the eavesdropper forwarded a wrong guess.
     """
     s = check_overlap(config.s)
     eve_bounds = sampling_boundaries(s, s)
@@ -127,32 +128,27 @@ def run_session(config: SessionConfig) -> KeyReport:
         if config.eve == EVE_NONE:
             forwarded = prep
             known = np.zeros(len(prep), dtype=bool)
-        elif config.mode == MODE_TWO_QUBIT:
-            out_e1 = classify_uniforms(eve_bounds, prep, u[:, 1])
-            out_e2 = classify_uniforms(eve_bounds, prep, u[:, 2])
-            known = (out_e1 != 0) | (out_e2 != 0)
-            identified = np.where(out_e1 != 0, out_e1, out_e2)
-            forwarded = np.where(known, identified, state_index(u[:, 3]))
         else:
-            out_e = classify_uniforms(eve_bounds, prep, u[:, 1])
-            known = out_e != 0
-            forwarded = np.where(known, out_e, state_index(u[:, 2]))
+            known = classify_uniforms(eve_bounds, prep, u[:, 1])
+            if config.mode == MODE_TWO_QUBIT:
+                known |= classify_uniforms(eve_bounds, prep, u[:, 2])
+            # a conclusive outcome of hers names prep; the guess draw
+            # sits just before Bob's
+            forwarded = np.where(known, prep, state_index(u[:, col - 1]))
+        wrong = forwarded != prep
 
-        out_b = classify_uniforms(bob_bounds, forwarded, u[:, col])
+        sift_b = classify_uniforms(bob_bounds, forwarded, u[:, col])
         # on the sequential path Charlie receives Bob's conditional output,
         # whose index matches whatever state entered Bob's measurement; on
         # the two-qubit path he gets his own (possibly resent) qubit
-        out_c = classify_uniforms(charlie_bounds, forwarded, u[:, col + 1])
-
-        sift_b = out_b != 0
-        sift_c = out_c != 0
+        sift_c = classify_uniforms(charlie_bounds, forwarded, u[:, col + 1])
         return (
             np.count_nonzero(sift_b & sift_c),
             np.count_nonzero(sift_b),
             np.count_nonzero(sift_c),
             np.count_nonzero(known),
-            np.count_nonzero(sift_b & (out_b != prep)),
-            np.count_nonzero(sift_c & (out_c != prep)),
+            np.count_nonzero(sift_b & wrong),
+            np.count_nonzero(sift_c & wrong),
         )
 
     names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",

@@ -131,17 +131,18 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement) -> float:
     """Largest deviation between the dilation and the Kraus description.
 
     `meas` must be the measurement the dilation realizes: same input
-    overlap, both failure probabilities equal to sqrt(s).  Returns the
-    maximum outcome-probability gap plus the maximum conditional-state
-    infidelity over both inputs (ancilla outcome i matching measurement
-    outcome i, with 0 the failure)."""
+    overlap, both failure probabilities equal to sqrt(s), each compared
+    to a relative DEFAULT_TOL so that a small s is held to its own scale.
+    Returns the maximum outcome-probability gap plus the maximum
+    conditional-state infidelity over both inputs (ancilla outcome i
+    matching measurement outcome i, with 0 the failure)."""
     rs = math.sqrt(dilation.s)
-    if abs(meas.input_pair.s - dilation.s) > DEFAULT_TOL:
+    if not math.isclose(meas.input_pair.s, dilation.s, rel_tol=DEFAULT_TOL):
         raise ValueError(
             f"measurement input overlap {meas.input_pair.s} does not match "
             f"the dilation's s={dilation.s}"
         )
-    if abs(meas.q1 - rs) > DEFAULT_TOL or abs(meas.q2 - rs) > DEFAULT_TOL:
+    if not all(math.isclose(q, rs, rel_tol=DEFAULT_TOL) for q in (meas.q1, meas.q2)):
         raise ValueError(
             f"dilation realizes the symmetric point q1=q2=sqrt(s)={rs}; "
             f"got q1={meas.q1}, q2={meas.q2}"

@@ -32,7 +32,8 @@ import numpy as np
 
 from .states import StatePair, check_overlap, freeze, make_state_pair
 
-# Absolute tolerance of every numerical check in validate() and neumark.
+# Tolerance of the numerical checks in validate() and neumark: absolute on
+# the matrices, relative on overlaps and failure probabilities.
 DEFAULT_TOL = 1e-10
 
 # A wrong-state outcome probability below this floor is rounded to exactly
@@ -73,6 +74,10 @@ class DiagnosticsReport:
     (q1 + q2 - 2 s^2) / (1 - s^2) and (q1 q2 - s^2) / (1 - s^2), with
     1 - s^2 taken as (1 - s)(1 + s); both must be nonnegative for Pi0 to
     be a valid element. Factored this way neither cancels as s nears 1.
+    validate() requires det_pi0 >= -DEFAULT_TOL, which sees a shortfall of
+    q1 q2 near s = 1, and sqrt(q1) sqrt(q2) >= s to a relative DEFAULT_TOL,
+    which sees it at small s; together they imply trace_pi0 >= 0, since
+    (q1 + q2) / 2 >= sqrt(q1 q2).
     """
 
     completeness_residual: float
@@ -139,8 +144,9 @@ def build_optimal_ud(pair: StatePair) -> UDMeasurement:
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
-    """Check completeness, positivity, and the zero-error property; a POVM
-    element that is not Hermitian within DEFAULT_TOL raises ValueError."""
+    """Check completeness, positivity, admissibility and the zero-error
+    property; a POVM element that is not Hermitian within DEFAULT_TOL
+    raises ValueError."""
     Pi1, Pi2, Pi0 = meas.povm
     A1, A2, A0 = meas.kraus
     pair = meas.input_pair
@@ -163,8 +169,8 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     passed = (
         completeness <= DEFAULT_TOL
         and all(e >= -DEFAULT_TOL for e in eigs)
-        and trace_pi0 >= -DEFAULT_TOL
         and det_pi0 >= -DEFAULT_TOL
+        and math.sqrt(meas.q1) * math.sqrt(meas.q2) >= s * (1.0 - DEFAULT_TOL)
         and all(r <= DEFAULT_TOL for r in zero_err)
         and gap <= DEFAULT_TOL
     )
@@ -208,14 +214,14 @@ def sampling_boundaries(q1: float, q2: float) -> np.ndarray:
 
 
 def classify_uniforms(thresholds: np.ndarray, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized outcome classification against sampling_boundaries().
+    """Vectorized success sampling against sampling_boundaries().
 
-    `prep` holds prepared indices (1 or 2), `u` the uniforms; returns an
-    int8 array that is `prep` where u < thresholds[prep - 1] and 0
-    elsewhere, the cells apply() uses.
+    `prep` holds prepared indices (1 or 2), `u` the uniforms; returns the
+    bool mask u < thresholds[prep - 1]: True where apply() would give
+    outcome `prep` and False where it gives 0.  The wrong-state outcome
+    has no cell, so a mask is all an observer's outcome holds.
     """
-    identified = (u < np.take(thresholds, prep - 1)).view(np.int8)
-    return np.multiply(identified, prep, dtype=np.int8)
+    return u < np.take(thresholds, prep - 1)
 
 
 def apply(meas: UDMeasurement, input_index: int, rand: float):

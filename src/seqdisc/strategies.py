@@ -139,8 +139,9 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         seq:     the two-observer chain's own layout
 
     A receiver succeeds when its measurement outcome equals the prepared
-    index; `error_count` tallies conclusive wrong identifications anywhere
-    in a trial.
+    index.  Every receiver measures a perfect copy of the prepared state,
+    so none can name the wrong one and `error_count` is 0 by construction
+    (see TallyReport.from_counts).
     """
     kind = str(kind)
     if kind not in KINDS:
@@ -153,20 +154,16 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     col = 2 if kind == "3" else 1  # first receiver's draw
 
     def kernel(u, prep):
-        wrong = 3 - prep
-        out_b = classify_uniforms(bounds, prep, u[:, col])
-        ok_b = out_b == prep
-        err = out_b == wrong
-        out_c = classify_uniforms(bounds, prep, u[:, col + 1])
-        ok_c = out_c == prep
+        ok_b = classify_uniforms(bounds, prep, u[:, col])
+        ok_c = classify_uniforms(bounds, prep, u[:, col + 1])
         if kind == "2":
             # the second receiver only gets a qubit if the first succeeded,
             # and then it is a perfect copy of the prepared state
-            return outcome_counts(ok_b & ok_c, ok_b, err | (ok_b & (out_c == wrong)), prep)
+            return outcome_counts(ok_b & ok_c, ok_b, prep)
         cloned = u[:, 1] < p_clone
         ok_b &= cloned
         ok_c &= cloned
-        return outcome_counts(ok_b & ok_c, ok_b | ok_c, cloned & (err | (out_c == wrong)), prep)
+        return outcome_counts(ok_b & ok_c, ok_b | ok_c, prep)
 
     return TallyReport.from_counts(trials, *run_trials(seed, trials, col + 2, kernel))
 

@@ -83,6 +83,14 @@ def test_povm_equivalence_rejects_mismatched_measurement():
         povm_equivalence(d, build_intermediate_ud(make_state_pair(0.25), 0.9, 0.9))
     with pytest.raises(ValueError, match="overlap"):
         povm_equivalence(d, _optimal_stage(0.5))
+    # at s = 1e-30 both mismatches are orders of magnitude, yet below
+    # DEFAULT_TOL in absolute terms
+    d = build_dilation(1e-30)
+    with pytest.raises(ValueError, match="overlap 1e-20 does not match"):
+        povm_equivalence(d, build_intermediate_ud(make_state_pair(1e-20), 1e-12, 1e-12))
+    with pytest.raises(ValueError, match="got q1=2e-15, q2=2e-15"):
+        povm_equivalence(d, build_intermediate_ud(make_state_pair(1e-30), 2e-15, 2e-15))
+    assert povm_equivalence(d, _optimal_stage(1e-30)) < 1e-10
 
 
 def test_build_dilation_domain():

@@ -117,6 +117,23 @@ def test_validate_flags_a_tampered_failure_operator():
     assert not report.passed
 
 
+def test_validate_refuses_inadmissible_failure_probabilities():
+    # at s = 1e-6, q1 q2 = 5e-13 < s^2 = 1e-12 leaves det_pi0 = -5e-13,
+    # inside an absolute DEFAULT_TOL; the relative test on roots refuses it
+    meas = build_intermediate_ud(make_state_pair(1e-6), 1e-6, 1e-6)
+    report = validate(dataclasses.replace(meas, q1=0.5e-6))
+    assert -1e-12 < report.det_pi0 < 0.0
+    assert not report.passed
+    # near s = 1 a relative shortfall of 1e-13 is within the root test's
+    # slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
+    s = 1.0 - 1e-8
+    meas = build_optimal_ud(make_state_pair(s))
+    report = validate(dataclasses.replace(meas, q1=s * (1.0 - 1e-13)))
+    assert report.det_pi0 < -1e-6
+    assert not report.passed
+    assert validate(meas).passed
+
+
 def test_validate_refuses_a_non_hermitian_element():
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
     skewed = meas.povm[2] + np.array([[0.0, 1e-6], [0.0, 0.0]])
@@ -125,8 +142,9 @@ def test_validate_refuses_a_non_hermitian_element():
 
 
 def test_sampled_outcome_rates_match_branch_probabilities():
-    # classify_uniforms shares apply()'s cells exactly (checked below), so
-    # a vectorized run stands in for a million scalar applications per input
+    # classify_uniforms's success mask shares apply()'s cells exactly
+    # (checked below), so a vectorized run stands in for a million scalar
+    # applications per input
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
     bounds = sampling_boundaries(meas.q1, meas.q2)
     n = 1_000_000
@@ -134,12 +152,10 @@ def test_sampled_outcome_rates_match_branch_probabilities():
     for i, q in ((1, meas.q1), (2, meas.q2)):
         u = rng.random(n)
         prep = np.full(n, i, dtype=np.int8)
-        outcomes = classify_uniforms(bounds, prep, u)
-        identified = int(np.count_nonzero(outcomes == i))
-        wrong = int(np.count_nonzero(outcomes == 3 - i))
-        failed = int(np.count_nonzero(outcomes == 0))
-        assert wrong == 0
-        assert identified + failed == n
+        ok = classify_uniforms(bounds, prep, u)
+        assert ok.dtype == bool and ok.shape == (n,)
+        identified = int(np.count_nonzero(ok))
+        failed = n - identified
         p = 1.0 - q
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(identified / n - p) <= 4.0 * se
@@ -235,11 +251,13 @@ def test_classify_uniforms_agrees_with_apply():
     fast = classify_uniforms(bounds, prep, u)
     for j in range(500):
         outcome, _ = apply(meas, int(prep[j]), float(u[j]))
-        assert fast[j] == outcome
+        # apply() names the prepared state or fails, as the mask says
+        assert outcome == (prep[j] if fast[j] else 0)
 
 
 def _classify_reference(boundaries, prep, u):
-    """The gather-and-masked-store classifier, kept as the reference."""
+    """The gather-and-masked-store classifier, kept as the reference: it
+    returns outcome labels, which the tests turn into success masks."""
     b = boundaries[prep - 1]
     out = np.zeros(u.shape, dtype=np.int8)
     out[u < b[:, 1]] = 2
@@ -265,9 +283,11 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
         u = np.repeat(values, 2)
         prep = np.tile(np.array([1, 2], dtype=prep_dtype), len(values))
         thresholds = np.array((t1, t2))
-        want = _classify_reference(np.array(((t1, t1), (0.0, t2))), prep, u)
+        labels = _classify_reference(np.array(((t1, t1), (0.0, t2))), prep, u)
+        # the table has no wrong-state cell, so a label is prep or 0
+        want = labels == prep
         got = classify_uniforms(thresholds, prep, u)
-        assert got.dtype == np.int8
+        assert got.dtype == bool
         assert np.array_equal(got, want)
         # simulators pass strided columns of the per-trial draw array
         strided = np.stack([u, u], axis=1)[:, 1]

@@ -1,5 +1,6 @@
 """Tests for chain rates, the optimizer, and the chain simulator."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from seqdisc import sequential
 from seqdisc.povm import apply, validate
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
@@ -19,6 +21,7 @@ from seqdisc.sequential import (
     optimize_two_observer,
     simulate_chain,
 )
+from seqdisc.states import make_state_pair
 
 
 def test_joint_success_worked_examples():
@@ -174,6 +177,21 @@ def test_build_chain_validation():
             build_chain(0.3, n)
     with pytest.raises(ValueError, match="^n must fit in a float, got a 1101-bit integer$"):
         build_chain(0.3, 2**1100)
+
+
+def test_build_chain_refuses_a_stage_that_drifts_relatively(monkeypatch):
+    # at s = 1e-20 the first of two stages outputs overlap 1e-10; doubling
+    # it moves the overlap by only 1e-10 in absolute terms
+    real = sequential.build_intermediate_ud
+
+    def doubled(pair, q1, q2):
+        meas = real(pair, q1, q2)
+        return dataclasses.replace(meas, output_pair=make_state_pair(2.0 * meas.output_pair.s))
+
+    monkeypatch.setattr(sequential, "build_intermediate_ud", doubled)
+    with pytest.raises(ArithmeticError, match=r"^no chain of n=2 observers for s=1e-20: "
+                                              r"stage 1 output overlap \S+ drifted from 1e-10$"):
+        build_chain(1e-20, 2)
 
 
 @settings(max_examples=300, deadline=None)

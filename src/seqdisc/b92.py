@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .povm import classify_uniforms, sampling_boundaries
-from .sampling import SEED_LIMIT, binomial_rate, run_trials, state_index
+from .sampling import SEED_LIMIT, binomial_rate, picks_state1, run_trials
 from .sequential import build_chain
 from .states import check_overlap
 
@@ -103,45 +103,39 @@ def run_session(config: SessionConfig) -> KeyReport:
     """Simulate a whole session round by round.
 
     Draw layout per round: draw 0 picks Alice's bit; with an eavesdropper,
-    the next draws classify her measurement(s) followed by one guess draw;
-    the last two draws classify Bob's and Charlie's measurements.  A
-    receiver's round is sifted when his outcome is conclusive.  His
-    conclusive outcome is the state he received, so it is an error exactly
-    when the eavesdropper forwarded a wrong guess.
+    the next draws sample her measurement(s) followed by one guess draw;
+    the last two draws sample Bob's and Charlie's measurements.  Each
+    measurement fails equally on both states, so a receiver is sifted when
+    his draw is below one threshold, whatever state arrived.  His outcome
+    is then the state he received: an error exactly when Eve forwarded a
+    wrong guess.
     """
     s = check_overlap(config.s)
-    eve_bounds = sampling_boundaries(s, s)
+    eve_threshold = sampling_boundaries(s, s)
     if config.mode == MODE_TWO_QUBIT:
-        bob_bounds = eve_bounds
-        charlie_bounds = eve_bounds
+        bob_threshold = charlie_threshold = eve_threshold
     else:
         bob, charlie = build_chain(s, 2).stages
-        bob_bounds = sampling_boundaries(bob.q1, bob.q2)
-        charlie_bounds = sampling_boundaries(charlie.q1, charlie.q2)
-    # Bob's draw follows prep and any eavesdropper draws; Charlie's is the last
+        bob_threshold = sampling_boundaries(bob.q1, bob.q2)
+        charlie_threshold = sampling_boundaries(charlie.q1, charlie.q2)
+    # Bob's draw follows draw 0 and any eavesdropper draws; Charlie's is the last
     if config.eve == EVE_NONE:
         col = 1
     else:
         col = 4 if config.mode == MODE_TWO_QUBIT else 3
 
-    def kernel(u, prep):
+    def kernel(u, sent1):
         if config.eve == EVE_NONE:
-            forwarded = prep
-            known = np.zeros(len(prep), dtype=bool)
+            known = wrong = np.zeros(len(sent1), dtype=bool)
         else:
-            known = classify_uniforms(eve_bounds, prep, u[:, 1])
+            known = classify_uniforms(eve_threshold, u[:, 1])
             if config.mode == MODE_TWO_QUBIT:
-                known |= classify_uniforms(eve_bounds, prep, u[:, 2])
-            # a conclusive outcome of hers names prep; the guess draw
-            # sits just before Bob's
-            forwarded = np.where(known, prep, state_index(u[:, col - 1]))
-        wrong = forwarded != prep
-
-        sift_b = classify_uniforms(bob_bounds, forwarded, u[:, col])
-        # on the sequential path Charlie receives Bob's conditional output,
-        # whose index matches whatever state entered Bob's measurement; on
-        # the two-qubit path he gets his own (possibly resent) qubit
-        sift_c = classify_uniforms(charlie_bounds, forwarded, u[:, col + 1])
+                known |= classify_uniforms(eve_threshold, u[:, 2])
+            # she forwards what she identified, else her guess, whose coin
+            # sits just before Bob's draw
+            wrong = ~known & (picks_state1(u[:, col - 1]) != sent1)
+        sift_b = classify_uniforms(bob_threshold, u[:, col])
+        sift_c = classify_uniforms(charlie_threshold, u[:, col + 1])
         return (
             np.count_nonzero(sift_b & sift_c),
             np.count_nonzero(sift_b),

@@ -19,8 +19,9 @@ t = s / sqrt(q1 q2).  Both the identifying and the failure branch leave the
 qubit in the same phi_i, so the only information lost to the next observer
 is the increase of the overlap from s to t.  Requiring t <= 1 gives the
 admissibility condition q1 q2 >= s^2.  The outcome probabilities are
-(1 - q1, 0, q1) for psi_1 and (0, 1 - q2, q2) for psi_2, so sampling
-needs only q1 and q2.
+(1 - q1, 0, q1) for psi_1 and (0, 1 - q2, q2) for psi_2.  Every
+measurement the package samples has q1 = q2 = q, so whether it succeeds
+does not depend on the input, and one threshold 1 - q samples it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DEFAULT_TOL = 1e-10
 # A wrong-state outcome probability below this floor is rounded to exactly
 # zero by outcome_probabilities() (and so apply()); it carries only float
 # noise (~1e-17).  neumark skips outcomes at or below it when comparing
-# conditional states.  The sampler's thresholds 1 - q_i do not use it.
+# conditional states.  The sampler's threshold 1 - q does not use it.
 PROB_FLOOR = 1e-12
 
 
@@ -202,26 +203,25 @@ def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
     return tuple(probs)
 
 
-def sampling_boundaries(q1: float, q2: float) -> np.ndarray:
-    """Success thresholds (1 - q1, 1 - q2) for classifying uniform draws
-    against a measurement with failure probabilities q1, q2.
+def sampling_boundaries(q1: float, q2: float) -> float:
+    """Success threshold 1 - q1 for uniform draws against a measurement
+    that fails with probability q1 = q2 on either input: a draw below it
+    identifies the state and any other fails.  q1 != q2 raises ValueError,
+    since success would then depend on the input."""
+    if q1 != q2:
+        raise ValueError(f"sampling needs equal failure probabilities, got q1={q1}, q2={q2}")
+    return 1.0 - q1
 
-    Entry i-1 is the probability that input state i is identified; the
-    measurement never names the wrong state, so a uniform u maps to
-    outcome i below it and to 0 otherwise.
-    """
-    return np.array((1.0 - q1, 1.0 - q2))
 
-
-def classify_uniforms(thresholds: np.ndarray, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
+def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:
     """Vectorized success sampling against sampling_boundaries().
 
-    `prep` holds prepared indices (1 or 2), `u` the uniforms; returns the
-    bool mask u < thresholds[prep - 1]: True where apply() would give
-    outcome `prep` and False where it gives 0.  The wrong-state outcome
-    has no cell, so a mask is all an observer's outcome holds.
+    `threshold` is a scalar or an array of per-trial thresholds; returns
+    the bool mask u < threshold: True where apply() identifies the state
+    and False where it gives 0.  The wrong-state outcome has no cell, so a
+    mask is all an observer's outcome holds.
     """
-    return u < np.take(thresholds, prep - 1)
+    return u < threshold
 
 
 def apply(meas: UDMeasurement, input_index: int, rand: float):

@@ -9,8 +9,8 @@ produces bit-identical draws, and results are reproducible across runs and
 machines for a given seed.
 
 run_trials() is the one chunk loop behind every simulator: it fills each
-chunk's draws, picks the prepared state from draw 0, and sums the counts a
-simulator-specific kernel returns.
+chunk's draws, reads from draw 0 which state was sent, and sums the counts
+a simulator-specific kernel returns.
 """
 
 from __future__ import annotations
@@ -70,19 +70,21 @@ def chunk_ranges(n_trials: int, chunk_size: int):
         start += count
 
 
-def state_index(u: np.ndarray) -> np.ndarray:
-    """Equal-prior state choice from uniforms: int8 1 below 0.5, else 2."""
-    return (u >= 0.5).view(np.int8) + 1
+def picks_state1(u: np.ndarray) -> np.ndarray:
+    """Equal-prior choice between two states from uniforms: True (state 1)
+    below 0.5, False (state 2) otherwise."""
+    return u < 0.5
 
 
 def run_trials(seed: int, trials: int, draws_per_trial: int, kernel) -> tuple:
     """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
 
     Each chunk gets its (count, draws_per_trial) draws from trial_uniforms,
-    at most CHUNK_DOUBLES generated doubles or one trial; draw 0 picks the
-    prepared state (state_index), and kernel(u, prep) returns a tuple of
-    counts for the chunk.  The sums do not depend on the chunk size,
-    because neither the draws nor the per-trial kernel do.
+    at most CHUNK_DOUBLES generated doubles or one trial, and
+    kernel(u, sent1) returns a tuple of counts for the chunk, where the
+    bool column sent1 = picks_state1(u[:, 0]) marks the trials that sent
+    state 1.  The sums do not depend on the chunk size, because neither
+    the draws nor the per-trial kernel do.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -91,7 +93,7 @@ def run_trials(seed: int, trials: int, draws_per_trial: int, kernel) -> tuple:
     totals = None
     for start, count in chunk_ranges(trials, chunk):
         u = trial_uniforms(seed, count, draws_per_trial, start)
-        counts = kernel(u, state_index(u[:, 0]))
+        counts = kernel(u, picks_state1(u[:, 0]))
         totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))
     return totals
 

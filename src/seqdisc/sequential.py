@@ -72,11 +72,11 @@ class TallyReport:
                    *binomial_rate(all_count, trials))
 
 
-def outcome_counts(joint, at_least_one, prep) -> tuple:
+def outcome_counts(joint, at_least_one, sent1) -> tuple:
     """Per-chunk counts behind TallyReport.from_counts, from trial masks:
-    joint successes split by prepared state, then their total, and trials
-    with at least one success."""
-    branch1 = np.count_nonzero(joint & (prep == 1))
+    joint successes split by prepared state (sent1 marks state 1), then
+    their total, and trials with at least one success."""
+    branch1 = np.count_nonzero(joint & sent1)
     all_count = np.count_nonzero(joint)
     return branch1, all_count - branch1, all_count, np.count_nonzero(at_least_one)
 
@@ -197,21 +197,22 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     """Monte Carlo over prepared states run through every stage.
 
     Draw layout per trial: draw 0 picks the prepared state (below 0.5 means
-    state 1), draw k classifies stage k's outcome.  Every stage is applied
-    whatever the earlier outcomes were; this is sound because each stage
-    leaves the qubit in the same conditional state on all of its branches,
-    so stage k's outcome distribution depends only on the prepared index.
-    An observer succeeds where the mask of classify_uniforms() is True.
+    state 1), draw k samples stage k.  Every stage is applied whatever the
+    earlier outcomes were; this is sound because each stage leaves the
+    qubit in the same conditional state on all of its branches.  Each stage
+    also fails with the same probability on both inputs, so an observer
+    succeeds where its draw is below the stage's one threshold, whichever
+    state was sent.  A stage with q1 != q2 raises ValueError.
     """
-    bounds = [sampling_boundaries(stage.q1, stage.q2) for stage in chain.stages]
+    thresholds = [sampling_boundaries(stage.q1, stage.q2) for stage in chain.stages]
 
-    def kernel(u, prep):
-        all_ok = np.ones(len(prep), dtype=bool)
-        any_ok = np.zeros(len(prep), dtype=bool)
-        for k, stage_bounds in enumerate(bounds, 1):
-            ok = classify_uniforms(stage_bounds, prep, u[:, k])
+    def kernel(u, sent1):
+        all_ok = np.ones(len(sent1), dtype=bool)
+        any_ok = np.zeros(len(sent1), dtype=bool)
+        for k, threshold in enumerate(thresholds, 1):
+            ok = classify_uniforms(threshold, u[:, k])
             all_ok &= ok
             any_ok |= ok
-        return outcome_counts(all_ok, any_ok, prep)
+        return outcome_counts(all_ok, any_ok, sent1)
 
     return TallyReport.from_counts(trials, *run_trials(seed, trials, chain.n + 1, kernel))

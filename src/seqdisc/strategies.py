@@ -138,10 +138,11 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         kind 3:  0 prepared, 1 cloner, 2 first receiver, 3 second receiver
         seq:     the two-observer chain's own layout
 
-    A receiver succeeds when its measurement outcome equals the prepared
-    index.  Every receiver measures a perfect copy of the prepared state,
-    so none can name the wrong one and `error_count` is 0 by construction
-    (see TallyReport.from_counts).
+    Every receiver runs the minimum-failure measurement (q1 = q2 = s) on a
+    perfect copy of the prepared state, so it succeeds where its draw is
+    below the one threshold 1 - s, whichever state was sent; none can name
+    the wrong state, and `error_count` is 0 by construction (see
+    TallyReport.from_counts).
     """
     kind = str(kind)
     if kind not in KINDS:
@@ -149,21 +150,21 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     if kind in ("1", "seq"):
         return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
     s = check_overlap(s)
-    bounds = sampling_boundaries(s, s)
+    threshold = sampling_boundaries(s, s)
     p_clone = 1.0 / (1.0 + s)
     col = 2 if kind == "3" else 1  # first receiver's draw
 
-    def kernel(u, prep):
-        ok_b = classify_uniforms(bounds, prep, u[:, col])
-        ok_c = classify_uniforms(bounds, prep, u[:, col + 1])
+    def kernel(u, sent1):
+        ok_b = classify_uniforms(threshold, u[:, col])
+        ok_c = classify_uniforms(threshold, u[:, col + 1])
         if kind == "2":
             # the second receiver only gets a qubit if the first succeeded,
             # and then it is a perfect copy of the prepared state
-            return outcome_counts(ok_b & ok_c, ok_b, prep)
+            return outcome_counts(ok_b & ok_c, ok_b, sent1)
         cloned = u[:, 1] < p_clone
         ok_b &= cloned
         ok_c &= cloned
-        return outcome_counts(ok_b & ok_c, ok_b | ok_c, prep)
+        return outcome_counts(ok_b & ok_c, ok_b | ok_c, sent1)
 
     return TallyReport.from_counts(trials, *run_trials(seed, trials, col + 2, kernel))
 

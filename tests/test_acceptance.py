@@ -4,14 +4,16 @@ Run with `pytest tests/test_acceptance.py -s` to see the verdict lines as
 they pass; `pytest -v` shows the same information through the test names.
 
 The zero-error criterion is cumulative: every Monte Carlo run in this
-module whose measurement inputs are untampered registers its trial count
-and conclusive-misidentification count in a module ledger, and the final
-test demands at least ten million registered trials with exactly zero
-errors.  Sessions with an active eavesdropper are excluded from the ledger
-because their conclusive "errors" are correct measurements of forwarded
-wrong states, not misidentifications.
+module registers its trial count in a module ledger, together with the
+largest wrong-state probability that validate() finds in the measurements
+the run samples (its zero_error_residuals).  The sampler cannot name the
+wrong state, so a misidentification count would be zero by construction;
+the residuals are the evidence that can fail.  The final test demands at
+least ten million registered trials and a largest residual of at most
+ZERO_ERROR_BOUND.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -31,7 +33,7 @@ from seqdisc.b92 import (
 )
 from seqdisc.cli import main as cli_main
 from seqdisc.neumark import build_dilation, dilation_statistics, povm_equivalence
-from seqdisc.povm import build_intermediate_ud, outcome_probabilities, validate
+from seqdisc.povm import build_intermediate_ud, build_optimal_ud, outcome_probabilities, validate
 from seqdisc.sequential import build_chain, optimize_two_observer, simulate_chain
 from seqdisc.states import make_state_pair
 from seqdisc.strategies import (
@@ -44,17 +46,27 @@ from seqdisc.strategies import (
     strategy_seq,
 )
 
-LEDGER = {"trials": 0, "errors": 0}
+LEDGER = {"trials": 0, "residual": 0.0}
+
+# Largest wrong-state probability allowed in a sampled measurement; the
+# same bound as test_povm's sweep of chain stages near s = 1.
+ZERO_ERROR_BOUND = 1e-15
 
 
-def _register_tally(report):
-    LEDGER["trials"] += report.trials
-    LEDGER["errors"] += report.error_count
+def _zero_error_residual(measurements):
+    """Largest validate().zero_error_residuals entry over `measurements`."""
+    return max(max(validate(m).zero_error_residuals) for m in measurements)
 
 
-def _register_clean_session(report):
-    LEDGER["trials"] += report.rounds
-    LEDGER["errors"] += report.errors_bob + report.errors_charlie
+def _sampled(s, sequential):
+    """The measurements a run at overlap s samples: the two-observer chain's
+    stages, or the minimum-failure measurement (also Eve's)."""
+    return build_chain(s, 2).stages if sequential else (build_optimal_ud(make_state_pair(s)),)
+
+
+def _register(trials, measurements):
+    LEDGER["trials"] += trials
+    LEDGER["residual"] = max(LEDGER["residual"], _zero_error_residual(measurements))
 
 
 def _verdict(label, ok):
@@ -70,8 +82,9 @@ def test_criterion_1_two_observer_optimum():
         ok &= abs(result.p_star - (1.0 - math.sqrt(s)) ** 2) <= 1e-8
     trials = 1_000_000
     for s in (0.1, 0.25, 0.5, 0.75):
-        report = simulate_chain(build_chain(s, 2), trials, seed=101)
-        _register_tally(report)
+        chain = build_chain(s, 2)
+        report = simulate_chain(chain, trials, seed=101)
+        _register(report.trials, chain.stages)
         p = (1.0 - math.sqrt(s)) ** 2
         se = math.sqrt(p * (1.0 - p) / trials)
         ok &= abs(report.estimated_joint_probability - p) <= 4 * se
@@ -131,7 +144,7 @@ def test_criterion_4_strategy_comparison():
     se = math.sqrt(p_any * (1.0 - p_any) / trials)
     for kind in ("1", "2", "3", "seq"):
         report = simulate_strategy(kind, s, trials, seed=77)
-        _register_tally(report)
+        _register(report.trials, _sampled(s, kind == "seq"))
         ok &= abs(report.at_least_one_success_count / trials - p_any) <= 4 * se
     _verdict(
         "criterion 4: strict ordering p1 > p2 > p3 > p_seq at 1000 points, "
@@ -143,8 +156,9 @@ def test_criterion_4_strategy_comparison():
 
 def test_criterion_5_three_observer_law():
     s, trials = 0.729, 1_000_000
-    report = simulate_chain(build_chain(s, 3), trials, seed=55)
-    _register_tally(report)
+    chain = build_chain(s, 3)
+    report = simulate_chain(chain, trials, seed=55)
+    _register(report.trials, chain.stages)
     p = 0.001
     se = math.sqrt(p * (1.0 - p) / trials)
     ok = abs(report.estimated_joint_probability - p) <= 4 * se
@@ -187,7 +201,7 @@ def test_criterion_7_key_distribution():
         (MODE_ONE_QUBIT, (1.0 - math.sqrt(s)) ** 2),
     ):
         report = run_session(SessionConfig(s=s, rounds=rounds, mode=mode, seed=303))
-        _register_clean_session(report)
+        _register(report.rounds, _sampled(s, mode == MODE_ONE_QUBIT))
         se = math.sqrt(want_both * (1.0 - want_both) / rounds)
         ok &= abs(report.rates["both_sifted"]["rate"] - want_both) <= 4 * se
         ok &= report.errors_bob == 0 and report.errors_charlie == 0
@@ -195,6 +209,7 @@ def test_criterion_7_key_distribution():
     for mode in (MODE_TWO_QUBIT, MODE_ONE_QUBIT):
         config = SessionConfig(s=s, rounds=rounds, mode=mode, eve=EVE_INTERCEPT, seed=404)
         report = run_session(config)
+        _register(report.rounds, _sampled(s, mode == MODE_ONE_QUBIT))
         oracle = session_rate_oracle(s, mode, EVE_INTERCEPT)
         know = eve_knowledge_rate(config)
         se = math.sqrt(know * (1.0 - know) / rounds)
@@ -257,12 +272,24 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     )
 
 
+def test_zero_error_ledger_flags_a_tampered_measurement():
+    meas = build_optimal_ud(make_state_pair(0.36))
+    assert _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
+    # let Pi1 respond to psi2 with probability 1e-12: validate() still
+    # passes it, within DEFAULT_TOL, but the ledger's bound does not
+    psi2 = meas.input_pair.psi2
+    leak = 1e-12 * np.outer(psi2, psi2.conj())
+    tampered = dataclasses.replace(meas, povm=(meas.povm[0] + leak, *meas.povm[1:]))
+    assert validate(tampered).passed
+    assert _zero_error_residual([tampered]) > ZERO_ERROR_BOUND
+
+
 def test_criterion_3_zero_errors_overall():
     if LEDGER["trials"] == 0:
         pytest.skip("cumulative check; run the whole acceptance module")
-    ok = LEDGER["trials"] >= 10_000_000 and LEDGER["errors"] == 0
+    ok = LEDGER["trials"] >= 10_000_000 and LEDGER["residual"] <= ZERO_ERROR_BOUND
     _verdict(
-        f"criterion 3: {LEDGER['trials']:,} registered Monte Carlo trials "
-        f"with exactly {LEDGER['errors']} conclusive misidentifications",
+        f"criterion 3: {LEDGER['trials']:,} registered Monte Carlo trials sampled "
+        f"measurements whose largest wrong-state probability is {LEDGER['residual']:.3g}",
         ok,
     )

@@ -89,10 +89,9 @@ def test_cumulative_outcome_probabilities_match_sampling_boundaries():
     stages += [build_intermediate_ud(make_state_pair(s), q1, q2)
                for s in S_GRID for q1, q2 in _q_grid(s)]
     for stage in stages:
-        thresholds = sampling_boundaries(stage.q1, stage.q2)
-        for i in (1, 2):
+        for i, q in ((1, stage.q1), (2, stage.q2)):
             identified = outcome_probabilities(stage, i)[i - 1]
-            assert abs(identified - thresholds[i - 1]) <= 1e-15
+            assert abs(identified - sampling_boundaries(q, q)) <= 1e-15
         assert max(validate(stage).zero_error_residuals) <= 1e-15
 
 
@@ -144,15 +143,13 @@ def test_validate_refuses_a_non_hermitian_element():
 def test_sampled_outcome_rates_match_branch_probabilities():
     # classify_uniforms's success mask shares apply()'s cells exactly
     # (checked below), so a vectorized run stands in for a million scalar
-    # applications per input
+    # applications per input; each input gets its own threshold
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
-    bounds = sampling_boundaries(meas.q1, meas.q2)
     n = 1_000_000
     rng = np.random.default_rng(2024)
     for i, q in ((1, meas.q1), (2, meas.q2)):
         u = rng.random(n)
-        prep = np.full(n, i, dtype=np.int8)
-        ok = classify_uniforms(bounds, prep, u)
+        ok = classify_uniforms(sampling_boundaries(q, q), u)
         assert ok.dtype == bool and ok.shape == (n,)
         identified = int(np.count_nonzero(ok))
         failed = n - identified
@@ -244,11 +241,13 @@ def test_apply_validates_arguments():
 
 def test_classify_uniforms_agrees_with_apply():
     meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
-    bounds = sampling_boundaries(meas.q1, meas.q2)
     rng = np.random.default_rng(99)
     u = rng.random(500)
     prep = rng.integers(1, 3, size=500).astype(np.int8)
-    fast = classify_uniforms(bounds, prep, u)
+    # unequal q1, q2: each trial gets its prepared state's threshold
+    per_trial = np.where(prep == 1, sampling_boundaries(meas.q1, meas.q1),
+                         sampling_boundaries(meas.q2, meas.q2))
+    fast = classify_uniforms(per_trial, u)
     for j in range(500):
         outcome, _ = apply(meas, int(prep[j]), float(u[j]))
         # apply() names the prepared state or fails, as the mask says
@@ -269,12 +268,12 @@ def _classify_reference(boundaries, prep, u):
 def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
     q = math.sqrt(0.3)  # both observers' failure probability at the s = 0.3 optimum
     optimal = sampling_boundaries(q, q)
-    assert optimal.shape == (2,) and optimal[0] == optimal[1] == 1.0 - q
+    assert optimal == 1.0 - q
     # the reference reads thresholds (t1, t2) as the cell table
     # ((t1, t1), (0, t2)): input 1 has an empty outcome-2 cell (lo == hi),
     # input 2 an empty outcome-1 cell (lo == 0)
     levels = [0.0, 0.25, 0.3, 0.4, 0.6, 0.7, 1.0]
-    pairs = [(t1, t2) for t1 in levels for t2 in levels] + [tuple(optimal)]
+    pairs = [(t1, t2) for t1 in levels for t2 in levels] + [(optimal, optimal)]
     rng = np.random.default_rng(7)
     for t1, t2 in pairs:
         edges = np.array([0.0, 0.5, t1, t2])
@@ -286,12 +285,13 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
         labels = _classify_reference(np.array(((t1, t1), (0.0, t2))), prep, u)
         # the table has no wrong-state cell, so a label is prep or 0
         want = labels == prep
-        got = classify_uniforms(thresholds, prep, u)
+        per_trial = np.take(thresholds, prep - 1)
+        got = classify_uniforms(per_trial, u)
         assert got.dtype == bool
         assert np.array_equal(got, want)
         # simulators pass strided columns of the per-trial draw array
         strided = np.stack([u, u], axis=1)[:, 1]
-        assert np.array_equal(classify_uniforms(thresholds, prep, strided), want)
+        assert np.array_equal(classify_uniforms(per_trial, strided), want)
 
 
 def test_measurement_matrices_are_read_only():

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqdisc import sequential
-from seqdisc.povm import apply, validate
+from seqdisc.povm import apply, build_intermediate_ud, validate
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
+    ChainSpec,
     build_chain,
     equal_failure_joint,
     joint_success_analytic,
@@ -149,7 +150,7 @@ def test_simulate_chain_matches_closed_form_for_small_chains(n):
     assert report.error_count == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000])
 def test_build_chain_schedule(n):
     s = 0.4
     chain = build_chain(s, n)
@@ -162,6 +163,10 @@ def test_build_chain_schedule(n):
         assert prev.output_pair.s == pytest.approx(nxt.input_pair.s, abs=1e-12)
     assert chain.stages[-1].exhausts_information
     assert chain.stages[-1].output_pair.s == 1.0
+    # the sampler draws each stage against one threshold, so every stage
+    # must fail with exactly the same probability on both inputs
+    for s in (1e-300, 1e-12, 0.3, 1.0 - 1e-6, 1.0 - 1e-12):
+        assert all(stage.q1 == stage.q2 for stage in build_chain(s, n).stages), s
 
 
 def test_build_chain_validation():
@@ -294,6 +299,15 @@ def test_simulate_chain_validation():
     chain = build_chain(0.5, 2)
     with pytest.raises(ValueError):
         simulate_chain(chain, 0, seed=1)
+
+
+def test_simulate_chain_refuses_a_stage_that_fails_unequally():
+    # success would depend on the input, which one threshold cannot sample
+    pair = make_state_pair(0.3)
+    stage = build_intermediate_ud(pair, 0.6, 0.8)
+    chain = ChainSpec(s=0.3, n=1, q=0.6, stages=(stage,))
+    with pytest.raises(ValueError, match=r"q1=0\.6, q2=0\.8"):
+        simulate_chain(chain, 1000, seed=1)
 
 
 def test_tally_report_as_dict_round_trip():

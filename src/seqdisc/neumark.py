@@ -10,8 +10,10 @@ identified") or 0 ("failure"), while the qubit is left in the conditional
 state phi_i either way, exactly as the Kraus description demands.  Basis
 ordering on the composite space: index = 3*(qubit index) + (ancilla index).
 
-Only the action of U on the ancilla-|0> sector is physical; the remaining
-four columns are an arbitrary deterministic completion.
+Only the action of U on the ancilla-|0> sector is physical.  The other
+four columns complete it in closed form: each physical column has a
+partner in its own plane of product vectors, and the ancilla vector v3
+orthogonal to v1 and v2 gives the last two columns.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class DilationUnitary:
 
 
 def ancilla_vectors(s: float):
-    """The two ancilla vectors that synthesize the optimal-stage columns."""
+    """The orthonormal ancilla vectors (v1, v2, v3): v1 and v2 synthesize
+    the optimal-stage columns and v3 completes the basis."""
     s = check_overlap(s)
     rs = math.sqrt(s)
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -56,49 +59,40 @@ def ancilla_vectors(s: float):
         1.0 + rs
     )
     v2 = (e1 - e2) / math.sqrt(2.0)
-    return freeze(v1), freeze(v2)
+    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / math.sqrt(1.0 + rs)
+    return freeze(v1), freeze(v2), freeze(v3)
 
 
 def build_dilation(s: float) -> DilationUnitary:
     """Construct U for overlap s at the symmetric optimal point q = sqrt(s).
 
-    The two physical columns U|0>|0> and U|1>|0> are fixed by the
-    measurement; the other four are completed deterministically by
-    Gram-Schmidt over the canonical basis.
+    The two physical columns U|0>|0> and U|1>|0> (composite indices 0 and
+    3) are fixed by the measurement.  Columns 1 and 2 are their partners
+    in the planes {|0>v1, |1>v2} and {|0>v2, |1>v1}; columns 4 and 5 are
+    |0>v3 and |1>v3.  theta_prime = asin(sqrt((1 - sqrt(s)) / 2)), written
+    so that it keeps its digits near s = 1.
     """
     s = check_overlap(s)
     rs = math.sqrt(s)
-    v1, v2 = ancilla_vectors(s)
+    v1, v2, v3 = ancilla_vectors(s)
     e0q = np.array([1.0, 0.0], dtype=complex)
     e1q = np.array([0.0, 1.0], dtype=complex)
     col_00 = ((1.0 + rs) * np.kron(e0q, v1) + (1.0 - rs) * np.kron(e1q, v2)) / math.sqrt(
         2.0 * (1.0 + s)
     )
     col_10 = (np.kron(e0q, v2) + np.kron(e1q, v1)) / math.sqrt(2.0)
-    given = np.column_stack([col_00, col_10])
-    if np.linalg.norm(given.conj().T @ given - np.eye(2)) > DEFAULT_TOL:
-        raise ValueError("physical columns are not orthonormal within tolerance")
-    # canonical basis vectors in ascending order, projected twice for
-    # numerical stability; one already spanned leaves a residual below DEFAULT_TOL
-    basis = [col_00, col_10]
-    for v in np.eye(TOTAL_DIM, dtype=complex):
-        if len(basis) == TOTAL_DIM:
-            break
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm >= DEFAULT_TOL:
-            basis.append(v / norm)
-    if len(basis) != TOTAL_DIM:
-        raise ValueError("could not complete the physical columns to a unitary")
-    # route the physical columns to the |0>|0> and |1>|0> slots (composite
-    # indices 0 and 3); a column permutation preserves unitarity
-    u = np.column_stack(basis)[:, [0, 2, 3, 1, 4, 5]]
+    partner_00 = ((1.0 - rs) * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / math.sqrt(
+        2.0 * (1.0 + s)
+    )
+    partner_10 = (np.kron(e0q, v2) - np.kron(e1q, v1)) / math.sqrt(2.0)
+    # rows transposed, so U is column-major: the reported residuals come
+    # from U @ psi, whose last bits depend on the memory order
+    u = np.array([col_00, partner_00, partner_10, col_10,
+                  np.kron(e0q, v3), np.kron(e1q, v3)]).T
     return DilationUnitary(
         s=float(s),
         theta=0.5 * math.acos(s),
-        theta_prime=0.5 * math.acos(rs),
+        theta_prime=math.asin(math.sqrt((1.0 - s) / (1.0 + rs) / 2.0)),
         u=freeze(u),
     )
 

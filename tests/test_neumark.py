@@ -1,10 +1,15 @@
 """Tests for the qubit-qutrit unitary realization."""
 
+import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hst
 
+from seqdisc.cli import main
 from seqdisc.neumark import (
     TOTAL_DIM,
     ancilla_vectors,
@@ -26,12 +31,17 @@ def _optimal_stage(s):
     return build_intermediate_ud(make_state_pair(s), rs, rs)
 
 
-@pytest.mark.parametrize("s", S_GRID)
+def _sin2_theta_prime(s):
+    """sin(theta_prime)^2 = (1 - sqrt(s)) / 2, exactly to double precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((1 - Decimal(s).sqrt()) / 2)
+
+
+@pytest.mark.parametrize("s", S_GRID + S_EXTREMES)
 def test_ancilla_vectors_are_orthonormal(s):
-    v1, v2 = ancilla_vectors(s)
-    assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(v1, v2)) < 1e-12
+    vectors = np.array(ancilla_vectors(s))
+    assert np.linalg.norm(vectors.conj() @ vectors.T - np.eye(3)) < 1e-12
 
 
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES)
@@ -40,7 +50,37 @@ def test_dilation_is_unitary(s):
     assert d.u.shape == (TOTAL_DIM, TOTAL_DIM)
     assert np.linalg.norm(d.u.conj().T @ d.u - np.eye(TOTAL_DIM)) < 1e-12
     assert d.theta == pytest.approx(0.5 * math.acos(s))
-    assert d.theta_prime == pytest.approx(0.5 * math.acos(math.sqrt(s)))
+    assert math.sin(d.theta_prime) ** 2 == pytest.approx(_sin2_theta_prime(s), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hst.one_of(
+    hst.floats(min_value=math.log10(5e-324), max_value=math.log10(0.5)).map(
+        lambda e: max(10.0**e, 5e-324)),
+    hst.floats(min_value=-15.0, max_value=math.log10(0.5)).map(lambda e: 1.0 - 10.0**e),
+))
+@example(5e-324)
+@example(1.0 - 1e-15)
+def test_printed_unitary_holds_across_the_domain(tmp_path, capsys, s):
+    """The `neumark` command's 12-digit matrix is unitary and gives the
+    optimal stage's ancilla statistics, and its theta_prime is exact to
+    the printed digits (sin^2 doubles the relative error of 5e-12)."""
+    matrix = tmp_path / "u.csv"
+    assert main(["neumark", "--s", repr(s), "--matrix", str(matrix)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cells = np.loadtxt(matrix, delimiter=",", skiprows=1)
+    u = cells[:, 0::2] + 1j * cells[:, 1::2]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(TOTAL_DIM)) < 1e-11
+    rs = math.sqrt(s)
+    pair = make_state_pair(s)
+    for i, psi in ((1, pair.psi1), (2, pair.psi2)):
+        amp = u @ np.kron(psi, [1.0, 0.0, 0.0])
+        probs = np.abs(amp[:3]) ** 2 + np.abs(amp[3:]) ** 2
+        want = {0: rs, i: 1.0 - rs, 3 - i: 0.0}
+        assert all(abs(probs[m] - want[m]) < 1e-11 for m in range(3)), (i, probs)
+    sin2 = math.sin(report["theta_prime"]) ** 2
+    assert sin2 == pytest.approx(_sin2_theta_prime(s), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES)

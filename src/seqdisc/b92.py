@@ -95,7 +95,7 @@ def eve_knowledge_rate(config: SessionConfig) -> float:
     if config.eve == EVE_NONE:
         raise ValueError("no eavesdropper in this configuration")
     if config.mode == MODE_TWO_QUBIT:
-        return 1.0 - config.s * config.s
+        return (1.0 - config.s) * (1.0 + config.s)
     return 1.0 - config.s
 
 

@@ -1,6 +1,7 @@
 """Tests for the two-receiver key distribution sessions."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from _oracles import session_rate_oracle
@@ -54,6 +55,13 @@ def test_eve_knowledge_rate_closed_forms():
     assert eve_knowledge_rate(one) == pytest.approx(1.0 - 0.36)
     with pytest.raises(ValueError):
         eve_knowledge_rate(SessionConfig(0.36, 10, MODE_TWO_QUBIT))
+    # near s = 1 the two-qubit rate 1 - s^2 must not cancel
+    for s in (1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 2.0**-53):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float(1 - Decimal(s) ** 2)
+        rate = eve_knowledge_rate(SessionConfig(s, 10, MODE_TWO_QUBIT, eve=EVE_INTERCEPT))
+        assert rate == pytest.approx(exact, rel=1e-15, abs=0.0), s
 
 
 def test_single_qubit_leaks_less_than_two_qubits():

@@ -65,7 +65,8 @@ def test_dilation_is_unitary(s):
 def test_printed_unitary_holds_across_the_domain(tmp_path, capsys, s):
     """The `neumark` command's 12-digit matrix is unitary and gives the
     optimal stage's ancilla statistics, and its theta_prime is exact to
-    the printed digits (sin^2 doubles the relative error of 5e-12)."""
+    the printed digits: 12 digits leave a relative error of up to 5e-12,
+    which sin^2 doubles."""
     matrix = tmp_path / "u.csv"
     assert main(["neumark", "--s", repr(s), "--matrix", str(matrix)]) == 0
     report = json.loads(capsys.readouterr().out)

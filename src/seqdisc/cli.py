@@ -90,7 +90,9 @@ def _cmd_b92(args) -> int:
             except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long
                 raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
+            found = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
+                type(raw), "number")
+            raise ValueError(f"config file {args.config}: holds a JSON {found}, not a JSON object")
     # explicit flags win over config-file values
     for field in dataclasses.fields(b92.SessionConfig):
         value = getattr(args, field.name)

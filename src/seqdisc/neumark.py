@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import (DEFAULT_TOL, PROB_FLOOR, UDMeasurement, build_intermediate_ud,
-                   outcome_probabilities)
+from .povm import PROB_FLOOR, build_intermediate_ud, outcome_probabilities
 from .reporting import csv_text
 from .states import check_overlap, freeze, make_state_pair
 
@@ -121,26 +120,16 @@ def dilation_statistics(dilation: DilationUnitary, input_index: int):
     return tuple(probs), tuple(posts)
 
 
-def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement) -> float:
-    """Largest deviation between the dilation and the Kraus description.
+def povm_equivalence(dilation: DilationUnitary) -> float:
+    """Largest deviation between the dilation and the Kraus description of
+    the measurement it realizes, built here from the dilation's own s with
+    both failure probabilities sqrt(s).
 
-    `meas` must be the measurement the dilation realizes: same input
-    overlap, both failure probabilities equal to sqrt(s), each compared
-    to a relative DEFAULT_TOL so that a small s is held to its own scale.
     Returns the maximum outcome-probability gap plus the maximum
     conditional-state infidelity over both inputs (ancilla outcome i
     matching measurement outcome i, with 0 the failure)."""
     rs = math.sqrt(dilation.s)
-    if not math.isclose(meas.input_pair.s, dilation.s, rel_tol=DEFAULT_TOL):
-        raise ValueError(
-            f"measurement input overlap {meas.input_pair.s} does not match "
-            f"the dilation's s={dilation.s}"
-        )
-    if not all(math.isclose(q, rs, rel_tol=DEFAULT_TOL) for q in (meas.q1, meas.q2)):
-        raise ValueError(
-            f"dilation realizes the symmetric point q1=q2=sqrt(s)={rs}; "
-            f"got q1={meas.q1}, q2={meas.q2}"
-        )
+    meas = build_intermediate_ud(make_state_pair(dilation.s), rs, rs)
     prob_gap = 0.0
     infidelity = 0.0
     for i in (1, 2):
@@ -162,17 +151,15 @@ def povm_equivalence(dilation: DilationUnitary, meas: UDMeasurement) -> float:
 
 def dilation_report(dilation: DilationUnitary) -> dict:
     """The `neumark` command's report: the dilation's angles, how far U is
-    from unitary, its povm_equivalence() residual against the Kraus form
-    it realizes, and the largest wrong-outcome probability of either input."""
-    rs = math.sqrt(dilation.s)
-    meas = build_intermediate_ud(make_state_pair(dilation.s), rs, rs)
+    from unitary, its povm_equivalence() residual, and the largest
+    wrong-outcome probability of either input."""
     unitarity = float(np.linalg.norm(dilation.u.conj().T @ dilation.u - np.eye(TOTAL_DIM)))
     return {
         "s": dilation.s,
         "theta": dilation.theta,
         "theta_prime": dilation.theta_prime,
         "unitarity_residual": unitarity,
-        "equivalence_residual": povm_equivalence(dilation, meas),
+        "equivalence_residual": povm_equivalence(dilation),
         "max_wrong_outcome_probability": max(
             dilation_statistics(dilation, i)[0][3 - i] for i in (1, 2)),
     }

@@ -33,8 +33,9 @@ import numpy as np
 
 from .states import StatePair, check_overlap, freeze, make_state_pair
 
-# Tolerance of the numerical checks in validate() and neumark: absolute on
-# the matrices, relative on overlaps and failure probabilities.
+# Tolerance of the numerical checks in validate(): absolute on the
+# completeness and zero-error residuals and on det Pi0, relative on the
+# admissibility test sqrt(q1) sqrt(q2) >= s.
 DEFAULT_TOL = 1e-10
 
 # A wrong-state outcome probability below this floor is rounded to exactly
@@ -48,9 +49,10 @@ PROB_FLOOR = 1e-12
 class UDMeasurement:
     """An unambiguous discrimination measurement for a fixed state pair.
 
-    `kraus` holds (A1, A2, A0) and `povm` the matching (Pi1, Pi2, Pi0),
-    each Pi_i = A_i^dag A_i; validate() reports how far their sum sits
-    from the identity.
+    `kraus` holds (A1, A2, A0), the only stored form of the measurement;
+    `povm` derives (Pi1, Pi2, Pi0) from it, each Pi_i = A_i^dag A_i, so
+    every element is Hermitian and positive by construction.  validate()
+    reports how far their sum sits from the identity.
     """
 
     input_pair: StatePair
@@ -58,7 +60,11 @@ class UDMeasurement:
     q1: float
     q2: float
     kraus: tuple
-    povm: tuple
+
+    @property
+    def povm(self) -> tuple:
+        """(Pi1, Pi2, Pi0), each A_i^dag A_i, as read-only arrays."""
+        return tuple(freeze(A.conj().T @ A) for A in self.kraus)
 
     @property
     def exhausts_information(self) -> bool:
@@ -78,15 +84,14 @@ class DiagnosticsReport:
     validate() requires det_pi0 >= -DEFAULT_TOL, which sees a shortfall of
     q1 q2 near s = 1, and sqrt(q1) sqrt(q2) >= s to a relative DEFAULT_TOL,
     which sees it at small s; together they imply trace_pi0 >= 0, since
-    (q1 + q2) / 2 >= sqrt(q1 q2).
+    (q1 + q2) / 2 >= sqrt(q1 q2).  Positivity has no entry: every element
+    is A_i^dag A_i.
     """
 
     completeness_residual: float
-    min_eigenvalues: tuple
     trace_pi0: float
     det_pi0: float
     zero_error_residuals: tuple
-    consistency_gap: float
     tol: float
     passed: bool
 
@@ -123,15 +128,12 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
     else:
         r1, r2 = math.sqrt(q1) * phi1, math.sqrt(q2) * phi2
         A0 = np.column_stack(((r1 + r2) / (2.0 * c), (r1 - r2) / (2.0 * d)))
-    kraus = tuple(freeze(A) for A in (A1, A2, A0))
-
     return UDMeasurement(
         input_pair=pair,
         output_pair=output_pair,
         q1=float(q1),
         q2=float(q2),
-        kraus=kraus,
-        povm=tuple(freeze(A.conj().T @ A) for A in kraus),
+        kraus=tuple(freeze(A) for A in (A1, A2, A0)),
     )
 
 
@@ -145,43 +147,34 @@ def build_optimal_ud(pair: StatePair) -> UDMeasurement:
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
-    """Check completeness, positivity, admissibility and the zero-error
-    property; a POVM element that is not Hermitian within DEFAULT_TOL
-    raises ValueError."""
+    """Check completeness, admissibility and the zero-error property.
+
+    Hermiticity and positivity need no check: each element is derived as
+    A_i^dag A_i from the stored Kraus operators."""
     Pi1, Pi2, Pi0 = meas.povm
-    A1, A2, A0 = meas.kraus
     pair = meas.input_pair
     s = pair.s
     one_minus_s2 = (1.0 - s) * (1.0 + s)
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
-    for P in meas.povm:
-        if np.linalg.norm(P - P.conj().T) > DEFAULT_TOL:
-            raise ValueError("POVM element is not Hermitian within tolerance")
-    eigs = tuple(float(np.linalg.eigvalsh(P)[0]) for P in meas.povm)
     trace_pi0 = (meas.q1 + meas.q2 - 2.0 * s * s) / one_minus_s2
     det_pi0 = (meas.q1 * meas.q2 - s * s) / one_minus_s2
     zero_err = (
         abs(complex(np.vdot(pair.psi2, Pi1 @ pair.psi2))),
         abs(complex(np.vdot(pair.psi1, Pi2 @ pair.psi1))),
     )
-    gap = float(np.linalg.norm(Pi0 - A0.conj().T @ A0))
 
     passed = (
         completeness <= DEFAULT_TOL
-        and all(e >= -DEFAULT_TOL for e in eigs)
         and det_pi0 >= -DEFAULT_TOL
         and math.sqrt(meas.q1) * math.sqrt(meas.q2) >= s * (1.0 - DEFAULT_TOL)
         and all(r <= DEFAULT_TOL for r in zero_err)
-        and gap <= DEFAULT_TOL
     )
     return DiagnosticsReport(
         completeness_residual=completeness,
-        min_eigenvalues=eigs,
         trace_pi0=trace_pi0,
         det_pi0=det_pi0,
         zero_error_residuals=zero_err,
-        consistency_gap=gap,
         tol=DEFAULT_TOL,
         passed=passed,
     )

@@ -48,8 +48,9 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     into chunks.
     """
     check_seed(seed)
-    if n_trials < 0 or start_trial < 0:
-        raise ValueError("trial counts must be nonnegative")
+    for name, value in (("n_trials", n_trials), ("start_trial", start_trial)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if draws_per_trial < 1:
         raise ValueError(f"draws_per_trial must be positive, got {draws_per_trial}")
     blocks = blocks_per_trial(draws_per_trial)
@@ -62,7 +63,7 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
 def chunk_ranges(n_trials: int, chunk_size: int):
     """Yield (start, count) pairs covering range(n_trials) in chunks."""
     if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     start = 0
     while start < n_trials:
         count = min(chunk_size, n_trials - start)

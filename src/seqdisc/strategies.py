@@ -96,9 +96,11 @@ class StrategyCurve:
 def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> StrategyCurve:
     """Evaluate all strategies on a uniform grid of overlaps.
 
-    The strict ordering p1 > p2 > p3 > p_seq is asserted at every interior
-    grid point before the curve is returned.  A grid with a point in
-    (0, 2**-53], where 1 + s rounds to 1 and p2 == p3, raises ValueError."""
+    A grid with a point in (0, 2**-53], where 1 + s rounds to 1 and
+    p2 == p3, raises ValueError.  At every other interior point the strict
+    ordering p1 > p2 > p3 > p_seq holds as doubles: a**2 < a, dividing by
+    1 + s >= 1 + 2**-52 lowers a value by more than half an ulp, and
+    p_seq / p3 = (1 + s) / (1 + sqrt(s))**2 is at most 1 - 2e-8."""
     s_min, s_max = float(s_min), float(s_max)
     if not 0.0 <= s_min < s_max <= 1.0:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
@@ -110,16 +112,8 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
         raise ValueError(
             f"s_min={s_min}, s_max={s_max}: grid point s={tiny[0]} is in (0, 2**-53], "
             "where 1 + s rounds to 1 and p2 = p3 as doubles")
-    p1, p2, p3, p_seq = strategy1(grid), strategy2(grid), strategy3(grid), strategy_seq(grid)
-    interior = (grid > 0.0) & (grid < 1.0)
-    ordered = (
-        np.all(p1[interior] > p2[interior])
-        and np.all(p2[interior] > p3[interior])
-        and np.all(p3[interior] > p_seq[interior])
-    )
-    if not ordered:
-        raise ArithmeticError("strategy ordering p1 > p2 > p3 > p_seq failed on the grid")
-    return StrategyCurve(s=grid, p_seq=p_seq, p1=p1, p2=p2, p3=p3, at_least_one=at_least_one(grid))
+    return StrategyCurve(s=grid, p_seq=strategy_seq(grid), p1=strategy1(grid), p2=strategy2(grid),
+                         p3=strategy3(grid), at_least_one=at_least_one(grid))
 
 
 def curve_csv(curve: StrategyCurve) -> str:

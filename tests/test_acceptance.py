@@ -178,10 +178,8 @@ def test_criterion_6_unitary_realization():
     ok = True
     for s in np.linspace(0.02, 0.98, 50):
         d = build_dilation(float(s))
-        rs = math.sqrt(float(s))
-        meas = build_intermediate_ud(make_state_pair(float(s)), rs, rs)
         ok &= float(np.linalg.norm(d.u.conj().T @ d.u - np.eye(6))) < 1e-10
-        ok &= povm_equivalence(d, meas) < 1e-10
+        ok &= povm_equivalence(d) < 1e-10
         probs1, _ = dilation_statistics(d, 1)
         probs2, _ = dilation_statistics(d, 2)
         ok &= probs1[2] < 1e-12 and probs2[1] < 1e-12
@@ -275,11 +273,13 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
 def test_zero_error_ledger_flags_a_tampered_measurement():
     meas = build_optimal_ud(make_state_pair(0.36))
     assert _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
-    # let Pi1 respond to psi2 with probability 1e-12: validate() still
-    # passes it, within DEFAULT_TOL, but the ledger's bound does not
-    psi2 = meas.input_pair.psi2
-    leak = 1e-12 * np.outer(psi2, psi2.conj())
-    tampered = dataclasses.replace(meas, povm=(meas.povm[0] + leak, *meas.povm[1:]))
+    # rotate A1 into A0 so that Pi1 answers psi2 with probability
+    # sin^2(e) |A0 psi2|^2 = 1e-12; the rotation keeps completeness, so
+    # validate() still passes it, within DEFAULT_TOL, but the ledger does not
+    A1, A2, A0 = meas.kraus
+    e = math.asin(math.sqrt(1e-12 / meas.q2))
+    rotated = (math.cos(e) * A1 + math.sin(e) * A0, A2, math.cos(e) * A0 - math.sin(e) * A1)
+    tampered = dataclasses.replace(meas, kraus=rotated)
     assert validate(tampered).passed
     assert _zero_error_residual([tampered]) > ZERO_ERROR_BOUND
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
+import seqdisc
 from seqdisc.cli import main
 from seqdisc.reporting import round_sig
 from seqdisc.sequential import optimal_n_observer, optimize_two_observer
@@ -328,7 +333,7 @@ def test_b92_rejects_non_object_config(tmp_path, capsys):
     cfg.write_text("[1, 2, 3]")
     code, _, err = run_cli(capsys, "b92", "--config", str(cfg))
     assert code == 2
-    assert "JSON object" in err
+    assert err == f"error: config file {cfg}: holds a JSON array, not a JSON object\n"
 
 
 # the long value is "s", not "rounds": where ints have no digit limit the
@@ -354,3 +359,23 @@ def test_missing_config_file_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "b92", "--config", "/nonexistent/nope.json")
     assert code == 2
     assert "error:" in err
+
+
+def _run_module(*argv):
+    """Run `python -m seqdisc.cli` in a child process, as the installed
+    script does, with the package's source directory on PYTHONPATH."""
+    src = str(pathlib.Path(seqdisc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "seqdisc.cli", *argv], env=env,
+                          capture_output=True)
+
+
+def test_module_entry_point_exit_status():
+    golden = pathlib.Path(__file__).parent / "golden" / "optimize-s0.3-n2.json"
+    done = _run_module("optimize", "--s", "0.3", "--n", "2")
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == golden.read_bytes()
+    done = _run_module("neumark", "--s", "1")
+    assert done.returncode == 2 and done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: s=")

@@ -50,11 +50,13 @@ def test_argument_validation():
         trial_uniforms(-1, 10, 2)
     with pytest.raises(ValueError, match="seed"):
         trial_uniforms(2**128, 10, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_trials must be nonnegative, got -5$"):
         trial_uniforms(1, -5, 2)
+    with pytest.raises(ValueError, match=r"^start_trial must be nonnegative, got -1$"):
+        trial_uniforms(1, 10, 2, start_trial=-1)
     with pytest.raises(ValueError):
         trial_uniforms(1, 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^chunk_size must be positive, got 0$"):
         list(chunk_ranges(10, 0))
 
 

@@ -68,6 +68,13 @@ def test_strict_ordering_on_the_open_interval():
     assert np.all(curve.p2[inner] > curve.p3[inner])
     assert np.all(curve.p3[inner] > curve.p_seq[inner])
     assert np.allclose(curve.at_least_one, 1.0 - grid)
+    # make_curve does not check the ordering, so check it where it is
+    # tightest: the 1e5 doubles just above 2**-53, the largest overlap it
+    # refuses, and the 1e5 just below 1
+    k = np.arange(1, 100_001)
+    edges = np.concatenate((2.0**-53 + k * 2.0**-105, 1.0 - k * 2.0**-53))
+    p1, p2, p3, p_seq = strategy1(edges), strategy2(edges), strategy3(edges), strategy_seq(edges)
+    assert np.all(p1 > p2) and np.all(p2 > p3) and np.all(p3 > p_seq)
 
 
 def test_make_curve_validation():

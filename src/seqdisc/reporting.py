@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+# format_rows's tables and its "%.11e" fallback are built for 12 digits
 SIG_DIGITS = 12
 # rows format_rows renders at once; bounds its per-block arrays (a 6-column
 # block of cell slots is under 1 MB)
@@ -86,33 +87,24 @@ def _tables():
     return tuple(table.setflags(write=False) or table for table in tables)  # shared: read-only
 
 
-def _significand(ax, e, pow10):
-    """rint(ax * 10**(11 - e)), correctly rounded: within 1e-4 of a tie,
-    Dekker's TwoProduct (Veltkamp split) gives the product's exact rounding
-    error, whose sign settles the tie; an exact tie keeps rint's
-    round-half-even, as CPython's dtoa does."""
-    scale = pow10[11 - e]
-    p = ax * scale
-    m = np.rint(p)
-    near = np.flatnonzero(np.abs(np.abs(p - m) - 0.5) < 1e-4)
-    a, b, p, d = ax[near], scale[near], p[near], p[near] - m[near]
-    ah, bh = (c - (c - v) for c, v in ((134217729.0 * a, a), (134217729.0 * b, b)))
-    err = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
-    m[near] += ((d == 0.5) & (err > 0)).astype(float) - ((d == -0.5) & (err < 0))
-    return m
-
-
 def _slots(x, sep):
     """A slot of _tables() per cell of `x`, with its digits and followed by
-    the bytes `sep`; every cell is 0 or 1e-11 <= |x| < 1e11."""
+    the bytes `sep`; every cell is 0 or 1e-11 <= |x| < 1e11. The scale
+    10**(11 - e) is exact, so rint(p) is correctly rounded unless p is a
+    half-integer (each below 2**52 is a double), and e is right if rint(p)
+    is in [1e11, 1e12): log10 misses the decade only next to a power of ten,
+    where both decades round alike. CPython's "%.11e" settles the rest."""
     groups, trailing, pow10, slot = _tables()
     ax = np.where(x == 0.0, 1.0, np.abs(x))  # log10 stays finite; 0 gets its digits below
     e = np.clip(np.floor(np.log10(ax)).astype(np.intp), -11, 11)  # 10**(11 - e) stays exact
-    m = _significand(ax, e, pow10)
-    # log10 may miss the decade by one, and rounding may carry into the next
-    moved = np.flatnonzero((m >= 1e12) | (m < 1e11))
-    e[moved] += np.where(m[moved] >= 1e12, 1, -1)
-    m[moved] = _significand(ax[moved], e[moved], pow10)
+    p = ax * pow10[11 - e]
+    m = np.rint(p)
+    odd = np.flatnonzero((np.abs(p - m) == 0.5) | (m >= 1e12) | (m < 1e11))
+    # "d.ddddddddddde+XX": 17 bytes per cell over the kernel's domain
+    text = np.frombuffer(("%.11e" * len(odd) % tuple(ax[odd].tolist())).encode(), np.uint8)
+    d = text.reshape(-1, 17).astype(np.int64) - ord("0")
+    m[odd] = d[:, np.r_[0, 2:13]] @ 10 ** np.arange(11, -1, -1)
+    e[odd] = (10 * d[:, 15] + d[:, 16]) * np.where(d[:, 14] == ord("-") - ord("0"), -1, 1)
     m = np.where(x == 0.0, 0, m).astype(np.int64)
     q0, q1, q2 = m // 10**8, m // 10**4 % 10**4, m % 10**4
     zeros = trailing[q2] + (q2 == 0) * (trailing[q1] + (q1 == 0) * trailing[q0])

@@ -42,6 +42,8 @@ CHUNKED_RUNS = (
                                 "--trials", "100003", "--seed", "7"]),
     ("simulate-seq-n64-seed2024", ["simulate", "--kind", "seq", "--n", "64", "--s", "0.45",
                                    "--trials", "30011", "--seed", "2024"]),
+    ("simulate-seq-n1000-seed11", ["simulate", "--kind", "seq", "--n", "1000", "--s", "0.3",
+                                   "--trials", "3001", "--seed", "11"]),
     ("b92-two_qubit-intercept_ud-seed99", ["b92", "--s", "0.3", "--rounds", "100003",
                                            "--mode", "two_qubit", "--eve", "intercept_ud",
                                            "--seed", "99"]),

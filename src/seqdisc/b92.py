@@ -115,9 +115,7 @@ def run_session(config: SessionConfig) -> KeyReport:
     if config.mode == MODE_TWO_QUBIT:
         bob_threshold = charlie_threshold = eve_threshold
     else:
-        bob, charlie = build_chain(s, 2).stages
-        bob_threshold = sampling_boundaries(bob.q1, bob.q2)
-        charlie_threshold = sampling_boundaries(charlie.q1, charlie.q2)
+        bob_threshold, charlie_threshold = build_chain(s, 2).thresholds
     # Bob's draw follows draw 0 and any eavesdropper draws; Charlie's is the last
     if config.eve == EVE_NONE:
         col = 1

@@ -51,14 +51,11 @@ def ancilla_vectors(s: float):
     the optimal-stage columns and v3 completes the basis."""
     s = check_overlap(s)
     rs = math.sqrt(s)
-    e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt((1.0 - rs) / 2.0) * (e1 + e2)) / math.sqrt(
-        1.0 + rs
-    )
+    e0, e1, e2 = np.eye(3, dtype=complex)
+    norm = math.sqrt(1.0 + rs)
+    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt((1.0 - rs) / 2.0) * (e1 + e2)) / norm
     v2 = (e1 - e2) / math.sqrt(2.0)
-    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / math.sqrt(1.0 + rs)
+    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / norm
     return freeze(v1), freeze(v2), freeze(v3)
 
 
@@ -74,15 +71,11 @@ def build_dilation(s: float) -> DilationUnitary:
     s = check_overlap(s)
     rs = math.sqrt(s)
     v1, v2, v3 = ancilla_vectors(s)
-    e0q = np.array([1.0, 0.0], dtype=complex)
-    e1q = np.array([0.0, 1.0], dtype=complex)
-    col_00 = ((1.0 + rs) * np.kron(e0q, v1) + (1.0 - rs) * np.kron(e1q, v2)) / math.sqrt(
-        2.0 * (1.0 + s)
-    )
+    e0q, e1q = np.eye(2, dtype=complex)
+    norm = math.sqrt(2.0 * (1.0 + s))
+    col_00 = ((1.0 + rs) * np.kron(e0q, v1) + (1.0 - rs) * np.kron(e1q, v2)) / norm
     col_10 = (np.kron(e0q, v2) + np.kron(e1q, v1)) / math.sqrt(2.0)
-    partner_00 = ((1.0 - rs) * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / math.sqrt(
-        2.0 * (1.0 + s)
-    )
+    partner_00 = ((1.0 - rs) * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / norm
     partner_10 = (np.kron(e0q, v2) - np.kron(e1q, v1)) / math.sqrt(2.0)
     # rows transposed, so U is column-major: the reported residuals come
     # from U @ psi, whose last bits depend on the memory order
@@ -134,15 +127,13 @@ def povm_equivalence(dilation: DilationUnitary) -> float:
     infidelity = 0.0
     for i in (1, 2):
         dil_probs, dil_posts = dilation_statistics(dilation, i)
-        p1, p2, p0 = outcome_probabilities(meas, i)
-        meas_probs = {0: p0, 1: p1, 2: p2}
+        meas_probs = outcome_probabilities(meas, i)  # (p1, p2, p0): outcome m at [m - 1]
         psi = meas.input_pair.psi1 if i == 1 else meas.input_pair.psi2
         for outcome in (0, 1, 2):
-            prob_gap = max(prob_gap, abs(dil_probs[outcome] - meas_probs[outcome]))
-            if dil_probs[outcome] <= PROB_FLOOR or meas_probs[outcome] <= PROB_FLOOR:
+            prob_gap = max(prob_gap, abs(dil_probs[outcome] - meas_probs[outcome - 1]))
+            if dil_probs[outcome] <= PROB_FLOOR or meas_probs[outcome - 1] <= PROB_FLOOR:
                 continue
-            kraus = meas.kraus[2] if outcome == 0 else meas.kraus[outcome - 1]
-            post = kraus @ psi
+            post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
             post = post / np.linalg.norm(post)
             overlap = abs(complex(np.vdot(dil_posts[outcome], post))) ** 2
             infidelity = max(infidelity, 1.0 - overlap)

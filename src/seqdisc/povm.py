@@ -96,18 +96,13 @@ class DiagnosticsReport:
     passed: bool
 
 
-def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasurement:
-    """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
-
-    Requires q1*q2 >= s^2; at equality the output states coincide and the
-    measurement extracts everything (exhausts_information is then True).
-    q_i = 1 is allowed and simply means state i is never identified.
-    The output overlap is s / q at q1 = q2 = q (exactly 1 at q = s) and
-    s / sqrt(q1) / sqrt(q2) otherwise; neither squares, so admissibility
-    is checked on it even where s^2 underflows, and up to 1e-12 above 1
-    it is capped at 1.
-    """
-    s = check_overlap(pair.s, "input overlap s")
+def output_overlap(s: float, q1: float, q2: float) -> float:
+    """Overlap t of the pair that failure probabilities q1, q2 in (0, 1]
+    leave of input overlap s: s / q at q1 = q2 = q (exactly 1 at q = s),
+    else s / sqrt(q1) / sqrt(q2).  Neither squares, so admissibility,
+    q1*q2 >= s^2, is checked on t even where s^2 underflows; t up to 1e-12
+    above 1 is capped at 1.  ValueError names the bad s, q_i or bound."""
+    s = check_overlap(s, "input overlap s")
     for name, q in (("q1", q1), ("q2", q2)):
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{name}={q} outside (0, 1]")
@@ -117,7 +112,19 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
             f"output overlap s/sqrt(q1*q2) = {t} > 1: q1={q1}, q2={q2} violate the "
             f"admissibility bound q1*q2 >= s^2 for s={s}"
         )
-    output_pair = make_state_pair(min(t, 1.0))
+    return min(t, 1.0)
+
+
+def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasurement:
+    """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
+
+    Requires q1*q2 >= s^2; at equality the output states coincide and the
+    measurement extracts everything (exhausts_information is then True).
+    q_i = 1 is allowed and simply means state i is never identified.  The
+    output pair's overlap, and every check, comes from output_overlap().
+    """
+    output_pair = make_state_pair(output_overlap(pair.s, q1, q2))
+    s = pair.s
 
     c, d = pair.psi1.real
     phi1, phi2 = output_pair.psi1, output_pair.psi2
@@ -227,12 +234,7 @@ def apply(meas: UDMeasurement, input_index: int, rand: float):
     if not 0.0 <= rand < 1.0:
         raise ValueError(f"rand={rand} outside [0, 1)")
     p1, p2, _ = outcome_probabilities(meas, input_index)
-    if rand < p1:
-        outcome, A = 1, meas.kraus[0]
-    elif rand < p1 + p2:
-        outcome, A = 2, meas.kraus[1]
-    else:
-        outcome, A = 0, meas.kraus[2]
+    outcome = 1 if rand < p1 else 2 if rand < p1 + p2 else 0
     psi = meas.input_pair.psi1 if input_index == 1 else meas.input_pair.psi2
-    post = A @ psi
+    post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
     return outcome, freeze(post / np.linalg.norm(post))

@@ -64,11 +64,8 @@ def chunk_ranges(n_trials: int, chunk_size: int):
     """Yield (start, count) pairs covering range(n_trials) in chunks."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    start = 0
-    while start < n_trials:
-        count = min(chunk_size, n_trials - start)
-        yield start, count
-        start += count
+    for start in range(0, n_trials, chunk_size):
+        yield start, min(chunk_size, n_trials - start)
 
 
 def picks_state1(u: np.ndarray) -> np.ndarray:

@@ -25,28 +25,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import build_intermediate_ud, build_optimal_ud, classify_uniforms, sampling_boundaries
+from .povm import build_intermediate_ud, classify_uniforms, output_overlap, sampling_boundaries
 from .sampling import binomial_rate, run_trials
 from .states import check_overlap, make_state_pair
 
-# Observers build_chain accepts; every stage is built and kept in memory.
+# Observers build_chain accepts; a sampled trial of the chain draws n + 1 uniforms.
 MAX_CHAIN_LENGTH = 10**4
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A fully specified n-observer chain.
+    """The optimal n-observer chain as its overlap schedule.
 
-    stages[k] (0-based) is observer k+1's measurement.  Its input overlap
-    is s**((n-k)/n), its input pair the previous stage's output pair.  Every
-    stage but the last fails with per-state probability q = s**(1/n); the
-    last fails with its own input overlap and outputs overlap exactly 1.
-    """
+    overlaps[k] (0-based) is the overlap observer k+1 receives, about
+    s**((n-k)/n), and overlaps[n] = 1 the one the last leaves.  All but the
+    last fail with per-state probability q = s**(1/n), the last with its
+    input overlap.  No measurement is built until `stages` is read."""
 
     s: float
     n: int
     q: float
-    stages: tuple
+    overlaps: tuple
+
+    @property
+    def failures(self) -> tuple:
+        """Each observer's failure probability, the same on both states."""
+        return (self.q,) * (self.n - 1) + (self.overlaps[-2],)
+
+    @property
+    def thresholds(self) -> tuple:
+        """Each observer's sampling_boundaries(): it succeeds on a draw below it."""
+        return tuple(sampling_boundaries(q, q) for q in self.failures)
+
+    @property
+    def stages(self) -> tuple:
+        """Observer k+1's UDMeasurement at [k], built on every read."""
+        return tuple(build_intermediate_ud(make_state_pair(a), q, q)
+                     for a, q in zip(self.overlaps, self.failures))
 
 
 @dataclass(frozen=True)
@@ -159,31 +174,27 @@ def optimal_n_observer(s: float, n: int) -> float:
 
 
 def build_chain(s: float, n: int) -> ChainSpec:
-    """Concrete measurements realizing the optimal n-observer chain.
+    """The overlap schedule of the optimal n-observer chain.
 
-    Stage k sees input overlap s**((n-k+1)/n) and each stage hands its
-    output pair on unchanged.  Every stage but the last uses the common
-    failure probability q = s**(1/n); the last is build_optimal_ud on the
-    pair it receives, so it saturates q1*q2 = s^2 and outputs overlap
-    exactly 1.  An s so close to 1 that an earlier stage's output rounds
-    to 1 raises ValueError naming s and n.  n is capped at MAX_CHAIN_LENGTH.
+    Stage k's output_overlap() is stage k+1's input.  Every stage but the
+    last fails with q = s**(1/n); the last fails with the overlap it
+    receives, so it saturates q1*q2 = s^2 and outputs overlap exactly 1.
+    An s so close to 1 that an earlier stage's output rounds to 1 raises
+    ValueError naming s, n and the stage.  n is capped at MAX_CHAIN_LENGTH.
     """
     s = check_overlap(s)
     _check_chain_length(n)
     if n > MAX_CHAIN_LENGTH:
         raise ValueError(f"n must be at most {MAX_CHAIN_LENGTH}, got {n}")
     q = s ** (1.0 / n)
-    where = f"no chain of n={n} observers for s={s}"
-    stages = []
-    pair = make_state_pair(s)
+    overlaps = [s]
     for k in range(n):
+        a = overlaps[-1]
         try:
-            stage = build_intermediate_ud(pair, q, q) if k < n - 1 else build_optimal_ud(pair)
+            overlaps.append(output_overlap(a, q, q) if k < n - 1 else output_overlap(a, a, a))
         except ValueError as exc:
-            raise ValueError(f"{where}: stage {k + 1} {exc}") from exc
-        stages.append(stage)
-        pair = stage.output_pair
-    return ChainSpec(s=s, n=n, q=q, stages=tuple(stages))
+            raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from exc
+    return ChainSpec(s=s, n=n, q=q, overlaps=tuple(overlaps))
 
 
 def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
@@ -194,10 +205,10 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     earlier outcomes were; this is sound because each stage leaves the
     qubit in the same conditional state on all of its branches.  Each stage
     also fails with the same probability on both inputs, so an observer
-    succeeds where its draw is below the stage's one threshold, whichever
-    state was sent.  A stage with q1 != q2 raises ValueError.
+    succeeds where its draw is below its one threshold, whichever state
+    was sent; chain.thresholds gives them.
     """
-    thresholds = [sampling_boundaries(stage.q1, stage.q2) for stage in chain.stages]
+    thresholds = chain.thresholds
 
     def kernel(u, sent1):
         all_ok = np.ones(len(sent1), dtype=bool)

@@ -42,8 +42,9 @@ def check_overlap(s, name: str = "s") -> float:
     discrimination problem here; the ValueError names `name` and the value.
 
     Only real numbers pass: a bool, a string or None is refused rather than
-    converted, and an int too large for a float is out of range."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+    converted, and an int too large for a float is out of range.  A float
+    skips the slower numbers.Real test: build_chain checks every stage."""
+    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, numbers.Real)):
         raise ValueError(f"{name}={s!r} is not a number")
     try:
         s = float(s)

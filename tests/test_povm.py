@@ -12,6 +12,7 @@ from seqdisc.povm import (
     build_optimal_ud,
     classify_uniforms,
     outcome_probabilities,
+    output_overlap,
     sampling_boundaries,
     validate,
 )
@@ -74,7 +75,7 @@ def test_outcome_probabilities_keep_tiny_success_probabilities():
     # 1 - s**0.5 = 5.0e-13, below PROB_FLOOR; only the wrong outcome is floored
     stage = build_chain(1.0 - 1e-12, 2).stages[0]
     p1, wrong, p0 = outcome_probabilities(stage, 1)
-    assert p1 == pytest.approx(1.0 - stage.q1, rel=1e-12)
+    assert p1 == pytest.approx(1.0 - stage.q1, rel=1e-12, abs=0)
     assert p1 > 4e-13 and wrong == 0.0
     assert p0 == pytest.approx(stage.q1, rel=1e-15)
     assert apply(stage, 1, 1e-13)[0] == 1
@@ -93,6 +94,25 @@ def test_cumulative_outcome_probabilities_match_sampling_boundaries():
             identified = outcome_probabilities(stage, i)[i - 1]
             assert abs(identified - sampling_boundaries(q, q)) <= 1e-15
         assert max(validate(stage).zero_error_residuals) <= 1e-15
+
+
+def test_sampling_boundaries_refuses_unequal_failure_probabilities():
+    # success would depend on the input, which one threshold cannot sample
+    with pytest.raises(ValueError, match=r"q1=0\.6, q2=0\.8"):
+        sampling_boundaries(0.6, 0.8)
+
+
+def test_output_overlap_is_the_measurements_output_overlap():
+    for s in S_GRID:
+        for q1, q2 in _q_grid(s):
+            meas = build_intermediate_ud(make_state_pair(s), q1, q2)
+            assert output_overlap(s, q1, q2) == meas.output_pair.s
+    assert output_overlap(0.3, 0.3, 0.3) == 1.0
+    for args, needle in (((1.0, 0.5, 0.5), r"^input overlap s=1\.0 outside \(0, 1\)$"),
+                         ((0.5, 0.0, 0.9), r"^q1=0\.0 outside \(0, 1\]$"),
+                         ((0.5, 0.5, 0.49), r"admissibility bound q1\*q2 >= s\^2 for s=0\.5$")):
+        with pytest.raises(ValueError, match=needle):
+            output_overlap(*args)
 
 
 def test_validate_formulas_match_direct_matrix_values():

@@ -8,11 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from seqdisc.povm import apply, build_intermediate_ud, validate
+from seqdisc import povm, sequential
+from seqdisc.b92 import EVE_INTERCEPT, MODE_ONE_QUBIT, SessionConfig, run_session
+from seqdisc.povm import (
+    apply,
+    build_intermediate_ud,
+    build_optimal_ud,
+    sampling_boundaries,
+    validate,
+)
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
-    ChainSpec,
     build_chain,
     equal_failure_joint,
     joint_success_analytic,
@@ -20,7 +27,8 @@ from seqdisc.sequential import (
     optimize_two_observer,
     simulate_chain,
 )
-from seqdisc.states import make_state_pair
+from seqdisc.states import check_overlap, make_state_pair
+from seqdisc.strategies import simulate_strategy
 
 
 def test_joint_success_worked_examples():
@@ -155,14 +163,17 @@ def test_build_chain_schedule(n):
     for s in (0.4, 1e-12, 1e-300):
         chain = build_chain(s, n)
         assert chain.q == pytest.approx(s ** (1.0 / n), rel=1e-12, abs=0)
-        assert len(chain.stages) == n
-        for k, stage in enumerate(chain.stages):
+        assert len(chain.overlaps) == n + 1 and chain.overlaps[-1] == 1.0
+        stages = chain.stages
+        assert len(stages) == n
+        for k, stage in enumerate(stages):
+            assert stage.input_pair.s == chain.overlaps[k]
             assert stage.input_pair.s == pytest.approx(s ** ((n - k) / n), rel=1e-12, abs=0)
             assert stage.q1 == stage.q2 == pytest.approx(chain.q, rel=1e-12, abs=0)
-        for prev, nxt in zip(chain.stages, chain.stages[1:]):
+        for prev, nxt in zip(stages, stages[1:]):
             assert prev.output_pair.s == pytest.approx(nxt.input_pair.s, rel=1e-12, abs=0)
-        assert chain.stages[-1].exhausts_information
-        assert chain.stages[-1].output_pair.s == 1.0
+        assert stages[-1].exhausts_information
+        assert stages[-1].output_pair.s == 1.0
     # the sampler draws each stage against one threshold, so every stage
     # must fail with exactly the same probability on both inputs
     for s in (1e-300, 1e-12, 0.3, 1.0 - 1e-6, 1.0 - 1e-12):
@@ -199,14 +210,15 @@ def test_build_chain_near_overlap_one(log_gap, n):
         assert f"s={s}" in str(exc) and f"n={n}" in str(exc)
         assert 1.0 - s < 1e-12
         return
-    assert chain.q == s ** (1.0 / n) and len(chain.stages) == n
-    assert chain.stages[0].input_pair.s == s
-    for prev, nxt in zip(chain.stages, chain.stages[1:]):
+    stages = chain.stages
+    assert chain.q == s ** (1.0 / n) and len(stages) == n
+    assert stages[0].input_pair.s == s
+    for prev, nxt in zip(stages, stages[1:]):
         assert prev.output_pair.s == nxt.input_pair.s < 1.0
-    last = chain.stages[-1]
+    last = stages[-1]
     assert last.q1 == last.q2 == last.input_pair.s
     assert last.output_pair.s == 1.0
-    assert all(validate(stage).passed for stage in chain.stages)
+    assert all(validate(stage).passed for stage in stages)
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-10, 64), (0.999999999999, 2)])
@@ -230,6 +242,7 @@ def test_simulate_chain_matches_scalar_application():
     """The vectorized sampler must agree, trial by trial, with walking the
     chain through apply() on the same draw windows."""
     chain = build_chain(0.36, 2)
+    stages = chain.stages
     trials, seed = 3000, 17
     report = simulate_chain(chain, trials, seed)
     joint = any_ok = errors = 0
@@ -238,7 +251,7 @@ def test_simulate_chain_matches_scalar_application():
         u = trial_uniforms(seed, 1, 3, start_trial=i)[0]
         prep = 1 if u[0] < 0.5 else 2
         ok = []
-        for k, stage in enumerate(chain.stages):
+        for k, stage in enumerate(stages):
             outcome, _ = apply(stage, prep, float(u[k + 1]))
             ok.append(outcome == prep)
             errors += outcome == 3 - prep
@@ -286,13 +299,67 @@ def test_simulate_chain_validation():
         simulate_chain(chain, 0, seed=1)
 
 
-def test_simulate_chain_refuses_a_stage_that_fails_unequally():
-    # success would depend on the input, which one threshold cannot sample
-    pair = make_state_pair(0.3)
-    stage = build_intermediate_ud(pair, 0.6, 0.8)
-    chain = ChainSpec(s=0.3, n=1, q=0.6, stages=(stage,))
-    with pytest.raises(ValueError, match=r"q1=0\.6, q2=0\.8"):
-        simulate_chain(chain, 1000, seed=1)
+def _chained_stages(s, n):
+    """The reference chain: each stage a measurement built on the pair the
+    previous one leaves, the last the minimum-failure measurement."""
+    s = check_overlap(s)
+    q = s ** (1.0 / n)
+    stages, pair = [], make_state_pair(s)
+    for k in range(n):
+        try:
+            stage = build_intermediate_ud(pair, q, q) if k < n - 1 else build_optimal_ud(pair)
+        except ValueError as exc:
+            raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from None
+        stages.append(stage)
+        pair = stage.output_pair
+    return stages
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.one_of(
+    hst.floats(min_value=-323.3, max_value=-1e-3).map(lambda e: 10.0**e),
+    hst.floats(min_value=-16.0, max_value=-1e-3).map(lambda e: 1.0 - 10.0**e),
+), hst.integers(min_value=1, max_value=1000))
+@example(5e-324, 1000)
+@example(5e-324, 1)
+@example(0.3, 1000)
+@example(1.0 - 2.0**-52, 2)
+@example(1.0 - 1e-13, 1000)  # refused at stage 902
+@example(1.0 - 1e-15, 16)  # refused at stage 10
+def test_schedule_matches_the_chained_stages(s, n):
+    """The overlap schedule gives, bit for bit, the thresholds and overlaps
+    of the stages a chain of measurements leaves, and refuses the same
+    (s, n) with the same message."""
+    try:
+        stages = _chained_stages(s, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            build_chain(s, n)
+        assert str(refused.value) == str(exc)
+        return
+    chain = build_chain(s, n)
+    assert chain.thresholds == tuple(sampling_boundaries(st.q1, st.q2) for st in stages)
+    assert chain.overlaps == (*(st.input_pair.s for st in stages), stages[-1].output_pair.s)
+    assert chain.overlaps[-1] == 1.0
+
+
+def test_no_sampling_path_builds_a_measurement(monkeypatch):
+    """Samplers read a chain's thresholds; only `stages` builds matrices."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a measurement was built")
+
+    monkeypatch.setattr(sequential, "build_intermediate_ud", refuse)
+    monkeypatch.setattr(povm, "build_intermediate_ud", refuse)
+    monkeypatch.setattr(povm, "build_optimal_ud", refuse)
+    monkeypatch.setattr(povm.UDMeasurement, "__init__", refuse)
+    assert build_chain(0.3, 10**4).n == 10**4
+    assert simulate_chain(build_chain(0.3, 64), 10, 1).trials == 10
+    for kind in ("1", "seq"):
+        assert simulate_strategy(kind, 0.3, 10, 1).trials == 10
+    config = SessionConfig(s=0.3, rounds=100, mode=MODE_ONE_QUBIT, eve=EVE_INTERCEPT, seed=1)
+    assert run_session(config).rounds == 100
+    with pytest.raises(AssertionError, match="a measurement was built"):
+        build_chain(0.3, 2).stages
 
 
 def test_tally_report_as_dict_round_trip():

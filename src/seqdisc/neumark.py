@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import PROB_FLOOR, build_intermediate_ud, outcome_probabilities
+from .povm import PROB_FLOOR, build_intermediate_ud, outcome_probabilities, post_state
 from .reporting import csv_text
 from .states import check_overlap, freeze, make_state_pair
 
@@ -99,8 +99,7 @@ def dilation_statistics(dilation: DilationUnitary, input_index: int):
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
-    pair = make_state_pair(dilation.s)
-    psi = pair.psi1 if input_index == 1 else pair.psi2
+    psi = make_state_pair(dilation.s)[input_index - 1]
     anc0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     evolved = dilation.u @ np.kron(psi, anc0)
     probs = []
@@ -122,20 +121,17 @@ def povm_equivalence(dilation: DilationUnitary) -> float:
     conditional-state infidelity over both inputs (ancilla outcome i
     matching measurement outcome i, with 0 the failure)."""
     rs = math.sqrt(dilation.s)
-    meas = build_intermediate_ud(make_state_pair(dilation.s), rs, rs)
+    meas = build_intermediate_ud(dilation.s, rs, rs)
     prob_gap = 0.0
     infidelity = 0.0
     for i in (1, 2):
         dil_probs, dil_posts = dilation_statistics(dilation, i)
         meas_probs = outcome_probabilities(meas, i)  # (p1, p2, p0): outcome m at [m - 1]
-        psi = meas.input_pair.psi1 if i == 1 else meas.input_pair.psi2
         for outcome in (0, 1, 2):
             prob_gap = max(prob_gap, abs(dil_probs[outcome] - meas_probs[outcome - 1]))
             if dil_probs[outcome] <= PROB_FLOOR or meas_probs[outcome - 1] <= PROB_FLOOR:
                 continue
-            post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
-            post = post / np.linalg.norm(post)
-            overlap = abs(complex(np.vdot(dil_posts[outcome], post))) ** 2
+            overlap = abs(complex(np.vdot(dil_posts[outcome], post_state(meas, i, outcome)))) ** 2
             infidelity = max(infidelity, 1.0 - overlap)
     return prob_gap + infidelity
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StatePair, check_overlap, freeze, make_state_pair
+from .states import check_overlap, freeze, make_state_pair
 
 # Tolerance of the numerical checks in validate(): absolute on the
 # completeness and zero-error residuals and on det Pi0, relative on the
@@ -47,16 +47,18 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class UDMeasurement:
-    """An unambiguous discrimination measurement for a fixed state pair.
+    """An unambiguous discrimination measurement of the pair with overlap
+    `s`, which leaves the pair with overlap `t`.
 
     `kraus` holds (A1, A2, A0), the only stored form of the measurement;
     `povm` derives (Pi1, Pi2, Pi0) from it, each Pi_i = A_i^dag A_i, so
     every element is Hermitian and positive by construction.  validate()
-    reports how far their sum sits from the identity.
+    reports how far their sum sits from the identity.  The states
+    themselves are make_state_pair(s) and make_state_pair(t).
     """
 
-    input_pair: StatePair
-    output_pair: StatePair
+    s: float
+    t: float
     q1: float
     q2: float
     kraus: tuple
@@ -70,7 +72,7 @@ class UDMeasurement:
     def exhausts_information(self) -> bool:
         """True when the conditional output states coincide, i.e. nothing
         is left for a later observer to discriminate."""
-        return self.output_pair.s == 1.0
+        return self.t == 1.0
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,19 @@ def output_overlap(s: float, q1: float, q2: float) -> float:
     return min(t, 1.0)
 
 
-def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasurement:
-    """Measurement with prescribed failure probabilities q1, q2 in (0, 1].
+def build_intermediate_ud(s: float, q1: float, q2: float) -> UDMeasurement:
+    """Measurement of the pair with overlap `s` with prescribed failure
+    probabilities q1, q2 in (0, 1].
 
     Requires q1*q2 >= s^2; at equality the output states coincide and the
     measurement extracts everything (exhausts_information is then True).
     q_i = 1 is allowed and simply means state i is never identified.  The
-    output pair's overlap, and every check, comes from output_overlap().
+    output overlap t, and every check, comes from output_overlap().
     """
-    output_pair = make_state_pair(output_overlap(pair.s, q1, q2))
-    s = pair.s
-
-    c, d = pair.psi1.real
-    phi1, phi2 = output_pair.psi1, output_pair.psi2
+    t = output_overlap(s, q1, q2)
+    s = float(s)
+    c, d = make_state_pair(s)[0].real
+    phi1, phi2 = make_state_pair(t)
     A1 = math.sqrt(1.0 - q1) * np.outer(phi1, [0.5 / c, 0.5 / d])
     A2 = math.sqrt(1.0 - q2) * np.outer(phi2, [0.5 / c, -0.5 / d])
     if q1 == q2:  # q1 - s < 0 only where t was capped at 1
@@ -136,21 +138,21 @@ def build_intermediate_ud(pair: StatePair, q1: float, q2: float) -> UDMeasuremen
         r1, r2 = math.sqrt(q1) * phi1, math.sqrt(q2) * phi2
         A0 = np.column_stack(((r1 + r2) / (2.0 * c), (r1 - r2) / (2.0 * d)))
     return UDMeasurement(
-        input_pair=pair,
-        output_pair=output_pair,
+        s=s,
+        t=t,
         q1=float(q1),
         q2=float(q2),
         kraus=tuple(freeze(A) for A in (A1, A2, A0)),
     )
 
 
-def build_optimal_ud(pair: StatePair) -> UDMeasurement:
+def build_optimal_ud(s: float) -> UDMeasurement:
     """The minimum-failure measurement for equal priors: q1 = q2 = s.
 
     This saturates q1*q2 = s^2, so the output states coincide and the
     average failure probability takes its smallest possible value, s.
     """
-    return build_intermediate_ud(pair, pair.s, pair.s)
+    return build_intermediate_ud(s, s, s)
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
@@ -159,16 +161,16 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     Hermiticity and positivity need no check: each element is derived as
     A_i^dag A_i from the stored Kraus operators."""
     Pi1, Pi2, Pi0 = meas.povm
-    pair = meas.input_pair
-    s = pair.s
+    s = meas.s
+    psi1, psi2 = make_state_pair(s)
     one_minus_s2 = (1.0 - s) * (1.0 + s)
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
     trace_pi0 = (meas.q1 + meas.q2 - 2.0 * s * s) / one_minus_s2
     det_pi0 = (meas.q1 * meas.q2 - s * s) / one_minus_s2
     zero_err = (
-        abs(complex(np.vdot(pair.psi2, Pi1 @ pair.psi2))),
-        abs(complex(np.vdot(pair.psi1, Pi2 @ pair.psi1))),
+        abs(complex(np.vdot(psi2, Pi1 @ psi2))),
+        abs(complex(np.vdot(psi1, Pi2 @ psi1))),
     )
 
     passed = (
@@ -195,7 +197,7 @@ def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
-    psi = meas.input_pair.psi1 if input_index == 1 else meas.input_pair.psi2
+    psi = make_state_pair(meas.s)[input_index - 1]
     probs = [float(np.real(np.vdot(psi, P @ psi))) for P in meas.povm]  # (Pi1, Pi2, Pi0)
     wrong = 2 - input_index
     if probs[wrong] < PROB_FLOOR:
@@ -224,17 +226,23 @@ def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:
     return u < threshold
 
 
+def post_state(meas: UDMeasurement, input_index: int, outcome: int) -> np.ndarray:
+    """The normalized state outcome `outcome` (1, 2 or 0) leaves of input
+    state `input_index` (1 or 2): the matching Kraus operator's action."""
+    psi = make_state_pair(meas.s)[input_index - 1]
+    post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
+    return freeze(post / np.linalg.norm(post))
+
+
 def apply(meas: UDMeasurement, input_index: int, rand: float):
     """Apply the measurement to one prepared state using a uniform draw.
 
     Returns (outcome, post_state).  The draw is classified against the
     cells [0, P(1)), [P(1), P(1)+P(2)), [P(1)+P(2), 1); the post state is
-    the normalized action of the matching Kraus operator.
+    post_state()'s.
     """
     if not 0.0 <= rand < 1.0:
         raise ValueError(f"rand={rand} outside [0, 1)")
     p1, p2, _ = outcome_probabilities(meas, input_index)
     outcome = 1 if rand < p1 else 2 if rand < p1 + p2 else 0
-    psi = meas.input_pair.psi1 if input_index == 1 else meas.input_pair.psi2
-    post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
-    return outcome, freeze(post / np.linalg.norm(post))
+    return outcome, post_state(meas, input_index, outcome)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .povm import build_intermediate_ud, classify_uniforms, output_overlap, sampling_boundaries
 from .sampling import binomial_rate, run_trials
-from .states import check_overlap, make_state_pair
+from .states import check_overlap
 
 # Observers build_chain accepts; a sampled trial of the chain draws n + 1 uniforms.
 MAX_CHAIN_LENGTH = 10**4
@@ -60,8 +60,7 @@ class ChainSpec:
     @property
     def stages(self) -> tuple:
         """Observer k+1's UDMeasurement at [k], built on every read."""
-        return tuple(build_intermediate_ud(make_state_pair(a), q, q)
-                     for a, q in zip(self.overlaps, self.failures))
+        return tuple(build_intermediate_ud(a, q, q) for a, q in zip(self.overlaps, self.failures))
 
 
 @dataclass(frozen=True)
@@ -179,14 +178,17 @@ def build_chain(s: float, n: int) -> ChainSpec:
     Stage k's output_overlap() is stage k+1's input.  Every stage but the
     last fails with q = s**(1/n); the last fails with the overlap it
     receives, so it saturates q1*q2 = s^2 and outputs overlap exactly 1.
-    An s so close to 1 that an earlier stage's output rounds to 1 raises
-    ValueError naming s, n and the stage.  n is capped at MAX_CHAIN_LENGTH.
+    An s so close to 1 that q rounds to 1, or that an earlier stage's
+    output does, raises ValueError naming s and n: no observer but the last
+    could then succeed.  n is capped at MAX_CHAIN_LENGTH.
     """
     s = check_overlap(s)
     _check_chain_length(n)
     if n > MAX_CHAIN_LENGTH:
         raise ValueError(f"n must be at most {MAX_CHAIN_LENGTH}, got {n}")
     q = s ** (1.0 / n)
+    if q == 1.0:
+        raise ValueError(f"no chain of n={n} observers for s={s}: q = s**(1/n) rounds to 1")
     overlaps = [s]
     for k in range(n):
         a = overlaps[-1]

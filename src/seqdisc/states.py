@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +24,6 @@ def freeze(array) -> np.ndarray:
     out = np.array(array, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class StatePair:
-    """Two unit-norm qubit states psi_1 = (c, d) and psi_2 = (c, -d) with
-    real overlap `s` = c^2 - d^2."""
-
-    s: float
-    psi1: np.ndarray
-    psi2: np.ndarray
 
 
 def check_overlap(s, name: str = "s") -> float:
@@ -55,11 +44,13 @@ def check_overlap(s, name: str = "s") -> float:
     return s
 
 
-def make_state_pair(s: float) -> StatePair:
-    """Build the canonical pair with overlap `s`, 0 <= s <= 1."""
+def make_state_pair(s: float) -> tuple:
+    """The canonical pair (psi_1, psi_2) = ((c, d), (c, -d)) with overlap
+    `s` = c^2 - d^2, 0 <= s <= 1, as read-only arrays: state i is at
+    [i - 1]."""
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"overlap s={s} outside [0, 1]")
     theta = 0.5 * math.acos(s)
     c, d = math.cos(theta), math.sin(theta)
-    return StatePair(s=s, psi1=freeze([c, d]), psi2=freeze([c, -d]))
+    return freeze([c, d]), freeze([c, -d])

@@ -61,7 +61,7 @@ def _zero_error_residual(measurements):
 def _sampled(s, sequential):
     """The measurements a run at overlap s samples: the two-observer chain's
     stages, or the minimum-failure measurement (also Eve's)."""
-    return build_chain(s, 2).stages if sequential else (build_optimal_ud(make_state_pair(s)),)
+    return build_chain(s, 2).stages if sequential else (build_optimal_ud(s),)
 
 
 def _register(trials, measurements):
@@ -100,21 +100,20 @@ def test_criterion_1_two_observer_optimum():
 def test_criterion_2_measurement_grid():
     ok = True
     for s in np.linspace(0.02, 0.98, 50):
-        pair = make_state_pair(float(s))
         for u in np.linspace(0.0, 1.0, 50):
             q1 = s + (1.0 - s) * u
             lo = s * s / q1
             q2 = lo + (1.0 - lo) * (1.0 - u)
-            meas = build_intermediate_ud(pair, float(q1), float(q2))
+            meas = build_intermediate_ud(float(s), float(q1), float(q2))
             report = validate(meas)
             ok &= report.passed
             ok &= _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
             want_t = s / math.sqrt(q1 * q2)
-            got_t = float(np.vdot(meas.output_pair.psi1, meas.output_pair.psi2).real)
+            got_t = float(np.vdot(*make_state_pair(meas.t)).real)
             ok &= abs(got_t - want_t) <= 1e-10
     for s, q1, q2 in ((0.5, 0.5, 0.49), (0.9, 0.9, 0.89), (0.2, 0.1, 0.3)):
         try:
-            build_intermediate_ud(make_state_pair(s), q1, q2)
+            build_intermediate_ud(s, q1, q2)
             ok = False
         except ValueError:
             pass
@@ -271,7 +270,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
 
 
 def test_zero_error_ledger_flags_a_tampered_measurement():
-    meas = build_optimal_ud(make_state_pair(0.36))
+    meas = build_optimal_ud(0.36)
     assert _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
     # rotate A1 into A0 so that Pi1 answers psi2 with probability
     # sin^2(e) |A0 psi2|^2 = 1e-12; the rotation keeps completeness, so

@@ -286,6 +286,18 @@ def test_simulate_chain_length(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "seq", "--n", "2", "--trials", "10"],
+    ["b92", "--rounds", "10", "--mode", "one_qubit_sequential"],
+])
+def test_chain_whose_failure_probability_rounds_to_one_is_refused(capsys, argv):
+    """At s = 1 - 2**-53, q = s**(1/2) rounds to 1: Bob could never succeed."""
+    code, out, err = run_cli(capsys, *argv, "--s", "0.9999999999999999")
+    assert (code, out) == (2, "")
+    assert err == ("error: no chain of n=2 observers for s=0.9999999999999999: "
+                   "q = s**(1/n) rounds to 1\n")
+
+
 def test_neumark_report_and_matrix(tmp_path, capsys):
     matrix = tmp_path / "u.csv"
     code, out, _ = run_cli(capsys, "neumark", "--s", "0.5", "--matrix", str(matrix))

@@ -68,8 +68,7 @@ def test_printed_unitary_holds_across_the_domain(tmp_path, capsys, s):
     u = cells[:, 0::2] + 1j * cells[:, 1::2]
     assert np.linalg.norm(u.conj().T @ u - np.eye(TOTAL_DIM)) < 1e-11
     rs = math.sqrt(s)
-    pair = make_state_pair(s)
-    for i, psi in ((1, pair.psi1), (2, pair.psi2)):
+    for i, psi in enumerate(make_state_pair(s), 1):
         amp = u @ np.kron(psi, [1.0, 0.0, 0.0])
         probs = np.abs(amp[:3]) ** 2 + np.abs(amp[3:]) ** 2
         want = {0: rs, i: 1.0 - rs, 3 - i: 0.0}
@@ -87,8 +86,7 @@ def test_dilation_reproduces_measurement_branches(s):
     here)."""
     d = build_dilation(s)
     rs = math.sqrt(s)
-    out_pair = make_state_pair(rs)
-    for i, phi in ((1, out_pair.psi1), (2, out_pair.psi2)):
+    for i, phi in enumerate(make_state_pair(rs), 1):
         probs, posts = dilation_statistics(d, i)
         assert probs[i] == pytest.approx(1.0 - rs, abs=1e-12)
         assert probs[0] == pytest.approx(rs, abs=1e-12)

@@ -35,9 +35,9 @@ def _q_grid(s, count=8):
 
 @pytest.mark.parametrize("s", S_GRID + [1.0 - 1e-8])
 def test_optimal_measurement_is_valid_and_exhausting(s):
-    meas = build_optimal_ud(make_state_pair(s))
+    meas = build_optimal_ud(s)
     assert meas.q1 == meas.q2 == s
-    assert meas.output_pair.s == 1.0
+    assert meas.t == 1.0
     assert meas.exhausts_information
     report = validate(meas)
     assert report.passed
@@ -46,20 +46,18 @@ def test_optimal_measurement_is_valid_and_exhausting(s):
 
 @pytest.mark.parametrize("s", S_GRID)
 def test_intermediate_measurements_validate_on_a_grid(s):
-    pair = make_state_pair(s)
     for q1, q2 in _q_grid(s):
-        meas = build_intermediate_ud(pair, q1, q2)
+        meas = build_intermediate_ud(s, q1, q2)
         report = validate(meas)
         assert report.passed, (s, q1, q2, report)
         want_t = min(1.0, s / math.sqrt(q1 * q2))
-        assert meas.output_pair.s == pytest.approx(want_t, abs=1e-10)
+        assert meas.t == pytest.approx(want_t, abs=1e-10)
 
 
 @pytest.mark.parametrize("s", S_GRID)
 def test_branch_probabilities_match_failure_targets(s):
-    pair = make_state_pair(s)
     for q1, q2 in _q_grid(s):
-        meas = build_intermediate_ud(pair, q1, q2)
+        meas = build_intermediate_ud(s, q1, q2)
         p1, wrong1, fail1 = outcome_probabilities(meas, 1)
         wrong2, p2, fail2 = outcome_probabilities(meas, 2)
         assert p1 == pytest.approx(1.0 - q1, abs=1e-12)
@@ -87,7 +85,7 @@ def test_cumulative_outcome_probabilities_match_sampling_boundaries():
     # own probabilities, and its pre-floor wrong-outcome mass
     stages = [stage for gap in np.logspace(-12, -1, 60) for n in (2, 64)
               for stage in build_chain(1.0 - gap, n).stages]
-    stages += [build_intermediate_ud(make_state_pair(s), q1, q2)
+    stages += [build_intermediate_ud(s, q1, q2)
                for s in S_GRID for q1, q2 in _q_grid(s)]
     for stage in stages:
         for i, q in ((1, stage.q1), (2, stage.q2)):
@@ -105,8 +103,8 @@ def test_sampling_boundaries_refuses_unequal_failure_probabilities():
 def test_output_overlap_is_the_measurements_output_overlap():
     for s in S_GRID:
         for q1, q2 in _q_grid(s):
-            meas = build_intermediate_ud(make_state_pair(s), q1, q2)
-            assert output_overlap(s, q1, q2) == meas.output_pair.s
+            meas = build_intermediate_ud(s, q1, q2)
+            assert output_overlap(s, q1, q2) == meas.t
     assert output_overlap(0.3, 0.3, 0.3) == 1.0
     for args, needle in (((1.0, 0.5, 0.5), r"^input overlap s=1\.0 outside \(0, 1\)$"),
                          ((0.5, 0.0, 0.9), r"^q1=0\.0 outside \(0, 1\]$"),
@@ -116,7 +114,7 @@ def test_output_overlap_is_the_measurements_output_overlap():
 
 
 def test_validate_formulas_match_direct_matrix_values():
-    meas = build_intermediate_ud(make_state_pair(0.3), 0.7, 0.5)
+    meas = build_intermediate_ud(0.3, 0.7, 0.5)
     report = validate(meas)
     pi0 = meas.povm[2]
     assert report.trace_pi0 == pytest.approx(np.trace(pi0).real, abs=1e-12)
@@ -127,7 +125,7 @@ def test_validate_formulas_match_direct_matrix_values():
 def test_validate_flags_a_tampered_failure_operator():
     # scale A0: Pi0 grows by 2% and the elements no longer sum to the
     # identity
-    meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
+    meas = build_intermediate_ud(0.3, 0.6, 0.8)
     bad_A0 = 1.01 * meas.kraus[2]
     tampered = dataclasses.replace(meas, kraus=(meas.kraus[0], meas.kraus[1], bad_A0))
     report = validate(tampered)
@@ -138,14 +136,14 @@ def test_validate_flags_a_tampered_failure_operator():
 def test_validate_refuses_inadmissible_failure_probabilities():
     # at s = 1e-6, q1 q2 = 5e-13 < s^2 = 1e-12 leaves det_pi0 = -5e-13,
     # inside an absolute DEFAULT_TOL; the relative test on roots refuses it
-    meas = build_intermediate_ud(make_state_pair(1e-6), 1e-6, 1e-6)
+    meas = build_intermediate_ud(1e-6, 1e-6, 1e-6)
     report = validate(dataclasses.replace(meas, q1=0.5e-6))
     assert -1e-12 < report.det_pi0 < 0.0
     assert not report.passed
     # near s = 1 a relative shortfall of 1e-13 is within the root test's
     # slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
     s = 1.0 - 1e-8
-    meas = build_optimal_ud(make_state_pair(s))
+    meas = build_optimal_ud(s)
     report = validate(dataclasses.replace(meas, q1=s * (1.0 - 1e-13)))
     assert report.det_pi0 < -1e-6
     assert not report.passed
@@ -156,7 +154,7 @@ def test_sampled_outcome_rates_match_branch_probabilities():
     # classify_uniforms's success mask shares apply()'s cells exactly
     # (checked below), so a vectorized run stands in for a million scalar
     # applications per input; each input gets its own threshold
-    meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
+    meas = build_intermediate_ud(0.3, 0.6, 0.8)
     n = 1_000_000
     rng = np.random.default_rng(2024)
     for i, q in ((1, meas.q1), (2, meas.q2)):
@@ -172,18 +170,17 @@ def test_sampled_outcome_rates_match_branch_probabilities():
 
 
 def test_kraus_operators_resolve_the_identity():
-    meas = build_intermediate_ud(make_state_pair(0.6), 0.9, 0.8)
+    meas = build_intermediate_ud(0.6, 0.9, 0.8)
     total = sum(np.conj(a).T @ a for a in meas.kraus)
     assert np.linalg.norm(total - np.eye(2)) < 1e-12
 
 
 def test_admissibility_bound_is_enforced():
-    pair = make_state_pair(0.5)
     with pytest.raises(ValueError, match="admissibility"):
-        build_intermediate_ud(pair, 0.5, 0.49)
+        build_intermediate_ud(0.5, 0.5, 0.49)
     # the boundary itself is accepted, and so is q up to 1e-12 below it
     for q in (0.5, 0.5 - 1e-14):
-        meas = build_intermediate_ud(pair, q, q)
+        meas = build_intermediate_ud(0.5, q, q)
         assert meas.exhausts_information
         assert validate(meas).passed
 
@@ -191,22 +188,20 @@ def test_admissibility_bound_is_enforced():
 def test_admissibility_holds_where_the_products_underflow():
     # at s = 1e-170 both s^2 and q1*q2 round to 0, so only the output
     # overlap can tell admissible failure probabilities from the rest
-    pair = make_state_pair(1e-170)
     for q1, q2 in ((1e-200, 1e-200), (1e-200, 2e-200)):
         with pytest.raises(ValueError, match="admissibility"):
-            build_intermediate_ud(pair, q1, q2)
-    meas = build_intermediate_ud(pair, 2e-170, 5e-171)
-    assert meas.output_pair.s == pytest.approx(1.0, abs=1e-15)
+            build_intermediate_ud(1e-170, q1, q2)
+    meas = build_intermediate_ud(1e-170, 2e-170, 5e-171)
+    assert meas.t == pytest.approx(1.0, abs=1e-15)
     assert validate(meas).passed
 
 
 def test_failure_probability_range_is_enforced():
-    pair = make_state_pair(0.5)
     for q1, q2 in ((0.0, 0.9), (1.2, 0.9), (0.9, -0.1)):
         with pytest.raises(ValueError):
-            build_intermediate_ud(pair, q1, q2)
+            build_intermediate_ud(0.5, q1, q2)
     # unit failure probability on one branch is a legal extreme point
-    meas = build_intermediate_ud(pair, 1.0, 0.5)
+    meas = build_intermediate_ud(0.5, 1.0, 0.5)
     p1, _, _ = outcome_probabilities(meas, 1)
     assert p1 == 0.0
 
@@ -214,33 +209,34 @@ def test_failure_probability_range_is_enforced():
 def test_degenerate_pairs_are_rejected():
     for s in (0.0, 1.0):
         with pytest.raises(ValueError):
-            build_intermediate_ud(make_state_pair(s), 0.5, 0.5)
+            build_intermediate_ud(s, 0.5, 0.5)
 
 
 def test_apply_cells_and_post_states():
     s = 0.25
-    meas = build_optimal_ud(make_state_pair(s))
+    meas = build_optimal_ud(s)
+    phi1, phi2 = make_state_pair(meas.t)
     # input 1: identify cell [0, 0.75), failure [0.75, 1)
     for rand, want in ((0.0, 1), (0.74, 1), (0.75, 0), (0.99, 0)):
         outcome, post = apply(meas, 1, rand)
         assert outcome == want
         # either way the qubit ends in the same conditional state
-        overlap = abs(np.vdot(post, meas.output_pair.psi1))
+        overlap = abs(np.vdot(post, phi1))
         assert overlap == pytest.approx(1.0, abs=1e-12)
     outcome, post = apply(meas, 2, 0.5)
     assert outcome == 2
-    assert abs(np.vdot(post, meas.output_pair.psi2)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(post, phi2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_on_intermediate_measurement_keeps_branches_aligned():
-    meas = build_intermediate_ud(make_state_pair(0.25), 0.5, 0.5)
+    meas = build_intermediate_ud(0.25, 0.5, 0.5)
     _, post_id = apply(meas, 1, 0.0)  # identify outcome
     _, post_fail = apply(meas, 1, 0.99)  # failure outcome
     assert abs(np.vdot(post_id, post_fail)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_validates_arguments():
-    meas = build_optimal_ud(make_state_pair(0.5))
+    meas = build_optimal_ud(0.5)
     with pytest.raises(ValueError):
         apply(meas, 3, 0.5)
     with pytest.raises(ValueError):
@@ -252,7 +248,7 @@ def test_apply_validates_arguments():
 
 
 def test_classify_uniforms_agrees_with_apply():
-    meas = build_intermediate_ud(make_state_pair(0.3), 0.6, 0.8)
+    meas = build_intermediate_ud(0.3, 0.6, 0.8)
     rng = np.random.default_rng(99)
     u = rng.random(500)
     prep = rng.integers(1, 3, size=500).astype(np.int8)
@@ -307,7 +303,7 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
 
 
 def test_measurement_matrices_are_read_only():
-    meas = build_optimal_ud(make_state_pair(0.5))
+    meas = build_optimal_ud(0.5)
     with pytest.raises(ValueError):
         meas.povm[0][0, 0] = 9.0
     with pytest.raises(ValueError):

@@ -206,6 +206,11 @@ class _Report:
     inner: _Inner
 
 
+def test_dumps_json_writes_bools_as_json_booleans():
+    # bool is a subclass of int, so this fails if jsonable tests int first
+    assert dumps_json({"a": True, "b": np.bool_(False)}) == '{\n  "a": true,\n  "b": false\n}\n'
+
+
 def test_dumps_json_serializes_dataclass_fields():
     report = _Report(counts={2: np.int64(5), 1: 7}, pair=(1, 0.5), count=np.int64(3),
                      share=np.float64(1 / 3), inner=_Inner(rate=2 / 3))

@@ -37,6 +37,23 @@ def test_draws_are_uniform_in_unit_interval():
     assert abs(u.mean() - 0.5) < 4 * (1.0 / np.sqrt(12 * 6000))
 
 
+# one key of 127 bits; each is read from its start and after an advance
+@pytest.mark.parametrize("key", [0, 2024, (1 << 126) + 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("advance", [0, 123_457])
+def test_philox_doubles_are_the_top_53_bits_of_the_raw_stream(key, advance):
+    """NumPy's RNG policy (NEP 19) keeps only the bit generators' raw
+    streams stable across releases, not Generator.random; pinning each
+    double to its raw word w as (w >> 11) * 2**-53 catches a numpy release
+    that changes the conversion before it moves every Monte Carlo golden."""
+    drawn, raw = np.random.Philox(key=key), np.random.Philox(key=key)
+    drawn.advance(advance)
+    raw.advance(advance)
+    doubles = np.random.Generator(drawn).random(1001)
+    words = raw.random_raw(1001)
+    assert words.dtype == np.uint64
+    assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+
+
 def test_different_seeds_differ():
     assert not np.array_equal(trial_uniforms(1, 10, 4), trial_uniforms(2, 10, 4))
 

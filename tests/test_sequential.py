@@ -27,7 +27,7 @@ from seqdisc.sequential import (
     optimize_two_observer,
     simulate_chain,
 )
-from seqdisc.states import check_overlap, make_state_pair
+from seqdisc.states import check_overlap
 from seqdisc.strategies import simulate_strategy
 
 
@@ -167,17 +167,27 @@ def test_build_chain_schedule(n):
         stages = chain.stages
         assert len(stages) == n
         for k, stage in enumerate(stages):
-            assert stage.input_pair.s == chain.overlaps[k]
-            assert stage.input_pair.s == pytest.approx(s ** ((n - k) / n), rel=1e-12, abs=0)
+            assert stage.s == chain.overlaps[k]
+            assert stage.s == pytest.approx(s ** ((n - k) / n), rel=1e-12, abs=0)
             assert stage.q1 == stage.q2 == pytest.approx(chain.q, rel=1e-12, abs=0)
         for prev, nxt in zip(stages, stages[1:]):
-            assert prev.output_pair.s == pytest.approx(nxt.input_pair.s, rel=1e-12, abs=0)
+            assert prev.t == pytest.approx(nxt.s, rel=1e-12, abs=0)
         assert stages[-1].exhausts_information
-        assert stages[-1].output_pair.s == 1.0
+        assert stages[-1].t == 1.0
     # the sampler draws each stage against one threshold, so every stage
     # must fail with exactly the same probability on both inputs
     for s in (1e-300, 1e-12, 0.3, 1.0 - 1e-6, 1.0 - 1e-12):
         assert all(stage.q1 == stage.q2 for stage in build_chain(s, n).stages), s
+
+
+@pytest.mark.parametrize("s, n", [(1.0 - 1e-15, 1000), (0.9999999999999999, 2)])
+def test_build_chain_refuses_a_failure_probability_that_rounds_to_one(s, n):
+    """q = s**(1/n) == 1 would give every observer but the last threshold
+    0, so that none of them could succeed."""
+    assert s ** (1.0 / n) == 1.0
+    with pytest.raises(ValueError) as refused:
+        build_chain(s, n)
+    assert str(refused.value) == f"no chain of n={n} observers for s={s}: q = s**(1/n) rounds to 1"
 
 
 def test_build_chain_validation():
@@ -199,10 +209,11 @@ def test_build_chain_validation():
 @given(hst.floats(min_value=-16.0, max_value=-3.0), hst.integers(min_value=1, max_value=64))
 @example(-12.0, 2)
 @example(-11.0, 64)
+@example(-16.0, 2)  # q = s**(1/2) rounds to 1
 def test_build_chain_near_overlap_one(log_gap, n):
     """The last stage saturates on the overlap it is handed and outputs
-    exactly 1; an s whose earlier stages round to overlap 1 is refused
-    with the caller's s and n."""
+    exactly 1, and every earlier stage can succeed; an s whose q or earlier
+    stages round to overlap 1 is refused with the caller's s and n."""
     s = 1.0 - 10.0**log_gap
     try:
         chain = build_chain(s, n)
@@ -211,13 +222,13 @@ def test_build_chain_near_overlap_one(log_gap, n):
         assert 1.0 - s < 1e-12
         return
     stages = chain.stages
-    assert chain.q == s ** (1.0 / n) and len(stages) == n
-    assert stages[0].input_pair.s == s
+    assert chain.q == s ** (1.0 / n) < 1.0 and len(stages) == n
+    assert stages[0].s == s
     for prev, nxt in zip(stages, stages[1:]):
-        assert prev.output_pair.s == nxt.input_pair.s < 1.0
+        assert prev.t == nxt.s < 1.0
     last = stages[-1]
-    assert last.q1 == last.q2 == last.input_pair.s
-    assert last.output_pair.s == 1.0
+    assert last.q1 == last.q2 == last.s
+    assert last.t == 1.0
     assert all(validate(stage).passed for stage in stages)
 
 
@@ -300,18 +311,21 @@ def test_simulate_chain_validation():
 
 
 def _chained_stages(s, n):
-    """The reference chain: each stage a measurement built on the pair the
-    previous one leaves, the last the minimum-failure measurement."""
+    """The reference chain: each stage a measurement built on the overlap
+    the previous one leaves, the last the minimum-failure measurement.  A
+    failure probability q that rounds to 1 is refused."""
     s = check_overlap(s)
     q = s ** (1.0 / n)
-    stages, pair = [], make_state_pair(s)
+    if q == 1.0:
+        raise ValueError(f"no chain of n={n} observers for s={s}: q = s**(1/n) rounds to 1")
+    stages, a = [], s
     for k in range(n):
         try:
-            stage = build_intermediate_ud(pair, q, q) if k < n - 1 else build_optimal_ud(pair)
+            stage = build_intermediate_ud(a, q, q) if k < n - 1 else build_optimal_ud(a)
         except ValueError as exc:
             raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from None
         stages.append(stage)
-        pair = stage.output_pair
+        a = stage.t
     return stages
 
 
@@ -326,6 +340,8 @@ def _chained_stages(s, n):
 @example(1.0 - 2.0**-52, 2)
 @example(1.0 - 1e-13, 1000)  # refused at stage 902
 @example(1.0 - 1e-15, 16)  # refused at stage 10
+@example(1.0 - 1e-15, 1000)  # refused: q rounds to 1
+@example(0.9999999999999999, 2)  # refused: q rounds to 1
 def test_schedule_matches_the_chained_stages(s, n):
     """The overlap schedule gives, bit for bit, the thresholds and overlaps
     of the stages a chain of measurements leaves, and refuses the same
@@ -339,7 +355,7 @@ def test_schedule_matches_the_chained_stages(s, n):
         return
     chain = build_chain(s, n)
     assert chain.thresholds == tuple(sampling_boundaries(st.q1, st.q2) for st in stages)
-    assert chain.overlaps == (*(st.input_pair.s for st in stages), stages[-1].output_pair.s)
+    assert chain.overlaps == (*(st.s for st in stages), stages[-1].t)
     assert chain.overlaps[-1] == 1.0
 
 

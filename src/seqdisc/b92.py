@@ -27,8 +27,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .povm import classify_uniforms, sampling_boundaries
-from .sampling import SEED_LIMIT, binomial_rate, picks_state1, run_trials
+from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
+from .povm import sampling_boundaries
+from .sampling import SEED_LIMIT, binomial_rate, run_trials
 from .sequential import build_chain
 from .states import check_overlap
 
@@ -102,51 +103,39 @@ def eve_knowledge_rate(config: SessionConfig) -> float:
 def run_session(config: SessionConfig) -> KeyReport:
     """Simulate a whole session round by round.
 
-    Draw layout per round: draw 0 picks Alice's bit; with an eavesdropper,
-    the next draws sample her measurement(s) followed by one guess draw;
-    the last two draws sample Bob's and Charlie's measurements.  Each
-    measurement fails equally on both states, so a receiver is sifted when
-    his draw is below one threshold, whatever state arrived.  His outcome
-    is then the state he received: an error exactly when Eve forwarded a
-    wrong guess.
+    Draw layout per round: run_trials()'s, draw 0 picking Alice's bit and
+    draw k sampling observer k of the threshold tuple: with an
+    eavesdropper, her one or two measurements and her guessing coin (a 0.5
+    threshold, the equal-prior choice of draw 0), then Bob's and Charlie's
+    measurements.  Each measurement fails equally on both states, so a
+    receiver is sifted when his draw is below one threshold, whatever
+    state arrived.  His outcome is then the state he received: an error
+    exactly when Eve forwarded a wrong guess.
     """
     s = check_overlap(config.s)
     eve_threshold = sampling_boundaries(s, s)
-    if config.mode == MODE_TWO_QUBIT:
-        bob_threshold = charlie_threshold = eve_threshold
-    else:
-        bob_threshold, charlie_threshold = build_chain(s, 2).thresholds
-    # Bob's draw follows draw 0 and any eavesdropper draws; Charlie's is the last
-    if config.eve == EVE_NONE:
-        col = 1
-    else:
-        col = 4 if config.mode == MODE_TWO_QUBIT else 3
+    two_qubit = config.mode == MODE_TWO_QUBIT
+    receivers = (eve_threshold,) * 2 if two_qubit else build_chain(s, 2).thresholds
+    # her measurement of each link she reaches, then her guessing coin
+    eve = () if config.eve == EVE_NONE else (eve_threshold,) * (2 if two_qubit else 1) + (0.5,)
 
-    def kernel(u, sent1):
-        if config.eve == EVE_NONE:
-            known = wrong = np.zeros(len(sent1), dtype=bool)
-        else:
-            known = classify_uniforms(eve_threshold, u[:, 1])
-            if config.mode == MODE_TWO_QUBIT:
-                known |= classify_uniforms(eve_threshold, u[:, 2])
-            # she forwards what she identified, else her guess, whose coin
-            # sits just before Bob's draw
-            wrong = ~known & (picks_state1(u[:, col - 1]) != sent1)
-        sift_b = classify_uniforms(bob_threshold, u[:, col])
-        sift_c = classify_uniforms(charlie_threshold, u[:, col + 1])
-        return (
-            np.count_nonzero(sift_b & sift_c),
-            np.count_nonzero(sift_b),
-            np.count_nonzero(sift_c),
-            np.count_nonzero(known),
-            np.count_nonzero(sift_b & wrong),
-            np.count_nonzero(sift_c & wrong),
-        )
+    def kernel(masks, sent1):
+        *seen, sift_b, sift_c = masks
+        sifted = (np.count_nonzero(sift_b & sift_c), np.count_nonzero(sift_b),
+                  np.count_nonzero(sift_c))
+        if not seen:
+            return sifted + (0, 0, 0)
+        *seen, coin = seen
+        # she forwards what she identified, else her coin's guess
+        known = np.logical_or.reduce(seen)
+        wrong = ~known & (coin != sent1)
+        return sifted + (np.count_nonzero(known), np.count_nonzero(sift_b & wrong),
+                         np.count_nonzero(sift_c & wrong))
 
     names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",
              "errors_bob", "errors_charlie")
     n = config.rounds
-    counts = dict(zip(names, run_trials(config.seed, n, col + 2, kernel)))
+    counts = dict(zip(names, run_trials(config.seed, n, eve + receivers, kernel)))
     return KeyReport(rounds=n, **counts,
                      rates={name: dict(zip(("rate", "stderr"), binomial_rate(c, n)))
                             for name, c in counts.items()})

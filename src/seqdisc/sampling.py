@@ -9,8 +9,9 @@ produces bit-identical draws, and results are reproducible across runs and
 machines for a given seed.
 
 run_trials() is the one chunk loop behind every simulator: it fills each
-chunk's draws, reads from draw 0 which state was sent, and sums the counts
-a simulator-specific kernel returns.
+chunk's draws, reads from draw 0 which state was sent, classifies every
+other draw against its observer's threshold, and sums the counts a
+simulator-specific kernel returns from those masks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .povm import classify_uniforms
 
 # doubles produced per 128-bit Philox counter increment
 _BLOCK = 4
@@ -74,24 +77,29 @@ def picks_state1(u: np.ndarray) -> np.ndarray:
     return u < 0.5
 
 
-def run_trials(seed: int, trials: int, draws_per_trial: int, kernel) -> tuple:
+def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
 
-    Each chunk gets its (count, draws_per_trial) draws from trial_uniforms,
-    at most CHUNK_DOUBLES generated doubles or one trial, and
-    kernel(u, sent1) returns a tuple of counts for the chunk, where the
-    bool column sent1 = picks_state1(u[:, 0]) marks the trials that sent
+    A trial draws 1 + len(thresholds) uniforms: draw 0 picks the prepared
+    state, and observer k succeeds where draw k is below thresholds[k - 1],
+    whichever state was sent.  Each chunk gets its draws from
+    trial_uniforms, at most CHUNK_DOUBLES generated doubles or one trial,
+    and kernel(masks, sent1) returns a tuple of counts for the chunk, where
+    masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and the
+    bool column sent1 = picks_state1(draw 0) marks the trials that sent
     state 1.  The sums do not depend on the chunk size, because neither
     the draws nor the per-trial kernel do.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     check_seed(seed)
-    chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws_per_trial) * _BLOCK))
+    draws = 1 + len(thresholds)
+    chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
     totals = None
     for start, count in chunk_ranges(trials, chunk):
-        u = trial_uniforms(seed, count, draws_per_trial, start)
-        counts = kernel(u, picks_state1(u[:, 0]))
+        u = trial_uniforms(seed, count, draws, start)
+        masks = [classify_uniforms(t, u[:, k]) for k, t in enumerate(thresholds, 1)]
+        counts = kernel(masks, picks_state1(u[:, 0]))
         totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))
     return totals
 

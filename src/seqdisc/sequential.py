@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import build_intermediate_ud, classify_uniforms, output_overlap, sampling_boundaries
+from .povm import build_intermediate_ud, output_overlap, sampling_boundaries
+from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
 from .sampling import binomial_rate, run_trials
 from .states import check_overlap
 
@@ -202,23 +203,15 @@ def build_chain(s: float, n: int) -> ChainSpec:
 def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     """Monte Carlo over prepared states run through every stage.
 
-    Draw layout per trial: draw 0 picks the prepared state (below 0.5 means
-    state 1), draw k samples stage k.  Every stage is applied whatever the
-    earlier outcomes were; this is sound because each stage leaves the
-    qubit in the same conditional state on all of its branches.  Each stage
-    also fails with the same probability on both inputs, so an observer
-    succeeds where its draw is below its one threshold, whichever state
-    was sent; chain.thresholds gives them.
+    Draw layout per trial: run_trials()'s, with chain.thresholds as the
+    observers, so draw 0 picks the prepared state and draw k samples
+    stage k.  Every stage is applied whatever the earlier outcomes were;
+    this is sound because each stage leaves the qubit in the same
+    conditional state on all of its branches, and fails with the same
+    probability on both inputs.
     """
-    thresholds = chain.thresholds
 
-    def kernel(u, sent1):
-        all_ok = np.ones(len(sent1), dtype=bool)
-        any_ok = np.zeros(len(sent1), dtype=bool)
-        for k, threshold in enumerate(thresholds, 1):
-            ok = classify_uniforms(threshold, u[:, k])
-            all_ok &= ok
-            any_ok |= ok
-        return outcome_counts(all_ok, any_ok, sent1)
+    def kernel(masks, sent1):
+        return outcome_counts(np.logical_and.reduce(masks), np.logical_or.reduce(masks), sent1)
 
-    return TallyReport.from_counts(trials, *run_trials(seed, trials, chain.n + 1, kernel))
+    return TallyReport.from_counts(trials, *run_trials(seed, trials, chain.thresholds, kernel))

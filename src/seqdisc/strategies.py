@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import classify_uniforms, sampling_boundaries
+from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sampling import run_trials
 from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
@@ -124,19 +124,21 @@ def curve_csv(curve: StrategyCurve) -> str:
 def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     """Monte Carlo of one strategy at the event level.
 
-    Fixed draw layout per trial (unused draws are still consumed, so a
-    given trial index always sees the same numbers):
+    Draw layout per trial: run_trials()'s, draw 0 picking the prepared
+    state and draw k sampling observer k of the threshold tuple below.
 
-        kind 1:  the one-observer chain: 0 prepared, 1 receiver
-        kind 2:  0 prepared, 1 first receiver, 2 second receiver
-        kind 3:  0 prepared, 1 cloner, 2 first receiver, 3 second receiver
-        seq:     the two-observer chain's own layout
+        kind 1:  the one-observer chain
+        kind 2:  (first receiver, second receiver)
+        kind 3:  (cloner, first receiver, second receiver)
+        seq:     the two-observer chain
 
     Every receiver runs the minimum-failure measurement (q1 = q2 = s) on a
     perfect copy of the prepared state, so it succeeds where its draw is
-    below the one threshold 1 - s, whichever state was sent; none can name
-    the wrong state, and `error_count` is 0 by construction (see
-    TallyReport.from_counts).
+    below the one threshold 1 - s, whichever state was sent; the cloner
+    succeeds below 1 / (1 + s).  Every draw is consumed whether or not its
+    observer acts, so a given trial index always sees the same numbers.
+    None can name the wrong state, and `error_count` is 0 by construction
+    (see TallyReport.from_counts).
     """
     kind = str(kind)
     if kind not in KINDS:
@@ -145,22 +147,19 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
     s = check_overlap(s)
     threshold = sampling_boundaries(s, s)
-    p_clone = 1.0 / (1.0 + s)
-    col = 2 if kind == "3" else 1  # first receiver's draw
+    thresholds = (threshold,) * 2 if kind == "2" else (1.0 / (1.0 + s), threshold, threshold)
 
-    def kernel(u, sent1):
-        ok_b = classify_uniforms(threshold, u[:, col])
-        ok_c = classify_uniforms(threshold, u[:, col + 1])
+    def kernel(masks, sent1):
+        *cloned, ok_b, ok_c = masks
         if kind == "2":
             # the second receiver only gets a qubit if the first succeeded,
             # and then it is a perfect copy of the prepared state
             return outcome_counts(ok_b & ok_c, ok_b, sent1)
-        cloned = u[:, 1] < p_clone
-        ok_b &= cloned
-        ok_c &= cloned
+        ok_b &= cloned[0]
+        ok_c &= cloned[0]
         return outcome_counts(ok_b & ok_c, ok_b | ok_c, sent1)
 
-    return TallyReport.from_counts(trials, *run_trials(seed, trials, col + 2, kernel))
+    return TallyReport.from_counts(trials, *run_trials(seed, trials, thresholds, kernel))
 
 
 _SVG_SERIES = (

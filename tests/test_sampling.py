@@ -5,7 +5,7 @@ import pytest
 
 from seqdisc import sampling
 from seqdisc.b92 import EVE_POLICIES, MODES, SessionConfig, run_session
-from seqdisc.sampling import blocks_per_trial, chunk_ranges, trial_uniforms
+from seqdisc.sampling import blocks_per_trial, chunk_ranges, run_trials, trial_uniforms
 from seqdisc.sequential import build_chain, simulate_chain
 from seqdisc.strategies import simulate_strategy
 
@@ -114,3 +114,39 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
             assert all(args[2] == draws for args in calls)
             assert all(args[1] == 1 or args[1] * doubles <= budget for args in calls)
     assert reports[0] == reports[1] == reports[2]
+
+
+SEED, TRIALS = 31, 300
+# draw 4 of trial 123 under a two-block window, which every layout of 5-8
+# draws shares; the thresholds next to it are its nextafter neighbours
+DRAWN = float(trial_uniforms(SEED, TRIALS, 8)[123, 4])
+EDGES = (np.nextafter(DRAWN, 0.0), DRAWN, np.nextafter(DRAWN, 1.0))
+
+
+@pytest.mark.parametrize("thresholds", [(), (0.5,), (1.0, 0.0, 0.5)]
+                         + [(0.0, 0.5, 1.0, edge) for edge in EDGES])
+def test_run_trials_hands_the_kernel_every_draw_classified(monkeypatch, thresholds):
+    draws = 1 + len(thresholds)
+    sums = []
+    for budget in (1, 28, 1 << 17):
+        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        start = 0
+
+        def kernel(masks, sent1):
+            nonlocal start
+            u = trial_uniforms(SEED, len(sent1), draws, start)
+            assert np.array_equal(sent1, u[:, 0] < 0.5)
+            assert len(masks) == len(thresholds)
+            for k, (mask, threshold) in enumerate(zip(masks, thresholds), 1):
+                assert mask.dtype == bool and np.array_equal(mask, u[:, k] < threshold)
+            start += len(sent1)
+            return (np.count_nonzero(sent1), *map(np.count_nonzero, masks))
+
+        sums.append(run_trials(SEED, TRIALS, thresholds, kernel))
+        assert start == TRIALS
+    assert sums[0] == sums[1] == sums[2]
+    u = trial_uniforms(SEED, TRIALS, draws)
+    assert sums[0] == (np.count_nonzero(u[:, 0] < 0.5),
+                       *(np.count_nonzero(u[:, k] < t) for k, t in enumerate(thresholds, 1)))
+    if thresholds and thresholds[-1] in EDGES:  # only the neighbour above holds the draw
+        assert (u[123, 4] < thresholds[-1]) == (thresholds[-1] == EDGES[2])

@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto the library: `optimize` and `curves` are
 purely analytic, `simulate` and `b92` run seeded Monte Carlo, `neumark`
-builds the unitary realization and checks it against the Kraus form.  All
-numeric output is formatted with 12 significant digits and JSON keys are
-sorted, so runs with the same arguments and seed are byte-identical.
+builds the unitary realization and checks it against the Kraus form.  Every
+report echoes its inputs exactly, so it can be rerun from its own contents;
+every computed number is formatted with 12 significant digits and JSON keys
+are sorted, so runs with the same arguments and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ def _emit(text: str, out_path, extra=None) -> None:
 def _cmd_optimize(args) -> int:
     result = sequential.optimize_two_observer(args.s)
     report = {
-        "s": args.s,
+        "s": reporting.Echo(args.s),
         "n": args.n,
         **reporting.jsonable(result),
         "p_all_n": sequential.optimal_n_observer(args.s, args.n),
     }
     if args.format == "csv":
         header = sorted(report)
-        text = reporting.csv_text(header, [[report[k] for k in header]])
+        row = [str(v) if isinstance(v, (int, reporting.Echo)) else reporting.fmt(v)
+               for v in map(report.get, header)]
+        text = f"{','.join(header)}\n{','.join(row)}\n"
     else:
         text = reporting.dumps_json(report)
     _emit(text, args.out)
@@ -63,7 +66,7 @@ def _cmd_simulate(args) -> int:
     report = {
         "params": {
             "kind": args.kind,
-            "s": args.s,
+            "s": reporting.Echo(args.s),
             "n": args.n if args.kind == "seq" else 2,
             "trials": args.trials,
             "seed": args.seed,
@@ -99,7 +102,8 @@ def _cmd_b92(args) -> int:
         if value is not None:
             raw[field.name] = value
     config = b92.session_config_from_dict(raw)
-    payload = {"config": config, "report": b92.run_session(config)}
+    payload = {"config": dataclasses.replace(config, s=reporting.Echo(config.s)),
+               "report": b92.run_session(config)}
     _emit(reporting.dumps_json(payload), args.out)
     return 0
 

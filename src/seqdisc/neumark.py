@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import PROB_FLOOR, build_intermediate_ud, outcome_probabilities, post_state
-from .reporting import csv_text
+from .reporting import Echo, csv_text
 from .states import check_overlap, freeze, make_state_pair
 
 QUBIT_DIM = 2
@@ -142,7 +142,7 @@ def dilation_report(dilation: DilationUnitary) -> dict:
     wrong-outcome probability of either input."""
     unitarity = float(np.linalg.norm(dilation.u.conj().T @ dilation.u - np.eye(TOTAL_DIM)))
     return {
-        "s": dilation.s,
+        "s": Echo(dilation.s),
         "theta": dilation.theta,
         "theta_prime": dilation.theta_prime,
         "unitarity_residual": unitarity,

@@ -1,8 +1,9 @@
 """Deterministic text output for reports and tables.
 
-Every number leaving the package goes through the same 12-significant-digit
-decimal formatting, and JSON objects are emitted with sorted keys, so runs
-with identical inputs produce byte-identical files on any platform.
+Every computed number leaving the package goes through the same
+12-significant-digit decimal formatting, an input a report echoes is
+printed exactly (see Echo), and JSON objects are emitted with sorted keys,
+so runs with identical inputs produce byte-identical files on any platform.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def round_sig(x: float) -> float:
     return float(fmt(x))
 
 
+class Echo(float):
+    """An input value a report repeats.  jsonable() and str() print it
+    exactly, so a report can be rerun from its own contents."""
+
+
 def jsonable(obj):
     """Recursively convert a report structure to JSON-ready values; a
     dataclass instance becomes the mapping of its fields, so a report's
@@ -51,7 +57,7 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return round_sig(float(obj))
+        return float(obj) if isinstance(obj, Echo) else round_sig(float(obj))
     return obj
 
 

@@ -298,6 +298,33 @@ def test_chain_whose_failure_probability_rounds_to_one_is_refused(capsys, argv):
                    "q = s**(1/n) rounds to 1\n")
 
 
+# reports whose echoed inputs need more than the 12 digits computed fields get
+ROUND_TRIPS = [argv for s in ("0.9999999999999", "0.9999999999999999", "0.1234567890123")
+               for argv in (["optimize", "--s", s, "--n", "3"],
+                            ["optimize", "--s", s, "--n", "3", "--format", "csv"],
+                            ["neumark", "--s", s],
+                            ["simulate", "--kind", "1", "--s", s, "--trials", "1000", "--seed", "5"],
+                            ["b92", "--s", s, "--rounds", "1000", "--mode", "two_qubit",
+                             "--eve", "intercept_ud", "--seed", "5"])]
+ROUND_TRIPS += [["optimize", "--s", "0.3", "--n", "10000000000000", *fmt]
+                for fmt in ([], ["--format", "csv"])]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIPS, ids=" ".join)
+def test_report_reruns_from_its_echoed_inputs(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "csv" in argv:
+        header, row = out.splitlines()
+        echoed = {**dict(zip(header.split(","), row.split(","))), "format": "csv"}
+    else:
+        report = json.loads(out)
+        echoed = report.get("params") or report.get("config") or report
+    # each flag of argv, with the value the report echoes for it
+    rerun = [argv[0], *(x for flag in argv[1::2] for x in (flag, str(echoed[flag[2:]])))]
+    assert run_cli(capsys, *rerun) == (0, out, "")
+
+
 def test_neumark_report_and_matrix(tmp_path, capsys):
     matrix = tmp_path / "u.csv"
     code, out, _ = run_cli(capsys, "neumark", "--s", "0.5", "--matrix", str(matrix))

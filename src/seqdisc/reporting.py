@@ -38,8 +38,8 @@ def round_sig(x: float) -> float:
 
 
 class Echo(float):
-    """An input value a report repeats.  jsonable() and str() print it
-    exactly, so a report can be rerun from its own contents."""
+    """An input value a report repeats.  jsonable() passes it through
+    unrounded, so a report can be rerun from its own contents."""
 
 
 def jsonable(obj):

@@ -113,7 +113,7 @@ def run_session(config: SessionConfig) -> KeyReport:
     exactly when Eve forwarded a wrong guess.
     """
     s = check_overlap(config.s)
-    eve_threshold = sampling_boundaries(s, s)
+    eve_threshold = sampling_boundaries(s)
     two_qubit = config.mode == MODE_TWO_QUBIT
     receivers = (eve_threshold,) * 2 if two_qubit else build_chain(s, 2).thresholds
     # her measurement of each link she reaches, then her guessing coin

@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
         "params": {
             "kind": args.kind,
             "s": reporting.Echo(args.s),
-            "n": args.n if args.kind == "seq" else 2,
+            "n": args.n,
             "trials": args.trials,
             "seed": args.seed,
         },

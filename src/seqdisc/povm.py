@@ -94,7 +94,6 @@ class DiagnosticsReport:
     trace_pi0: float
     det_pi0: float
     zero_error_residuals: tuple
-    tol: float
     passed: bool
 
 
@@ -184,7 +183,6 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
         trace_pi0=trace_pi0,
         det_pi0=det_pi0,
         zero_error_residuals=zero_err,
-        tol=DEFAULT_TOL,
         passed=passed,
     )
 
@@ -205,14 +203,11 @@ def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
     return tuple(probs)
 
 
-def sampling_boundaries(q1: float, q2: float) -> float:
-    """Success threshold 1 - q1 for uniform draws against a measurement
-    that fails with probability q1 = q2 on either input: a draw below it
-    identifies the state and any other fails.  q1 != q2 raises ValueError,
-    since success would then depend on the input."""
-    if q1 != q2:
-        raise ValueError(f"sampling needs equal failure probabilities, got q1={q1}, q2={q2}")
-    return 1.0 - q1
+def sampling_boundaries(q: float) -> float:
+    """Success threshold 1 - q for uniform draws against a measurement
+    that fails with probability q on either input: a draw below it
+    identifies the state and any other fails."""
+    return 1.0 - q
 
 
 def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:

@@ -14,8 +14,6 @@ import json
 
 import numpy as np
 
-# format_rows's tables and its "%.11e" fallback are built for 12 digits
-SIG_DIGITS = 12
 # rows format_rows renders at once; bounds its per-block arrays (a 6-column
 # block of cell slots is under 1 MB)
 FORMAT_BLOCK_ROWS = 4096
@@ -26,7 +24,7 @@ def fmt(x: float) -> str:
     x = float(x)
     if x == 0.0:
         x = 0.0  # normalize -0.0
-    return f"{x:.{SIG_DIGITS}g}"
+    return f"{x:.12g}"
 
 
 def round_sig(x: float) -> float:
@@ -141,7 +139,7 @@ def format_rows(a, sep: str, eol: str) -> str:
     kernel of _kernel_text when it can, else through the `%.12g` template
     that fmt() runs, with -0.0 normalized by adding 0.0."""
     a = np.asarray(a, dtype=np.float64)
-    line = sep.join([f"%.{SIG_DIGITS}g"] * a.shape[1]) + eol
+    line = sep.join(["%.12g"] * a.shape[1]) + eol
     blocks = [_kernel_text(b, sep, eol) or line * len(b) % tuple((b + 0.0).ravel().tolist())
               for b in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS))]
     blocks[-1] = blocks[-1][:len(blocks[-1]) - len(eol)]  # the last row ends without eol

@@ -33,11 +33,6 @@ CHUNK_DOUBLES = 1 << 17
 SEED_LIMIT = 1 << 128
 
 
-def check_seed(seed: int) -> None:
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
-
-
 def blocks_per_trial(draws_per_trial: int) -> int:
     return -(-draws_per_trial // _BLOCK)
 
@@ -50,7 +45,8 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     is draw j of each trial; the values do not depend on how a run is split
     into chunks.
     """
-    check_seed(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
     for name, value in (("n_trials", n_trials), ("start_trial", start_trial)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -92,7 +88,6 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    check_seed(seed)
     draws = 1 + len(thresholds)
     chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
     totals = None

@@ -56,7 +56,7 @@ class ChainSpec:
     @property
     def thresholds(self) -> tuple:
         """Each observer's sampling_boundaries(): it succeeds on a draw below it."""
-        return tuple(sampling_boundaries(q, q) for q in self.failures)
+        return tuple(map(sampling_boundaries, self.failures))
 
     @property
     def stages(self) -> tuple:
@@ -94,15 +94,6 @@ def outcome_counts(joint, at_least_one, sent1) -> tuple:
     branch1 = np.count_nonzero(joint & sent1)
     all_count = np.count_nonzero(joint)
     return branch1, all_count - branch1, all_count, np.count_nonzero(at_least_one)
-
-
-def equal_failure_joint(s: float, t: float) -> float:
-    """Joint success on the symmetric slice: first observer fails with
-    probability s/t per state, second with t per state."""
-    s = check_overlap(s)
-    if not s <= t <= 1.0:
-        raise ValueError(f"t={t} outside [s, 1] for s={s}")
-    return (1.0 - s / t) * (1.0 - t)
 
 
 def joint_success_analytic(s: float, q_bob, q_charlie) -> float:

@@ -38,8 +38,6 @@ from .states import check_overlap
 
 KINDS = ("1", "2", "3", "seq")
 
-CSV_HEADER = ("s", "p_seq", "p1", "p2", "p3", "at_least_one")
-
 # Grid points make_curve accepts; 10**6 rows take 1.5 s as CSV, 3.6 s with SVG, on a 2-vCPU VM.
 MAX_STEPS = 10**6
 
@@ -93,6 +91,10 @@ class StrategyCurve:
     at_least_one: np.ndarray
 
 
+# curve_csv's columns in order, each a StrategyCurve field
+CSV_HEADER = ("s", "p_seq", "p1", "p2", "p3", "at_least_one")
+
+
 def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> StrategyCurve:
     """Evaluate all strategies on a uniform grid of overlaps.
 
@@ -117,8 +119,7 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
 
 
 def curve_csv(curve: StrategyCurve) -> str:
-    columns = (curve.s, curve.p_seq, curve.p1, curve.p2, curve.p3, curve.at_least_one)
-    return csv_text(CSV_HEADER, np.column_stack(columns))
+    return csv_text(CSV_HEADER, np.column_stack([getattr(curve, name) for name in CSV_HEADER]))
 
 
 def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
@@ -146,7 +147,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     if kind in ("1", "seq"):
         return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
     s = check_overlap(s)
-    threshold = sampling_boundaries(s, s)
+    threshold = sampling_boundaries(s)
     thresholds = (threshold,) * 2 if kind == "2" else (1.0 / (1.0 + s), threshold, threshold)
 
     def kernel(masks, sent1):

@@ -90,14 +90,8 @@ def test_cumulative_outcome_probabilities_match_sampling_boundaries():
     for stage in stages:
         for i, q in ((1, stage.q1), (2, stage.q2)):
             identified = outcome_probabilities(stage, i)[i - 1]
-            assert abs(identified - sampling_boundaries(q, q)) <= 1e-15
+            assert abs(identified - sampling_boundaries(q)) <= 1e-15
         assert max(validate(stage).zero_error_residuals) <= 1e-15
-
-
-def test_sampling_boundaries_refuses_unequal_failure_probabilities():
-    # success would depend on the input, which one threshold cannot sample
-    with pytest.raises(ValueError, match=r"q1=0\.6, q2=0\.8"):
-        sampling_boundaries(0.6, 0.8)
 
 
 def test_output_overlap_is_the_measurements_output_overlap():
@@ -159,7 +153,7 @@ def test_sampled_outcome_rates_match_branch_probabilities():
     rng = np.random.default_rng(2024)
     for i, q in ((1, meas.q1), (2, meas.q2)):
         u = rng.random(n)
-        ok = classify_uniforms(sampling_boundaries(q, q), u)
+        ok = classify_uniforms(sampling_boundaries(q), u)
         assert ok.dtype == bool and ok.shape == (n,)
         identified = int(np.count_nonzero(ok))
         failed = n - identified
@@ -253,8 +247,7 @@ def test_classify_uniforms_agrees_with_apply():
     u = rng.random(500)
     prep = rng.integers(1, 3, size=500).astype(np.int8)
     # unequal q1, q2: each trial gets its prepared state's threshold
-    per_trial = np.where(prep == 1, sampling_boundaries(meas.q1, meas.q1),
-                         sampling_boundaries(meas.q2, meas.q2))
+    per_trial = np.where(prep == 1, sampling_boundaries(meas.q1), sampling_boundaries(meas.q2))
     fast = classify_uniforms(per_trial, u)
     for j in range(500):
         outcome, _ = apply(meas, int(prep[j]), float(u[j]))
@@ -275,7 +268,7 @@ def _classify_reference(boundaries, prep, u):
 @pytest.mark.parametrize("prep_dtype", [np.int8, np.int64])
 def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
     q = math.sqrt(0.3)  # both observers' failure probability at the s = 0.3 optimum
-    optimal = sampling_boundaries(q, q)
+    optimal = sampling_boundaries(q)
     assert optimal == 1.0 - q
     # the reference reads thresholds (t1, t2) as the cell table
     # ((t1, t1), (0, t2)): input 1 has an empty outcome-2 cell (lo == hi),

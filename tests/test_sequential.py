@@ -21,7 +21,6 @@ from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
     build_chain,
-    equal_failure_joint,
     joint_success_analytic,
     optimal_n_observer,
     optimize_two_observer,
@@ -34,6 +33,10 @@ from seqdisc.strategies import simulate_strategy
 def test_joint_success_worked_examples():
     # symmetric optimal point at s = 0.25: both fail with probability 0.5
     assert joint_success_analytic(0.25, (0.5, 0.5), (0.5, 0.5)) == pytest.approx(0.25)
+    # both endpoints t = s and t = 1 of the symmetric slice, where the
+    # observers fail with s/t and t, are worthless
+    for t in (0.3, 1.0):
+        assert joint_success_analytic(0.3, (0.3 / t,) * 2, (t,) * 2) == 0.0
     # asymmetric second observer: q_charlie = (0.25, 1.0) gives t = 0.5,
     # so q_bob must satisfy q1*q2 = s^2/t^2 = 0.25
     assert joint_success_analytic(0.25, (0.5, 0.5), (0.25, 1.0)) == pytest.approx(0.1875)
@@ -54,15 +57,6 @@ def test_joint_success_constraint_violations_are_named():
         joint_success_analytic(0.25, (0.5, 0.5), (0.0, 1.0))
     with pytest.raises(ValueError):
         joint_success_analytic(1.5, (0.5, 0.5), (0.5, 0.5))
-
-
-def test_equal_failure_slice():
-    assert equal_failure_joint(0.25, 0.5) == pytest.approx(0.25)
-    # both endpoints of the admissible interval are worthless
-    assert equal_failure_joint(0.3, 0.3) == 0.0
-    assert equal_failure_joint(0.3, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        equal_failure_joint(0.3, 0.2)
 
 
 @pytest.mark.parametrize("s", [0.04, 0.1, 0.25, 0.5, 0.729, 0.9])
@@ -354,7 +348,8 @@ def test_schedule_matches_the_chained_stages(s, n):
         assert str(refused.value) == str(exc)
         return
     chain = build_chain(s, n)
-    assert chain.thresholds == tuple(sampling_boundaries(st.q1, st.q2) for st in stages)
+    assert all(st.q1 == st.q2 for st in stages)
+    assert chain.thresholds == tuple(sampling_boundaries(st.q1) for st in stages)
     assert chain.overlaps == (*(st.s for st in stages), stages[-1].t)
     assert chain.overlaps[-1] == 1.0
 

@@ -1,15 +1,16 @@
 """Write the golden CLI fixtures in this directory.
 
+cases() maps every case name to its argv; it is the one case table, and
+`tests/test_golden.py` and the CI entry-point step read it from here.
 Each case runs `seqdisc.cli.main(argv)` in-process and stores its stdout,
 byte for byte, as `<name>.json` (`<name>.csv` for `curves` and for
-`--format csv`, whose stdout is a table); `cases.json` maps every name to
-its argv.  A case can also pin the files a command writes: in its argv,
-the value after `--out`, `--svg` or `--matrix` is the name of the fixture
-that file is compared with, and the command is run with that value
-replaced by a scratch path.  The fixtures pin the exact report bytes of
-the Monte Carlo commands and the table and plot bytes of the analytic
-ones, so a refactor of the sampling, classification or formatting code can
-be checked against them.
+`--format csv`, whose stdout is a table).  A case can also pin the files a
+command writes: in its argv, the value after `--out`, `--svg` or
+`--matrix` is the name of the fixture that file is compared with, and the
+command is run with that value replaced by a scratch path.  The fixtures
+pin the exact report bytes of the Monte Carlo commands and the table and
+plot bytes of the analytic ones, so a refactor of the sampling,
+classification or formatting code can be checked against them.
 Regenerate only from a commit whose output is known to be right:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import pathlib
 import sys
 import tempfile
@@ -141,7 +141,6 @@ def generate() -> None:
             (HERE / stdout_fixture(name, argv)).write_bytes(stdout)
             for fixture, data in written.items():
                 (HERE / fixture).write_bytes(data)
-    (HERE / "cases.json").write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(fixture_names(table))} fixtures to {HERE}", file=sys.stderr)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,9 +13,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import seqdisc
+from seqdisc.b92 import EVE_POLICIES, MODES
 from seqdisc.cli import main
 from seqdisc.reporting import round_sig
 from seqdisc.sequential import optimal_n_observer, optimize_two_observer
+from seqdisc.strategies import CSV_HEADER, KINDS
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +325,90 @@ def test_report_reruns_from_its_echoed_inputs(capsys, argv):
         echoed = report.get("params") or report.get("config") or report
     # each flag of argv, with the value the report echoes for it
     rerun = [argv[0], *(x for flag in argv[1::2] for x in (flag, str(echoed[flag[2:]])))]
+    assert run_cli(capsys, *rerun) == (0, out, "")
+
+
+# The CLI contract over every numeric flag: the edges of each domain, and
+# overlaps log-spaced toward 0 and toward 1.  Counts stay small, since a
+# huge --trials or --rounds is accepted and runs for as long as it asks.
+_OVERLAPS = hst.one_of(
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nextafter(0.0, 1.0),
+                      math.nextafter(1.0, 0.0), 1.0, 1.5, -0.5, math.nan, math.inf, -math.inf]),
+    hst.floats(min_value=-323.3, max_value=-1e-3).map(lambda e: 10.0**e),
+    hst.floats(min_value=-16.0, max_value=-1e-3).map(lambda e: 1.0 - 10.0**e),
+)
+_COUNTS = [0, -1, 1, 2, 50]
+# each numeric flag: its values, the name an error message gives its
+# parameter, and the domain a command that exits 0 must have accepted it from
+CONTRACT_FLAGS = {
+    "--s": (_OVERLAPS, r"\bs\b", lambda v: 0.0 < v < 1.0),
+    "--s-min": (_OVERLAPS, r"\bs_min\b", lambda v: 0.0 <= v < 1.0),
+    "--s-max": (_OVERLAPS, r"\bs_max\b", lambda v: 0.0 < v <= 1.0),
+    "--n": (hst.sampled_from([0, -1, 1, 2, 64, 10001, 2**128, 2**1100]), r"\bn\b",
+            lambda v: v >= 1),
+    "--trials": (hst.sampled_from(_COUNTS), r"\btrials\b", lambda v: v >= 1),
+    "--rounds": (hst.sampled_from(_COUNTS), r"\brounds\b", lambda v: v >= 1),
+    "--steps": (hst.sampled_from([*_COUNTS, 1000001]), r"\bsteps\b", lambda v: 2 <= v <= 10**6),
+    "--seed": (hst.sampled_from([0, -1, 2**128 - 1, 2**128]), r"\bseed\b",
+               lambda v: 0 <= v < 2**128),
+}
+# per command: its required numeric flags, its optional ones, its choice
+# flags, and the echoed inputs a rerun takes
+CONTRACT_COMMANDS = {
+    "optimize": (["--s"], ["--n"], {"--format": ("json", "csv")}, ("s", "n")),
+    "curves": ([], ["--s-min", "--s-max", "--steps"], {}, ()),
+    "simulate": (["--s", "--trials"], ["--n", "--seed"], {"--kind": KINDS},
+                 ("kind", "s", "n", "trials", "seed")),
+    "neumark": (["--s"], [], {}, ("s",)),
+    "b92": (["--s", "--rounds"], ["--seed"], {"--mode": MODES, "--eve": EVE_POLICIES},
+            ("s", "rounds", "mode", "eve", "seed")),
+}
+
+
+@hst.composite
+def contract_argv(draw):
+    """(argv, {numeric flag: drawn value}) for one of the five commands."""
+    command = draw(hst.sampled_from(sorted(CONTRACT_COMMANDS)))
+    required, optional, choices, _ = CONTRACT_COMMANDS[command]
+    flags = required + [flag for flag in optional if draw(hst.booleans())]
+    values = {flag: draw(CONTRACT_FLAGS[flag][0]) for flag in flags}
+    picked = [f"{flag}={draw(hst.sampled_from(options))}" for flag, options in choices.items()]
+    # --flag=value, so that argparse reads -inf and -5e-324 as values
+    return [command, *picked, *(f"{flag}={value!r}" for flag, value in values.items())], values
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(contract_argv())
+def test_every_numeric_input_gives_a_report_or_a_named_refusal(capsys, drawn):
+    """Exit 0 with a parseable report on inputs from the documented domain,
+    which reruns byte for byte from its echoed inputs, or exit 2 with one
+    `error:` line naming a drawn parameter and nothing on stdout."""
+    argv, values = drawn
+    code, out, err = run_cli(capsys, *argv)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert any(re.search(CONTRACT_FLAGS[flag][1], err) for flag in values), err
+        return
+    assert (code, err) == (0, "")
+    assert all(CONTRACT_FLAGS[flag][2](value) for flag, value in values.items())
+    command = argv[0]
+    if command == "curves":
+        s_min, s_max = values.get("--s-min", 0.0), values.get("--s-max", 1.0)
+        header, *rows = out.splitlines()
+        grid = [float(row.split(",")[0]) for row in rows]
+        assert header == ",".join(CSV_HEADER) and len(rows) == values.get("--steps", 101)
+        assert s_min < s_max and (grid[0], grid[-1]) == (round_sig(s_min), round_sig(s_max))
+        return
+    if "--format=csv" in argv:
+        header, row = out.splitlines()
+        echoed = dict(zip(header.split(","), row.split(",")))
+    else:
+        report = json.loads(out)
+        echoed = report.get("params") or report.get("config") or report
+    assert 0.0 < float(echoed["s"]) < 1.0
+    rerun = [command, *(f"--{name}={echoed[name]}" for name in CONTRACT_COMMANDS[command][3]),
+             *(arg for arg in argv if arg.startswith("--format"))]
     assert run_cli(capsys, *rerun) == (0, out, "")
 
 

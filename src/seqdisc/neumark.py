@@ -46,19 +46,6 @@ class DilationUnitary:
     u: np.ndarray
 
 
-def ancilla_vectors(s: float):
-    """The orthonormal ancilla vectors (v1, v2, v3): v1 and v2 synthesize
-    the optimal-stage columns and v3 completes the basis."""
-    s = check_overlap(s)
-    rs = math.sqrt(s)
-    e0, e1, e2 = np.eye(3, dtype=complex)
-    norm = math.sqrt(1.0 + rs)
-    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt((1.0 - rs) / 2.0) * (e1 + e2)) / norm
-    v2 = (e1 - e2) / math.sqrt(2.0)
-    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / norm
-    return freeze(v1), freeze(v2), freeze(v3)
-
-
 def build_dilation(s: float) -> DilationUnitary:
     """Construct U for overlap s at the symmetric optimal point q = sqrt(s).
 
@@ -70,7 +57,13 @@ def build_dilation(s: float) -> DilationUnitary:
     """
     s = check_overlap(s)
     rs = math.sqrt(s)
-    v1, v2, v3 = ancilla_vectors(s)
+    # orthonormal ancilla vectors: v1 and v2 synthesize the physical
+    # columns and v3 completes the basis
+    e0, e1, e2 = np.eye(3, dtype=complex)
+    norm = math.sqrt(1.0 + rs)
+    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt((1.0 - rs) / 2.0) * (e1 + e2)) / norm
+    v2 = (e1 - e2) / math.sqrt(2.0)
+    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / norm
     e0q, e1q = np.eye(2, dtype=complex)
     norm = math.sqrt(2.0 * (1.0 + s))
     col_00 = ((1.0 + rs) * np.kron(e0q, v1) + (1.0 - rs) * np.kron(e1q, v2)) / norm
@@ -152,14 +145,9 @@ def dilation_report(dilation: DilationUnitary) -> dict:
     }
 
 
-def unitary_csv_rows(dilation: DilationUnitary) -> np.ndarray:
-    """Rows of U as alternating real and imaginary parts (6 rows of 12):
-    the float64 view of a row-major copy of the complex matrix."""
-    return np.ascontiguousarray(dilation.u).view(np.float64)
-
-
 def unitary_csv(dilation: DilationUnitary) -> str:
     """The `neumark --matrix` table: header re0,im0,...,re5,im5, then the
-    rows of unitary_csv_rows()."""
+    rows of U as alternating real and imaginary parts (6 rows of 12), the
+    float64 view of a row-major copy of the complex matrix."""
     header = [f"{part}{j}" for j in range(TOTAL_DIM) for part in ("re", "im")]
-    return csv_text(header, unitary_csv_rows(dilation))
+    return csv_text(header, np.ascontiguousarray(dilation.u).view(np.float64))

@@ -68,12 +68,6 @@ class UDMeasurement:
         """(Pi1, Pi2, Pi0), each A_i^dag A_i, as read-only arrays."""
         return tuple(freeze(A.conj().T @ A) for A in self.kraus)
 
-    @property
-    def exhausts_information(self) -> bool:
-        """True when the conditional output states coincide, i.e. nothing
-        is left for a later observer to discriminate."""
-        return self.t == 1.0
-
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
@@ -120,8 +114,9 @@ def build_intermediate_ud(s: float, q1: float, q2: float) -> UDMeasurement:
     """Measurement of the pair with overlap `s` with prescribed failure
     probabilities q1, q2 in (0, 1].
 
-    Requires q1*q2 >= s^2; at equality the output states coincide and the
-    measurement extracts everything (exhausts_information is then True).
+    Requires q1*q2 >= s^2; at equality the output states coincide (t is
+    then 1) and the measurement extracts everything: q1 = q2 = s is the
+    minimum-failure measurement for equal priors.
     q_i = 1 is allowed and simply means state i is never identified.  The
     output overlap t, and every check, comes from output_overlap().
     """
@@ -143,15 +138,6 @@ def build_intermediate_ud(s: float, q1: float, q2: float) -> UDMeasurement:
         q2=float(q2),
         kraus=tuple(freeze(A) for A in (A1, A2, A0)),
     )
-
-
-def build_optimal_ud(s: float) -> UDMeasurement:
-    """The minimum-failure measurement for equal priors: q1 = q2 = s.
-
-    This saturates q1*q2 = s^2, so the output states coincide and the
-    average failure probability takes its smallest possible value, s.
-    """
-    return build_intermediate_ud(s, s, s)
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:

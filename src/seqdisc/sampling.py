@@ -67,12 +67,6 @@ def chunk_ranges(n_trials: int, chunk_size: int):
         yield start, min(chunk_size, n_trials - start)
 
 
-def picks_state1(u: np.ndarray) -> np.ndarray:
-    """Equal-prior choice between two states from uniforms: True (state 1)
-    below 0.5, False (state 2) otherwise."""
-    return u < 0.5
-
-
 def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
 
@@ -82,8 +76,8 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     trial_uniforms, at most CHUNK_DOUBLES generated doubles or one trial,
     and kernel(masks, sent1) returns a tuple of counts for the chunk, where
     masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and the
-    bool column sent1 = picks_state1(draw 0) marks the trials that sent
-    state 1.  The sums do not depend on the chunk size, because neither
+    bool column sent1 = draw 0 < 0.5, the equal-prior choice, marks the
+    trials that sent state 1.  The sums do not depend on the chunk size, because neither
     the draws nor the per-trial kernel do.
     """
     if trials < 1:
@@ -94,7 +88,7 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     for start, count in chunk_ranges(trials, chunk):
         u = trial_uniforms(seed, count, draws, start)
         masks = [classify_uniforms(t, u[:, k]) for k, t in enumerate(thresholds, 1)]
-        counts = kernel(masks, picks_state1(u[:, 0]))
+        counts = kernel(masks, u[:, 0] < 0.5)
         totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))
     return totals
 

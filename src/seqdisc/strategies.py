@@ -73,12 +73,6 @@ def strategy_seq(s):
     return ((1.0 - s) / (1.0 + np.sqrt(s))) ** 2
 
 
-def at_least_one(s):
-    """Probability that at least one receiver identifies the state; the
-    same for all four strategies."""
-    return 1.0 - _check_unit_interval(s)
-
-
 @dataclass(frozen=True)
 class StrategyCurve:
     """Tabulated joint-success rates on a common overlap grid."""
@@ -114,8 +108,9 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
         raise ValueError(
             f"s_min={s_min}, s_max={s_max}: grid point s={tiny[0]} is in (0, 2**-53], "
             "where 1 + s rounds to 1 and p2 = p3 as doubles")
+    # every strategy's at-least-one rate is 1 - s, strategy 1's joint rate
     return StrategyCurve(s=grid, p_seq=strategy_seq(grid), p1=strategy1(grid), p2=strategy2(grid),
-                         p3=strategy3(grid), at_least_one=at_least_one(grid))
+                         p3=strategy3(grid), at_least_one=strategy1(grid))
 
 
 def curve_csv(curve: StrategyCurve) -> str:

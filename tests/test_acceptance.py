@@ -33,11 +33,10 @@ from seqdisc.b92 import (
 )
 from seqdisc.cli import main as cli_main
 from seqdisc.neumark import build_dilation, dilation_statistics, povm_equivalence
-from seqdisc.povm import build_intermediate_ud, build_optimal_ud, outcome_probabilities, validate
+from seqdisc.povm import build_intermediate_ud, outcome_probabilities, validate
 from seqdisc.sequential import build_chain, optimize_two_observer, simulate_chain
 from seqdisc.states import make_state_pair
 from seqdisc.strategies import (
-    at_least_one,
     make_curve,
     simulate_strategy,
     strategy1,
@@ -61,7 +60,7 @@ def _zero_error_residual(measurements):
 def _sampled(s, sequential):
     """The measurements a run at overlap s samples: the two-observer chain's
     stages, or the minimum-failure measurement (also Eve's)."""
-    return build_chain(s, 2).stages if sequential else (build_optimal_ud(s),)
+    return build_chain(s, 2).stages if sequential else (build_intermediate_ud(s, s, s),)
 
 
 def _register(trials, measurements):
@@ -136,8 +135,7 @@ def test_criterion_4_strategy_comparison():
     ok &= abs(strategy2(0.25) - 0.5625) < 1e-12
     ok &= abs(strategy3(0.25) - 0.45) < 1e-12
     ok &= abs(strategy_seq(0.25) - 0.25) < 1e-12
-    grid = np.linspace(0.0, 1.0, 101)
-    ok &= all(at_least_one(float(s)) == 1.0 - float(s) for s in grid)
+    ok &= bool(np.all(curve.at_least_one == 1.0 - curve.s))
     trials, s = 1_000_000, 0.25
     p_any = 1.0 - s
     se = math.sqrt(p_any * (1.0 - p_any) / trials)
@@ -147,8 +145,8 @@ def test_criterion_4_strategy_comparison():
         ok &= abs(report.at_least_one_success_count / trials - p_any) <= 4 * se
     _verdict(
         "criterion 4: strict ordering p1 > p2 > p3 > p_seq at 1000 points, "
-        "closed forms 0.75/0.5625/0.45/0.25 at s=0.25, at-least-one rate 1-s "
-        "for all four strategies",
+        "closed forms 0.75/0.5625/0.45/0.25 at s=0.25, tabulated at-least-one "
+        "column 1-s, and at-least-one rate 1-s for all four strategies",
         ok,
     )
 
@@ -270,7 +268,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
 
 
 def test_zero_error_ledger_flags_a_tampered_measurement():
-    meas = build_optimal_ud(0.36)
+    meas = build_intermediate_ud(0.36, 0.36, 0.36)
     assert _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
     # rotate A1 into A0 so that Pi1 answers psi2 with probability
     # sin^2(e) |A0 psi2|^2 = 1e-12; the rotation keeps completeness, so

@@ -12,11 +12,9 @@ from hypothesis import strategies as hst
 from seqdisc.cli import main
 from seqdisc.neumark import (
     TOTAL_DIM,
-    ancilla_vectors,
     build_dilation,
     dilation_statistics,
     povm_equivalence,
-    unitary_csv_rows,
 )
 from seqdisc.states import make_state_pair
 
@@ -30,12 +28,6 @@ def _sin2_theta_prime(s):
     with localcontext() as ctx:
         ctx.prec = 60
         return float((1 - Decimal(s).sqrt()) / 2)
-
-
-@pytest.mark.parametrize("s", S_GRID + S_EXTREMES)
-def test_ancilla_vectors_are_orthonormal(s):
-    vectors = np.array(ancilla_vectors(s))
-    assert np.linalg.norm(vectors.conj() @ vectors.T - np.eye(3)) < 1e-12
 
 
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES)
@@ -117,13 +109,3 @@ def test_build_dilation_domain():
 
 def test_build_dilation_is_deterministic():
     assert build_dilation(0.3).u.tobytes() == build_dilation(0.3).u.tobytes()
-
-
-def test_unitary_csv_rows_reconstruct_the_matrix():
-    d = build_dilation(0.42)
-    rows = unitary_csv_rows(d)
-    assert len(rows) == TOTAL_DIM and all(len(r) == 2 * TOTAL_DIM for r in rows)
-    rebuilt = np.array(
-        [[complex(r[2 * j], r[2 * j + 1]) for j in range(TOTAL_DIM)] for r in rows]
-    )
-    assert np.array_equal(rebuilt, d.u)

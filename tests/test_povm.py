@@ -9,7 +9,6 @@ import pytest
 from seqdisc.povm import (
     apply,
     build_intermediate_ud,
-    build_optimal_ud,
     classify_uniforms,
     outcome_probabilities,
     output_overlap,
@@ -35,10 +34,9 @@ def _q_grid(s, count=8):
 
 @pytest.mark.parametrize("s", S_GRID + [1.0 - 1e-8])
 def test_optimal_measurement_is_valid_and_exhausting(s):
-    meas = build_optimal_ud(s)
+    meas = build_intermediate_ud(s, s, s)
     assert meas.q1 == meas.q2 == s
     assert meas.t == 1.0
-    assert meas.exhausts_information
     report = validate(meas)
     assert report.passed
     assert abs(report.det_pi0) < 1e-12
@@ -137,7 +135,7 @@ def test_validate_refuses_inadmissible_failure_probabilities():
     # near s = 1 a relative shortfall of 1e-13 is within the root test's
     # slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
     s = 1.0 - 1e-8
-    meas = build_optimal_ud(s)
+    meas = build_intermediate_ud(s, s, s)
     report = validate(dataclasses.replace(meas, q1=s * (1.0 - 1e-13)))
     assert report.det_pi0 < -1e-6
     assert not report.passed
@@ -175,7 +173,7 @@ def test_admissibility_bound_is_enforced():
     # the boundary itself is accepted, and so is q up to 1e-12 below it
     for q in (0.5, 0.5 - 1e-14):
         meas = build_intermediate_ud(0.5, q, q)
-        assert meas.exhausts_information
+        assert meas.t == 1.0
         assert validate(meas).passed
 
 
@@ -208,7 +206,7 @@ def test_degenerate_pairs_are_rejected():
 
 def test_apply_cells_and_post_states():
     s = 0.25
-    meas = build_optimal_ud(s)
+    meas = build_intermediate_ud(s, s, s)
     phi1, phi2 = make_state_pair(meas.t)
     # input 1: identify cell [0, 0.75), failure [0.75, 1)
     for rand, want in ((0.0, 1), (0.74, 1), (0.75, 0), (0.99, 0)):
@@ -230,7 +228,7 @@ def test_apply_on_intermediate_measurement_keeps_branches_aligned():
 
 
 def test_apply_validates_arguments():
-    meas = build_optimal_ud(0.5)
+    meas = build_intermediate_ud(0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         apply(meas, 3, 0.5)
     with pytest.raises(ValueError):
@@ -296,7 +294,7 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
 
 
 def test_measurement_matrices_are_read_only():
-    meas = build_optimal_ud(0.5)
+    meas = build_intermediate_ud(0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         meas.povm[0][0, 0] = 9.0
     with pytest.raises(ValueError):

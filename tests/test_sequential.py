@@ -13,7 +13,6 @@ from seqdisc.b92 import EVE_INTERCEPT, MODE_ONE_QUBIT, SessionConfig, run_sessio
 from seqdisc.povm import (
     apply,
     build_intermediate_ud,
-    build_optimal_ud,
     sampling_boundaries,
     validate,
 )
@@ -166,7 +165,6 @@ def test_build_chain_schedule(n):
             assert stage.q1 == stage.q2 == pytest.approx(chain.q, rel=1e-12, abs=0)
         for prev, nxt in zip(stages, stages[1:]):
             assert prev.t == pytest.approx(nxt.s, rel=1e-12, abs=0)
-        assert stages[-1].exhausts_information
         assert stages[-1].t == 1.0
     # the sampler draws each stage against one threshold, so every stage
     # must fail with exactly the same probability on both inputs
@@ -315,7 +313,7 @@ def _chained_stages(s, n):
     stages, a = [], s
     for k in range(n):
         try:
-            stage = build_intermediate_ud(a, q, q) if k < n - 1 else build_optimal_ud(a)
+            stage = build_intermediate_ud(a, q, q) if k < n - 1 else build_intermediate_ud(a, a, a)
         except ValueError as exc:
             raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from None
         stages.append(stage)
@@ -361,7 +359,6 @@ def test_no_sampling_path_builds_a_measurement(monkeypatch):
 
     monkeypatch.setattr(sequential, "build_intermediate_ud", refuse)
     monkeypatch.setattr(povm, "build_intermediate_ud", refuse)
-    monkeypatch.setattr(povm, "build_optimal_ud", refuse)
     monkeypatch.setattr(povm.UDMeasurement, "__init__", refuse)
     assert build_chain(0.3, 10**4).n == 10**4
     assert simulate_chain(build_chain(0.3, 64), 10, 1).trials == 10

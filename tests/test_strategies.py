@@ -10,7 +10,6 @@ from seqdisc.reporting import round_sig
 from seqdisc.sequential import build_chain, simulate_chain
 from seqdisc.strategies import (
     CSV_HEADER,
-    at_least_one,
     curve_csv,
     curve_svg,
     make_curve,
@@ -28,11 +27,10 @@ def test_closed_forms_at_quarter_overlap():
     assert strategy2(0.25) == pytest.approx(0.5625)
     assert strategy3(0.25) == pytest.approx(0.45)
     assert strategy_seq(0.25) == pytest.approx(0.25)
-    assert at_least_one(0.25) == pytest.approx(0.75)
 
 
 def test_closed_forms_at_endpoints():
-    for f in (strategy1, strategy2, strategy3, strategy_seq, at_least_one):
+    for f in (strategy1, strategy2, strategy3, strategy_seq):
         assert f(0.0) == 1.0
         assert f(1.0) == 0.0
         with pytest.raises(ValueError):
@@ -43,7 +41,7 @@ def test_closed_forms_at_endpoints():
 
 def test_rates_take_arrays_elementwise():
     grid = np.array([0.0, 1e-300, 0.25, 0.3, 0.999999999999, 1.0])
-    for f in (strategy1, strategy2, strategy3, strategy_seq, at_least_one):
+    for f in (strategy1, strategy2, strategy3, strategy_seq):
         assert f(grid).tolist() == [f(float(s)) for s in grid]
         with pytest.raises(ValueError):
             f(np.array([0.5, 1.1]))

@@ -2,6 +2,7 @@
 `import seqdisc` loads."""
 
 import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -44,6 +45,16 @@ def test_tour_lists_names_under_their_defining_module(module):
         assert hasattr(mod, name), f"seqdisc.{module} has no {name}"
         defined_in = getattr(getattr(mod, name), "__module__", mod.__name__)
         assert defined_in == mod.__name__, f"{name} is defined in {defined_in}, not {module}"
+
+
+@pytest.mark.parametrize("module", sorted(TOUR))
+def test_tour_lists_every_public_function_and_class(module):
+    mod = importlib.import_module(f"seqdisc.{module}")
+    public = {name for name, obj in vars(mod).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == mod.__name__}
+    missing = sorted(public - set(TOUR[module]))
+    assert not missing, f"the README tour's {module} bullet does not name {missing}"
 
 
 def test_package_import_loads_every_layer_but_the_cli():

@@ -365,33 +365,96 @@ CONTRACT_COMMANDS = {
 }
 
 
+# b92 --config: each field of the file is absent, one of these JSON values
+# (rounds never 2**128, as above) or a string
+_ABSENT = object()
+_JSON_VALUES = [None, True, False, 0, -1, 1, 2, 2**128, 0.3, 1.0, math.nan, math.inf, -math.inf,
+                "bogus", [0.3], {"a": 1}]
+# each field: the values a valid file holds, and the strings drawn besides "bogus"
+CONFIG_FIELDS = {
+    "s": ([0.3], ["0.3"]),
+    "rounds": ([1, 2], ["2"]),
+    "mode": (list(MODES), list(MODES)),
+    "eve": ([_ABSENT, *EVE_POLICIES], list(EVE_POLICIES)),
+    "seed": ([_ABSENT, 0, 2**128 - 1], ["1"]),
+}
+# each entry of a drawn config: the name an error message gives it, and the
+# domain a run that exits 0 must have read it from
+CONFIG_ENTRIES = {
+    "s": (r"config field 's'", lambda v: type(v) is float and 0.0 < v < 1.0),
+    "rounds": (r"config field 'rounds'", lambda v: type(v) is int and v >= 1),
+    "mode": (r"config field 'mode'", lambda v: isinstance(v, str) and v in MODES),
+    "eve": (r"config field 'eve'", lambda v: v is _ABSENT or isinstance(v, str) and v in EVE_POLICIES),
+    "seed": (r"config field 'seed'", lambda v: v is _ABSENT or type(v) is int and 0 <= v < 2**128),
+    "a": (r"unknown config field\(s\): a$", lambda v: False),
+    "config file": (r"holds a JSON \w+, not a JSON object", lambda v: False),
+}
+
+
+@hst.composite
+def contract_config(draw):
+    """(["b92"], {config entry: drawn value}, file text) for a b92 run read
+    from a config file: an object of valid fields, the same with one field
+    drawn from anything or an unknown field added, or a JSON value that is
+    not an object."""
+    shape = draw(hst.sampled_from(("valid", "one entry off", "not an object")))
+    if shape == "not an object":
+        raw = draw(hst.sampled_from([v for v in _JSON_VALUES if not isinstance(v, dict)]))
+        return ["b92"], {"config file": raw}, json.dumps(raw)
+    off = draw(hst.sampled_from([*CONFIG_FIELDS, "a"])) if shape == "one entry off" else None
+    values = {"a": 1} if off == "a" else {}
+    for name, (valid, strings) in CONFIG_FIELDS.items():
+        anything = [_ABSENT, *(v for v in _JSON_VALUES if name != "rounds" or v != 2**128), *strings]
+        values[name] = draw(hst.sampled_from(anything if name == off else valid))
+    return ["b92"], values, json.dumps({k: v for k, v in values.items() if v is not _ABSENT})
+
+
 @hst.composite
 def contract_argv(draw):
-    """(argv, {numeric flag: drawn value}) for one of the five commands."""
+    """(argv, {numeric flag: drawn value}, None) for one of the five
+    commands, or, half the time, contract_config()'s draw."""
+    if draw(hst.booleans()):
+        return draw(contract_config())
     command = draw(hst.sampled_from(sorted(CONTRACT_COMMANDS)))
     required, optional, choices, _ = CONTRACT_COMMANDS[command]
     flags = required + [flag for flag in optional if draw(hst.booleans())]
     values = {flag: draw(CONTRACT_FLAGS[flag][0]) for flag in flags}
     picked = [f"{flag}={draw(hst.sampled_from(options))}" for flag, options in choices.items()]
     # --flag=value, so that argparse reads -inf and -5e-324 as values
-    return [command, *picked, *(f"{flag}={value!r}" for flag, value in values.items())], values
+    argv = [command, *picked, *(f"{flag}={value!r}" for flag, value in values.items())]
+    return argv, values, None
 
 
-@settings(max_examples=300, deadline=None,
+# about 300 examples of flags and 300 of config files
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(contract_argv())
-def test_every_numeric_input_gives_a_report_or_a_named_refusal(capsys, drawn):
+def test_every_numeric_input_gives_a_report_or_a_named_refusal(tmp_path, capsys, drawn):
     """Exit 0 with a parseable report on inputs from the documented domain,
     which reruns byte for byte from its echoed inputs, or exit 2 with one
-    `error:` line naming a drawn parameter and nothing on stdout."""
-    argv, values = drawn
+    `error:` line naming a drawn parameter and nothing on stdout.  A b92
+    run from a config file reruns from a file of its echoed config."""
+    argv, values, config = drawn
+    entries = CONTRACT_FLAGS if config is None else CONFIG_ENTRIES
+    path = tmp_path / "session.json"
+    if config is not None:
+        path.write_text(config)
+        argv = [*argv, f"--config={path}"]
     code, out, err = run_cli(capsys, *argv)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-        assert any(re.search(CONTRACT_FLAGS[flag][1], err) for flag in values), err
+        # a config file's valid fields always run, so its refusal must name
+        # an entry outside its domain
+        assert any(re.search(entries[name][-2], err) and (config is None or not entries[name][-1](value))
+                   for name, value in values.items()), err
         return
     assert (code, err) == (0, "")
-    assert all(CONTRACT_FLAGS[flag][2](value) for flag, value in values.items())
+    assert all(entries[name][-1](value) for name, value in values.items())
+    if config is not None:
+        echoed = json.loads(out)["config"]
+        path.write_text(json.dumps(echoed))
+        assert run_cli(capsys, "b92", f"--config={path}") == (0, out, "")
+        return
     command = argv[0]
     if command == "curves":
         s_min, s_max = values.get("--s-min", 0.0), values.get("--s-max", 1.0)

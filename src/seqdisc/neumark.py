@@ -52,23 +52,25 @@ def build_dilation(s: float) -> DilationUnitary:
     The two physical columns U|0>|0> and U|1>|0> (composite indices 0 and
     3) are fixed by the measurement.  Columns 1 and 2 are their partners
     in the planes {|0>v1, |1>v2} and {|0>v2, |1>v1}; columns 4 and 5 are
-    |0>v3 and |1>v3.  theta_prime = asin(sqrt((1 - sqrt(s)) / 2)), written
-    so that it keeps its digits near s = 1.
+    |0>v3 and |1>v3.  Each 1 - sqrt(s) in them and in theta_prime =
+    asin(sqrt((1 - sqrt(s)) / 2)) is computed as (1 - s) / (1 + sqrt(s)),
+    so that U and theta_prime keep their digits near s = 1.
     """
     s = check_overlap(s)
     rs = math.sqrt(s)
+    gap = (1.0 - s) / (1.0 + rs)
     # orthonormal ancilla vectors: v1 and v2 synthesize the physical
     # columns and v3 completes the basis
     e0, e1, e2 = np.eye(3, dtype=complex)
     norm = math.sqrt(1.0 + rs)
-    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt((1.0 - rs) / 2.0) * (e1 + e2)) / norm
+    v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt(gap / 2.0) * (e1 + e2)) / norm
     v2 = (e1 - e2) / math.sqrt(2.0)
-    v3 = (math.sqrt(1.0 - rs) * e0 - s**0.25 * (e1 + e2)) / norm
+    v3 = (math.sqrt(gap) * e0 - s**0.25 * (e1 + e2)) / norm
     e0q, e1q = np.eye(2, dtype=complex)
     norm = math.sqrt(2.0 * (1.0 + s))
-    col_00 = ((1.0 + rs) * np.kron(e0q, v1) + (1.0 - rs) * np.kron(e1q, v2)) / norm
+    col_00 = ((1.0 + rs) * np.kron(e0q, v1) + gap * np.kron(e1q, v2)) / norm
     col_10 = (np.kron(e0q, v2) + np.kron(e1q, v1)) / math.sqrt(2.0)
-    partner_00 = ((1.0 - rs) * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / norm
+    partner_00 = (gap * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / norm
     partner_10 = (np.kron(e0q, v2) - np.kron(e1q, v1)) / math.sqrt(2.0)
     # rows transposed, so U is column-major: the reported residuals come
     # from U @ psi, whose last bits depend on the memory order
@@ -77,7 +79,7 @@ def build_dilation(s: float) -> DilationUnitary:
     return DilationUnitary(
         s=float(s),
         theta=0.5 * math.acos(s),
-        theta_prime=math.asin(math.sqrt((1.0 - s) / (1.0 + rs) / 2.0)),
+        theta_prime=math.asin(math.sqrt(gap / 2.0)),
         u=freeze(u),
     )
 

@@ -30,11 +30,43 @@ def _sin2_theta_prime(s):
         return float((1 - Decimal(s).sqrt()) / 2)
 
 
+def _dilation_columns(s):
+    """The six columns of U, as lists of 60-digit Decimals, at the double s
+    itself (not at a decimal literal near it, which moves 1 - sqrt(s) by up
+    to 5e-17 / (1 - s) relative)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(s)
+        rs, q, two = s.sqrt(), s.sqrt().sqrt(), Decimal(2)
+        gap, norm = 1 - rs, (1 + rs).sqrt()
+        v1 = [two.sqrt() * q / norm, (gap / 2).sqrt() / norm, (gap / 2).sqrt() / norm]
+        v2 = [Decimal(0), 1 / two.sqrt(), -1 / two.sqrt()]
+        v3 = [gap.sqrt() / norm, -q / norm, -q / norm]
+        norm = (2 * (1 + s)).sqrt()
+
+        def col(a, top, b, bottom):  # a|0>top + b|1>bottom
+            return [a * x for x in top] + [b * x for x in bottom]
+
+        return [col((1 + rs) / norm, v1, gap / norm, v2),
+                col(gap / norm, v1, -(1 + rs) / norm, v2),
+                col(1 / two.sqrt(), v2, -1 / two.sqrt(), v1),
+                col(1 / two.sqrt(), v2, 1 / two.sqrt(), v1),
+                col(1, v3, 0, v3),
+                col(0, v3, 1, v3)]
+
+
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES)
 def test_dilation_is_unitary(s):
+    """U is unitary, and each entry is its closed form to a relative 2e-15,
+    with exact zeros where the closed form is zero."""
     d = build_dilation(s)
     assert d.u.shape == (TOTAL_DIM, TOTAL_DIM)
     assert np.linalg.norm(d.u.conj().T @ d.u - np.eye(TOTAL_DIM)) < 1e-12
+    assert not np.any(d.u.imag)
+    for j, column in enumerate(_dilation_columns(s)):
+        for i, want in enumerate(column):
+            got = Decimal(float(d.u[i, j].real))
+            assert abs(got - want) <= Decimal("2e-15") * abs(want), (i, j, got, want)
     assert d.theta == pytest.approx(0.5 * math.acos(s), abs=0)  # 7e-7 at s = 1 - 1e-12
     assert math.sin(d.theta_prime) ** 2 == pytest.approx(_sin2_theta_prime(s), rel=1e-14, abs=0.0)
 

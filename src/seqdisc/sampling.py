@@ -77,8 +77,8 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     and kernel(masks, sent1) returns a tuple of counts for the chunk, where
     masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and the
     bool column sent1 = draw 0 < 0.5, the equal-prior choice, marks the
-    trials that sent state 1.  The sums do not depend on the chunk size, because neither
-    the draws nor the per-trial kernel do.
+    trials that sent state 1.  The sums do not depend on the chunk size,
+    because neither the draws nor the per-trial kernel do.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

@@ -91,15 +91,6 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     return SessionConfig(s=s, rounds=rounds, mode=mode, eve=eve, seed=seed)
 
 
-def eve_knowledge_rate(config: SessionConfig) -> float:
-    """Fraction of rounds in which the eavesdropper learns the bit."""
-    if config.eve == EVE_NONE:
-        raise ValueError("no eavesdropper in this configuration")
-    if config.mode == MODE_TWO_QUBIT:
-        return (1.0 - config.s) * (1.0 + config.s)
-    return 1.0 - config.s
-
-
 def run_session(config: SessionConfig) -> KeyReport:
     """Simulate a whole session round by round.
 
@@ -135,7 +126,8 @@ def run_session(config: SessionConfig) -> KeyReport:
     names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",
              "errors_bob", "errors_charlie")
     n = config.rounds
-    counts = dict(zip(names, run_trials(config.seed, n, eve + receivers, kernel)))
+    counts = dict(zip(names, run_trials(config.seed, n, eve + receivers, kernel,
+                                        "config field 'rounds'")))
     return KeyReport(rounds=n, **counts,
                      rates={name: dict(zip(("rate", "stderr"), binomial_rate(c, n)))
                             for name, c in counts.items()})

@@ -108,14 +108,23 @@ def _cmd_b92(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as main() refuses a bad value: with
+    one `error:` line and exit status 2.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqdisc",
         description="Sequential unambiguous discrimination of two qubit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("optimize", help="optimal failure probabilities and joint rate")
+    p = sub.add_parser("optimize", help="the optimum over measurements that fail equally "
+                       "on both states: failure probability and joint rate")
     p.add_argument("--s", type=float, required=True, help="overlap of the state pair")
     p.add_argument("--n", type=int, default=2, help="number of observers (default 2)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -159,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -110,13 +110,13 @@ def dilation_statistics(dilation: DilationUnitary, input_index: int):
 def povm_equivalence(dilation: DilationUnitary) -> float:
     """Largest deviation between the dilation and the Kraus description of
     the measurement it realizes, built here from the dilation's own s with
-    both failure probabilities sqrt(s).
+    failure probability sqrt(s).
 
     Returns the maximum outcome-probability gap plus the maximum
     conditional-state infidelity over both inputs (ancilla outcome i
     matching measurement outcome i, with 0 the failure)."""
     rs = math.sqrt(dilation.s)
-    meas = build_intermediate_ud(dilation.s, rs, rs)
+    meas = build_intermediate_ud(dilation.s, rs)
     prob_gap = 0.0
     infidelity = 0.0
     for i in (1, 2):

@@ -1,27 +1,26 @@
 """Three-outcome measurements that identify one of two qubit states
-without error, at a tunable failure probability per state.
+without error, failing with the same probability q on either state.
 
 Outcome labels: 1 means "state 1 identified", 2 means "state 2 identified",
 0 means the inconclusive result.  In the angle form s = cos 2 theta, with
 psi_1, psi_2 = (c, +-d) for c, d = cos theta, sin theta, the dual vectors
 w_1, w_2 = (1/2c, +-1/2d) satisfy <w_i|psi_j> = [i == j].  For failure
-probabilities q1, q2 the Kraus operators are
+probability q the Kraus operators are
 
-    A_1 = sqrt(1 - q1) |phi_1><w_1|
-    A_2 = sqrt(1 - q2) |phi_2><w_2|
-    A_0 = sqrt(q1) |phi_1><w_1| + sqrt(q2) |phi_2><w_2|
+    A_1 = sqrt(1 - q) |phi_1><w_1|
+    A_2 = sqrt(1 - q) |phi_2><w_2|
+    A_0 = sqrt(q) (|phi_1><w_1| + |phi_2><w_2|)
+        = diag(sqrt((q + s)/(1 + s)), sqrt((q - s)/(1 - s)))
 
-and each POVM element is Pi_i = A_i^dag A_i.  The columns of A_0 are
-(sqrt(q1) phi_1 +- sqrt(q2) phi_2) / (2c or 2d); at q1 = q2 = q it is
-diag(sqrt((q + s)/(1 + s)), sqrt((q - s)/(1 - s))), where q - s is exact
-near s = 1.  The conditional states phi_1, phi_2 form a pair with overlap
-t = s / sqrt(q1 q2).  Both the identifying and the failure branch leave the
+where q - s is exact near s = 1, and each POVM element is
+Pi_i = A_i^dag A_i.  The conditional states phi_1, phi_2 form a pair with
+overlap t = s / q.  Both the identifying and the failure branch leave the
 qubit in the same phi_i, so the only information lost to the next observer
 is the increase of the overlap from s to t.  Requiring t <= 1 gives the
-admissibility condition q1 q2 >= s^2.  The outcome probabilities are
-(1 - q1, 0, q1) for psi_1 and (0, 1 - q2, q2) for psi_2.  Every
-measurement the package samples has q1 = q2 = q, so whether it succeeds
-does not depend on the input, and one threshold 1 - q samples it.
+admissibility condition q >= s.  The outcome probabilities are
+(1 - q, 0, q) for psi_1 and (0, 1 - q, q) for psi_2, so whether the
+measurement succeeds does not depend on the input, and one threshold
+1 - q samples it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .states import check_overlap, freeze, make_state_pair
 
 # Tolerance of the numerical checks in validate(): absolute on the
 # completeness and zero-error residuals and on det Pi0, relative on the
-# admissibility test sqrt(q1) sqrt(q2) >= s.
+# admissibility test q >= s.
 DEFAULT_TOL = 1e-10
 
 # A wrong-state outcome probability below this floor is rounded to exactly
@@ -48,7 +47,8 @@ PROB_FLOOR = 1e-12
 @dataclass(frozen=True)
 class UDMeasurement:
     """An unambiguous discrimination measurement of the pair with overlap
-    `s`, which leaves the pair with overlap `t`.
+    `s`, failing with probability `q` on either state, which leaves the
+    pair with overlap `t`.
 
     `kraus` holds (A1, A2, A0), the only stored form of the measurement;
     `povm` derives (Pi1, Pi2, Pi0) from it, each Pi_i = A_i^dag A_i, so
@@ -59,8 +59,7 @@ class UDMeasurement:
 
     s: float
     t: float
-    q1: float
-    q2: float
+    q: float
     kraus: tuple
 
     @property
@@ -74,14 +73,13 @@ class DiagnosticsReport:
     """Numerical health check of a UDMeasurement.
 
     trace_pi0 and det_pi0 come from the closed forms
-    (q1 + q2 - 2 s^2) / (1 - s^2) and (q1 q2 - s^2) / (1 - s^2), with
-    1 - s^2 taken as (1 - s)(1 + s); both must be nonnegative for Pi0 to
-    be a valid element. Factored this way neither cancels as s nears 1.
+    2 (q - s^2) / (1 - s^2) and (q - s)(q + s) / (1 - s^2), with 1 - s^2
+    taken as (1 - s)(1 + s); both must be nonnegative for Pi0 to be a
+    valid element.  Factored this way neither cancels as s nears 1.
     validate() requires det_pi0 >= -DEFAULT_TOL, which sees a shortfall of
-    q1 q2 near s = 1, and sqrt(q1) sqrt(q2) >= s to a relative DEFAULT_TOL,
-    which sees it at small s; together they imply trace_pi0 >= 0, since
-    (q1 + q2) / 2 >= sqrt(q1 q2).  Positivity has no entry: every element
-    is A_i^dag A_i.
+    q near s = 1, and q >= s to a relative DEFAULT_TOL, which sees it at
+    small s; together they imply trace_pi0 >= 0, since s >= s^2.
+    Positivity has no entry: every element is A_i^dag A_i.
     """
 
     completeness_residual: float
@@ -91,53 +89,42 @@ class DiagnosticsReport:
     passed: bool
 
 
-def output_overlap(s: float, q1: float, q2: float) -> float:
-    """Overlap t of the pair that failure probabilities q1, q2 in (0, 1]
-    leave of input overlap s: s / q at q1 = q2 = q (exactly 1 at q = s),
-    else s / sqrt(q1) / sqrt(q2).  Neither squares, so admissibility,
-    q1*q2 >= s^2, is checked on t even where s^2 underflows; t up to 1e-12
-    above 1 is capped at 1.  ValueError names the bad s, q_i or bound."""
+def output_overlap(s: float, q: float) -> float:
+    """Overlap t = s / q of the pair that failure probability q in (0, 1]
+    leaves of input overlap s, exactly 1 at q = s.  It does not square,
+    so admissibility, q >= s, is checked on t even where s^2 underflows;
+    t up to 1e-12 above 1 is capped at 1.  ValueError names the bad s, q
+    or bound."""
     s = check_overlap(s, "input overlap s")
-    for name, q in (("q1", q1), ("q2", q2)):
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"{name}={q} outside (0, 1]")
-    t = s / q1 if q1 == q2 else s / math.sqrt(q1) / math.sqrt(q2)
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q={q} outside (0, 1]")
+    t = s / q
     if t > 1.0 + 1e-12:
         raise ValueError(
-            f"output overlap s/sqrt(q1*q2) = {t} > 1: q1={q1}, q2={q2} violate the "
-            f"admissibility bound q1*q2 >= s^2 for s={s}"
+            f"output overlap s/q = {t} > 1: q={q} violates the admissibility "
+            f"bound q >= s for s={s}"
         )
     return min(t, 1.0)
 
 
-def build_intermediate_ud(s: float, q1: float, q2: float) -> UDMeasurement:
-    """Measurement of the pair with overlap `s` with prescribed failure
-    probabilities q1, q2 in (0, 1].
+def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
+    """Measurement of the pair with overlap `s` that fails with
+    probability q in (0, 1] on either state.
 
-    Requires q1*q2 >= s^2; at equality the output states coincide (t is
-    then 1) and the measurement extracts everything: q1 = q2 = s is the
-    minimum-failure measurement for equal priors.
-    q_i = 1 is allowed and simply means state i is never identified.  The
-    output overlap t, and every check, comes from output_overlap().
+    Requires q >= s; at equality the output states coincide (t is then 1)
+    and the measurement extracts everything: q = s is the minimum-failure
+    measurement for equal priors, and q = 1 never identifies a state.
+    The output overlap t, and every check, comes from output_overlap().
     """
-    t = output_overlap(s, q1, q2)
-    s = float(s)
+    t = output_overlap(s, q)
+    s, q = float(s), float(q)
     c, d = make_state_pair(s)[0].real
     phi1, phi2 = make_state_pair(t)
-    A1 = math.sqrt(1.0 - q1) * np.outer(phi1, [0.5 / c, 0.5 / d])
-    A2 = math.sqrt(1.0 - q2) * np.outer(phi2, [0.5 / c, -0.5 / d])
-    if q1 == q2:  # q1 - s < 0 only where t was capped at 1
-        A0 = np.diag([math.sqrt((q1 + s) / (1.0 + s)), math.sqrt(max(q1 - s, 0.0) / (1.0 - s))])
-    else:
-        r1, r2 = math.sqrt(q1) * phi1, math.sqrt(q2) * phi2
-        A0 = np.column_stack(((r1 + r2) / (2.0 * c), (r1 - r2) / (2.0 * d)))
-    return UDMeasurement(
-        s=s,
-        t=t,
-        q1=float(q1),
-        q2=float(q2),
-        kraus=tuple(freeze(A) for A in (A1, A2, A0)),
-    )
+    A1 = math.sqrt(1.0 - q) * np.outer(phi1, [0.5 / c, 0.5 / d])
+    A2 = math.sqrt(1.0 - q) * np.outer(phi2, [0.5 / c, -0.5 / d])
+    # q - s < 0 only where t was capped at 1
+    A0 = np.diag([math.sqrt((q + s) / (1.0 + s)), math.sqrt(max(q - s, 0.0) / (1.0 - s))])
+    return UDMeasurement(s=s, t=t, q=q, kraus=tuple(freeze(A) for A in (A1, A2, A0)))
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
@@ -146,13 +133,13 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     Hermiticity and positivity need no check: each element is derived as
     A_i^dag A_i from the stored Kraus operators."""
     Pi1, Pi2, Pi0 = meas.povm
-    s = meas.s
+    s, q = meas.s, meas.q
     psi1, psi2 = make_state_pair(s)
     one_minus_s2 = (1.0 - s) * (1.0 + s)
 
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
-    trace_pi0 = (meas.q1 + meas.q2 - 2.0 * s * s) / one_minus_s2
-    det_pi0 = (meas.q1 * meas.q2 - s * s) / one_minus_s2
+    trace_pi0 = 2.0 * (q - s * s) / one_minus_s2
+    det_pi0 = (q - s) * (q + s) / one_minus_s2
     zero_err = (
         abs(complex(np.vdot(psi2, Pi1 @ psi2))),
         abs(complex(np.vdot(psi1, Pi2 @ psi1))),
@@ -161,7 +148,7 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     passed = (
         completeness <= DEFAULT_TOL
         and det_pi0 >= -DEFAULT_TOL
-        and math.sqrt(meas.q1) * math.sqrt(meas.q2) >= s * (1.0 - DEFAULT_TOL)
+        and q >= s * (1.0 - DEFAULT_TOL)
         and all(r <= DEFAULT_TOL for r in zero_err)
     )
     return DiagnosticsReport(

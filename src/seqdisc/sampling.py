@@ -32,6 +32,10 @@ CHUNK_DOUBLES = 1 << 17
 # Philox keys are 128-bit integers.
 SEED_LIMIT = 1 << 128
 
+# Uniforms run_trials() draws at most in one run, trials * (1 + observers):
+# about two minutes at 20-30 ns a draw, so every accepted count finishes.
+MAX_DRAWS = 1 << 32
+
 
 def blocks_per_trial(draws_per_trial: int) -> int:
     return -(-draws_per_trial // _BLOCK)
@@ -67,7 +71,7 @@ def chunk_ranges(n_trials: int, chunk_size: int):
         yield start, min(chunk_size, n_trials - start)
 
 
-def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
+def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "trials") -> tuple:
     """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
 
     A trial draws 1 + len(thresholds) uniforms: draw 0 picks the prepared
@@ -78,11 +82,13 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel) -> tuple:
     masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and the
     bool column sent1 = draw 0 < 0.5, the equal-prior choice, marks the
     trials that sent state 1.  The sums do not depend on the chunk size,
-    because neither the draws nor the per-trial kernel do.
+    because neither the draws nor the per-trial kernel do.  A count outside
+    [1, MAX_DRAWS // draws] is refused before any draw, called `name`.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     draws = 1 + len(thresholds)
+    if not 1 <= trials <= MAX_DRAWS // draws:
+        raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
+                         f"in all, {draws} per trial), got {trials}")
     chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
     totals = None
     for start, count in chunk_ranges(trials, chunk):

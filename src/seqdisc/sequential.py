@@ -1,8 +1,8 @@
 """Chains of observers measuring the same qubit in turn.
 
 A sender prepares one of two states with overlap s (equal priors).  Each
-observer applies an unambiguous measurement with tunable failure
-probabilities and passes the qubit on; because both branches of such a
+observer applies an unambiguous measurement with a tunable failure
+probability and passes the qubit on; because both branches of such a
 measurement leave the qubit in the same conditional state, later observers
 see a fresh discrimination problem with a larger overlap and need no
 knowledge of earlier outcomes.
@@ -13,9 +13,12 @@ s <= t <= 1, and the probability that both identify the state is
 
     P = ((1 - q1_b)(1 - q1_c) + (1 - q2_b)(1 - q2_c)) / 2.
 
-On the symmetric slice q1 = q2 per observer this is (1 - s/t)(1 - t),
-maximized at t = sqrt(s) with value (1 - sqrt(s))^2.  For n observers the
-same geometric splitting gives (1 - s**(1/n))**n.
+On the symmetric slice q1 = q2 per observer, the measurements this
+package builds, this is (1 - s/t)(1 - t), maximized at t = sqrt(s) with
+value (1 - sqrt(s))^2.  For n observers the same geometric splitting gives
+(1 - s**(1/n))**n.  Off the slice P can be larger: the one-sided pairs
+q_b = q_c = (s, 1) give (1 - s)^2 / 2, above (1 - sqrt(s))^2 for every
+s > 3 - 2 sqrt(2) (about 0.1716).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class ChainSpec:
     @property
     def stages(self) -> tuple:
         """Observer k+1's UDMeasurement at [k], built on every read."""
-        return tuple(build_intermediate_ud(a, q, q) for a, q in zip(self.overlaps, self.failures))
+        return tuple(build_intermediate_ud(a, q) for a, q in zip(self.overlaps, self.failures))
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,9 @@ class OptimizationResult:
 
 
 def optimize_two_observer(s: float) -> OptimizationResult:
-    """Maximize the symmetric-slice joint success over t in [s, 1].
+    """Maximize the joint success over measurements that fail equally on
+    both states, t in [s, 1].  Above s = 3 - 2 sqrt(2) one-sided pairs do
+    better (see the module docstring).
 
     f(t) = (1 - s/t)(1 - t) has f'(t) = s/t^2 - 1, so the maximum sits at
     t_star = sqrt(s), which is also the common failure probability q_star;
@@ -169,7 +174,7 @@ def build_chain(s: float, n: int) -> ChainSpec:
 
     Stage k's output_overlap() is stage k+1's input.  Every stage but the
     last fails with q = s**(1/n); the last fails with the overlap it
-    receives, so it saturates q1*q2 = s^2 and outputs overlap exactly 1.
+    receives, so q = s, on the admissibility bound, and it outputs 1.
     An s so close to 1 that q rounds to 1, or that an earlier stage's
     output does, raises ValueError naming s and n: no observer but the last
     could then succeed.  n is capped at MAX_CHAIN_LENGTH.
@@ -185,7 +190,7 @@ def build_chain(s: float, n: int) -> ChainSpec:
     for k in range(n):
         a = overlaps[-1]
         try:
-            overlaps.append(output_overlap(a, q, q) if k < n - 1 else output_overlap(a, a, a))
+            overlaps.append(output_overlap(a, q) if k < n - 1 else output_overlap(a, a))
         except ValueError as exc:
             raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from exc
     return ChainSpec(s=s, n=n, q=q, overlaps=tuple(overlaps))

@@ -128,7 +128,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         kind 3:  (cloner, first receiver, second receiver)
         seq:     the two-observer chain
 
-    Every receiver runs the minimum-failure measurement (q1 = q2 = s) on a
+    Every receiver runs the minimum-failure measurement (q = s) on a
     perfect copy of the prepared state, so it succeeds where its draw is
     below the one threshold 1 - s, whichever state was sent; the cloner
     succeeds below 1 / (1 + s).  Every draw is consumed whether or not its

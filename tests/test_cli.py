@@ -13,9 +13,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import seqdisc
+from seqdisc import sampling
 from seqdisc.b92 import EVE_POLICIES, MODES
 from seqdisc.cli import main
 from seqdisc.reporting import round_sig
+from seqdisc.sampling import MAX_DRAWS
 from seqdisc.sequential import optimal_n_observer, optimize_two_observer
 from seqdisc.strategies import CSV_HEADER, KINDS
 
@@ -328,9 +330,60 @@ def test_report_reruns_from_its_echoed_inputs(capsys, argv):
     assert run_cli(capsys, *rerun) == (0, out, "")
 
 
-# The CLI contract over every numeric flag: the edges of each domain, and
-# overlaps log-spaced toward 0 and toward 1.  Counts stay small, since a
-# huge --trials or --rounds is accepted and runs for as long as it asks.
+def _refuse_draws(*args):
+    raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("argv, count, draws", [
+    (["simulate", "--kind", "1", "--s", "0.3", "--trials"], 2**128, 2),
+    (["simulate", "--kind", "3", "--s", "0.3", "--trials"], MAX_DRAWS // 4 + 1, 4),
+    (["simulate", "--kind", "seq", "--n", "10000", "--s", "0.3", "--trials"],
+     MAX_DRAWS // 10001 + 1, 10001),
+    (["b92", "--s", "0.3", "--mode", "two_qubit", "--rounds"], MAX_DRAWS // 3 + 1, 3),
+    (["b92", "--s", "0.3", "--mode", "two_qubit", "--eve", "intercept_ud", "--rounds"],
+     MAX_DRAWS // 6 + 1, 6),
+    (["b92", "--s", "0.3", "--mode", "one_qubit_sequential", "--eve", "intercept_ud",
+      "--rounds"], 2**128, 5),
+])
+def test_runs_beyond_the_draw_cap_are_refused_before_any_draw(monkeypatch, capsys, argv,
+                                                              count, draws):
+    monkeypatch.setattr(sampling, "trial_uniforms", _refuse_draws)
+    name = "trials" if argv[0] == "simulate" else "config field 'rounds'"
+    message = (f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws in all, "
+               f"{draws} per trial), got {count}")
+    assert run_cli(capsys, *argv, str(count)) == (2, "", f"error: {message}\n")
+
+
+def test_config_file_rounds_beyond_the_draw_cap_are_refused(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sampling, "trial_uniforms", _refuse_draws)
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"s": 0.3, "rounds": 2**128, "mode": "two_qubit"}))
+    code, out, err = run_cli(capsys, "b92", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == (f"error: config field 'rounds' must be in [1, {MAX_DRAWS // 3}] "
+                   f"({MAX_DRAWS} draws in all, 3 per trial), got {2**128}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--s", "0.3", "--n=True"], "argument --n: invalid int value: 'True'"),
+    (["simulate", "--kind", "1", "--s", "0.3", "--trials", "1e3"],
+     "argument --trials: invalid int value: '1e3'"),
+    (["curves", "--s-min="], "argument --s-min: invalid float value: ''"),
+    (["neumark", "--s", "0x10"], "argument --s: invalid float value: '0x10'"),
+    (["optimize"], "the following arguments are required: --s"),
+    (["optimize", "--s", "0.3", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["simulate", "--kind", "4", "--s", "0.3", "--trials", "1"],
+     "argument --kind: invalid choice: '4' (choose from '1', '2', '3', 'seq')"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_lines_give_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# The CLI contract over every numeric flag: the edges of each domain,
+# overlaps log-spaced toward 0 and toward 1, and strings no numeric flag
+# takes.  A --trials or --rounds of 2**128 is refused by MAX_DRAWS before
+# any draw, so it starts no long run.
 _OVERLAPS = hst.one_of(
     hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nextafter(0.0, 1.0),
                       math.nextafter(1.0, 0.0), 1.0, 1.5, -0.5, math.nan, math.inf, -math.inf]),
@@ -338,16 +391,23 @@ _OVERLAPS = hst.one_of(
     hst.floats(min_value=-16.0, max_value=-1e-3).map(lambda e: 1.0 - 10.0**e),
 )
 _COUNTS = [0, -1, 1, 2, 50]
+# strings argparse refuses for every numeric flag; the int flags also
+# refuse a float literal
+_MALFORMED = ["True", "0x10", ""]
+_FLOAT_FLAGS = {"--s", "--s-min", "--s-max"}
 # each numeric flag: its values, the name an error message gives its
 # parameter, and the domain a command that exits 0 must have accepted it from
 CONTRACT_FLAGS = {
     "--s": (_OVERLAPS, r"\bs\b", lambda v: 0.0 < v < 1.0),
-    "--s-min": (_OVERLAPS, r"\bs_min\b", lambda v: 0.0 <= v < 1.0),
-    "--s-max": (_OVERLAPS, r"\bs_max\b", lambda v: 0.0 < v <= 1.0),
+    "--s-min": (_OVERLAPS, r"\bs[_-]min\b", lambda v: 0.0 <= v < 1.0),
+    "--s-max": (_OVERLAPS, r"\bs[_-]max\b", lambda v: 0.0 < v <= 1.0),
     "--n": (hst.sampled_from([0, -1, 1, 2, 64, 10001, 2**128, 2**1100]), r"\bn\b",
             lambda v: v >= 1),
-    "--trials": (hst.sampled_from(_COUNTS), r"\btrials\b", lambda v: v >= 1),
-    "--rounds": (hst.sampled_from(_COUNTS), r"\brounds\b", lambda v: v >= 1),
+    # a trial draws at least 2 uniforms, a round at least 3
+    "--trials": (hst.sampled_from([*_COUNTS, 2**128]), r"\btrials\b",
+                 lambda v: 1 <= v <= MAX_DRAWS // 2),
+    "--rounds": (hst.sampled_from([*_COUNTS, 2**128]), r"\brounds\b",
+                 lambda v: 1 <= v <= MAX_DRAWS // 3),
     "--steps": (hst.sampled_from([*_COUNTS, 1000001]), r"\bsteps\b", lambda v: 2 <= v <= 10**6),
     "--seed": (hst.sampled_from([0, -1, 2**128 - 1, 2**128]), r"\bseed\b",
                lambda v: 0 <= v < 2**128),
@@ -366,7 +426,7 @@ CONTRACT_COMMANDS = {
 
 
 # b92 --config: each field of the file is absent, one of these JSON values
-# (rounds never 2**128, as above) or a string
+# or a string
 _ABSENT = object()
 _JSON_VALUES = [None, True, False, 0, -1, 1, 2, 2**128, 0.3, 1.0, math.nan, math.inf, -math.inf,
                 "bogus", [0.3], {"a": 1}]
@@ -382,7 +442,7 @@ CONFIG_FIELDS = {
 # domain a run that exits 0 must have read it from
 CONFIG_ENTRIES = {
     "s": (r"config field 's'", lambda v: type(v) is float and 0.0 < v < 1.0),
-    "rounds": (r"config field 'rounds'", lambda v: type(v) is int and v >= 1),
+    "rounds": (r"config field 'rounds'", lambda v: type(v) is int and 1 <= v <= MAX_DRAWS // 3),
     "mode": (r"config field 'mode'", lambda v: isinstance(v, str) and v in MODES),
     "eve": (r"config field 'eve'", lambda v: v is _ABSENT or isinstance(v, str) and v in EVE_POLICIES),
     "seed": (r"config field 'seed'", lambda v: v is _ABSENT or type(v) is int and 0 <= v < 2**128),
@@ -404,7 +464,7 @@ def contract_config(draw):
     off = draw(hst.sampled_from([*CONFIG_FIELDS, "a"])) if shape == "one entry off" else None
     values = {"a": 1} if off == "a" else {}
     for name, (valid, strings) in CONFIG_FIELDS.items():
-        anything = [_ABSENT, *(v for v in _JSON_VALUES if name != "rounds" or v != 2**128), *strings]
+        anything = [_ABSENT, *_JSON_VALUES, *strings]
         values[name] = draw(hst.sampled_from(anything if name == off else valid))
     return ["b92"], values, json.dumps({k: v for k, v in values.items() if v is not _ABSENT})
 
@@ -412,16 +472,21 @@ def contract_config(draw):
 @hst.composite
 def contract_argv(draw):
     """(argv, {numeric flag: drawn value}, None) for one of the five
-    commands, or, half the time, contract_config()'s draw."""
+    commands, with one flag malformed a quarter of the time, or, half the
+    time, contract_config()'s draw."""
     if draw(hst.booleans()):
         return draw(contract_config())
     command = draw(hst.sampled_from(sorted(CONTRACT_COMMANDS)))
     required, optional, choices, _ = CONTRACT_COMMANDS[command]
     flags = required + [flag for flag in optional if draw(hst.booleans())]
     values = {flag: draw(CONTRACT_FLAGS[flag][0]) for flag in flags}
+    if flags and draw(hst.integers(0, 3)) == 0:
+        flag = draw(hst.sampled_from(flags))
+        values[flag] = draw(hst.sampled_from(_MALFORMED + ["1e3"] * (flag not in _FLOAT_FLAGS)))
     picked = [f"{flag}={draw(hst.sampled_from(options))}" for flag, options in choices.items()]
     # --flag=value, so that argparse reads -inf and -5e-324 as values
-    argv = [command, *picked, *(f"{flag}={value!r}" for flag, value in values.items())]
+    argv = [command, *picked, *(f"{flag}={value if isinstance(value, str) else repr(value)}"
+                                for flag, value in values.items())]
     return argv, values, None
 
 
@@ -568,3 +633,7 @@ def test_module_entry_point_exit_status():
     assert done.returncode == 2 and done.stdout == b""
     lines = done.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: s=")
+    # argparse's own refusals take the same one-line form
+    done = _run_module("optimize", "--s", "0.3", "--n=True")
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == b"error: argument --n: invalid int value: 'True'\n"

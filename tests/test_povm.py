@@ -22,20 +22,14 @@ S_GRID = [0.04, 0.25, 0.5, 0.75, 0.9]
 
 
 def _q_grid(s, count=8):
-    """Admissible (q1, q2) pairs for overlap s, sweeping both extremes."""
-    pairs = []
-    for u in np.linspace(0.0, 1.0, count):
-        q1 = s + (1.0 - s) * u
-        lo = s * s / q1
-        q2 = lo + (1.0 - lo) * (1.0 - u)
-        pairs.append((q1, q2))
-    return pairs
+    """Admissible failure probabilities for overlap s, sweeping [s, 1]."""
+    return [s + (1.0 - s) * u for u in np.linspace(0.0, 1.0, count)]
 
 
 @pytest.mark.parametrize("s", S_GRID + [1.0 - 1e-8])
 def test_optimal_measurement_is_valid_and_exhausting(s):
-    meas = build_intermediate_ud(s, s, s)
-    assert meas.q1 == meas.q2 == s
+    meas = build_intermediate_ud(s, s)
+    assert meas.q == s
     assert meas.t == 1.0
     report = validate(meas)
     assert report.passed
@@ -44,24 +38,24 @@ def test_optimal_measurement_is_valid_and_exhausting(s):
 
 @pytest.mark.parametrize("s", S_GRID)
 def test_intermediate_measurements_validate_on_a_grid(s):
-    for q1, q2 in _q_grid(s):
-        meas = build_intermediate_ud(s, q1, q2)
+    for q in _q_grid(s):
+        meas = build_intermediate_ud(s, q)
         report = validate(meas)
-        assert report.passed, (s, q1, q2, report)
-        want_t = min(1.0, s / math.sqrt(q1 * q2))
+        assert report.passed, (s, q, report)
+        want_t = min(1.0, s / q)
         assert meas.t == pytest.approx(want_t, abs=1e-10)
 
 
 @pytest.mark.parametrize("s", S_GRID)
 def test_branch_probabilities_match_failure_targets(s):
-    for q1, q2 in _q_grid(s):
-        meas = build_intermediate_ud(s, q1, q2)
+    for q in _q_grid(s):
+        meas = build_intermediate_ud(s, q)
         p1, wrong1, fail1 = outcome_probabilities(meas, 1)
         wrong2, p2, fail2 = outcome_probabilities(meas, 2)
-        assert p1 == pytest.approx(1.0 - q1, abs=1e-12)
-        assert p2 == pytest.approx(1.0 - q2, abs=1e-12)
-        assert fail1 == pytest.approx(q1, abs=1e-12)
-        assert fail2 == pytest.approx(q2, abs=1e-12)
+        assert p1 == pytest.approx(1.0 - q, abs=1e-12)
+        assert p2 == pytest.approx(1.0 - q, abs=1e-12)
+        assert fail1 == pytest.approx(q, abs=1e-12)
+        assert fail2 == pytest.approx(q, abs=1e-12)
         assert wrong1 == 0.0
         assert wrong2 == 0.0
 
@@ -71,42 +65,43 @@ def test_outcome_probabilities_keep_tiny_success_probabilities():
     # 1 - s**0.5 = 5.0e-13, below PROB_FLOOR; only the wrong outcome is floored
     stage = build_chain(1.0 - 1e-12, 2).stages[0]
     p1, wrong, p0 = outcome_probabilities(stage, 1)
-    assert p1 == pytest.approx(1.0 - stage.q1, rel=1e-12, abs=0)
+    assert p1 == pytest.approx(1.0 - stage.q, rel=1e-12, abs=0)
     assert p1 > 4e-13 and wrong == 0.0
-    assert p0 == pytest.approx(stage.q1, rel=1e-15)
+    assert p0 == pytest.approx(stage.q, rel=1e-15)
     assert apply(stage, 1, 1e-13)[0] == 1
     assert apply(stage, 2, 1e-13)[0] == 2
 
 
 def test_cumulative_outcome_probabilities_match_sampling_boundaries():
     # the sampler's closed-form success thresholds against the measurement's
-    # own probabilities, and its pre-floor wrong-outcome mass
-    stages = [stage for gap in np.logspace(-12, -1, 60) for n in (2, 64)
-              for stage in build_chain(1.0 - gap, n).stages]
-    stages += [build_intermediate_ud(s, q1, q2)
-               for s in S_GRID for q1, q2 in _q_grid(s)]
+    # own probabilities, and its pre-floor wrong-outcome mass, over chain
+    # stages and the whole admissible range of q, near s = 1 too
+    gaps = np.logspace(-12, -1, 60)
+    stages = [stage for gap in gaps for n in (2, 64) for stage in build_chain(1.0 - gap, n).stages]
+    stages += [build_intermediate_ud(s, q) for s in [*S_GRID, *(1.0 - gaps)] for q in _q_grid(s)]
     for stage in stages:
-        for i, q in ((1, stage.q1), (2, stage.q2)):
+        report = validate(stage)
+        assert report.passed, stage
+        for i in (1, 2):
             identified = outcome_probabilities(stage, i)[i - 1]
-            assert abs(identified - sampling_boundaries(q)) <= 1e-15
-        assert max(validate(stage).zero_error_residuals) <= 1e-15
+            assert abs(identified - sampling_boundaries(stage.q)) <= 1e-15
+        assert max(report.zero_error_residuals) <= 1e-15
 
 
 def test_output_overlap_is_the_measurements_output_overlap():
     for s in S_GRID:
-        for q1, q2 in _q_grid(s):
-            meas = build_intermediate_ud(s, q1, q2)
-            assert output_overlap(s, q1, q2) == meas.t
-    assert output_overlap(0.3, 0.3, 0.3) == 1.0
-    for args, needle in (((1.0, 0.5, 0.5), r"^input overlap s=1\.0 outside \(0, 1\)$"),
-                         ((0.5, 0.0, 0.9), r"^q1=0\.0 outside \(0, 1\]$"),
-                         ((0.5, 0.5, 0.49), r"admissibility bound q1\*q2 >= s\^2 for s=0\.5$")):
+        for q in _q_grid(s):
+            assert output_overlap(s, q) == build_intermediate_ud(s, q).t
+    assert output_overlap(0.3, 0.3) == 1.0
+    for args, needle in (((1.0, 0.5), r"^input overlap s=1\.0 outside \(0, 1\)$"),
+                         ((0.5, 0.0), r"^q=0\.0 outside \(0, 1\]$"),
+                         ((0.5, 0.49), r"admissibility bound q >= s for s=0\.5$")):
         with pytest.raises(ValueError, match=needle):
             output_overlap(*args)
 
 
 def test_validate_formulas_match_direct_matrix_values():
-    meas = build_intermediate_ud(0.3, 0.7, 0.5)
+    meas = build_intermediate_ud(0.3, 0.7)
     report = validate(meas)
     pi0 = meas.povm[2]
     assert report.trace_pi0 == pytest.approx(np.trace(pi0).real, abs=1e-12)
@@ -117,7 +112,7 @@ def test_validate_formulas_match_direct_matrix_values():
 def test_validate_flags_a_tampered_failure_operator():
     # scale A0: Pi0 grows by 2% and the elements no longer sum to the
     # identity
-    meas = build_intermediate_ud(0.3, 0.6, 0.8)
+    meas = build_intermediate_ud(0.3, 0.6)
     bad_A0 = 1.01 * meas.kraus[2]
     tampered = dataclasses.replace(meas, kraus=(meas.kraus[0], meas.kraus[1], bad_A0))
     report = validate(tampered)
@@ -126,17 +121,17 @@ def test_validate_flags_a_tampered_failure_operator():
 
 
 def test_validate_refuses_inadmissible_failure_probabilities():
-    # at s = 1e-6, q1 q2 = 5e-13 < s^2 = 1e-12 leaves det_pi0 = -5e-13,
-    # inside an absolute DEFAULT_TOL; the relative test on roots refuses it
-    meas = build_intermediate_ud(1e-6, 1e-6, 1e-6)
-    report = validate(dataclasses.replace(meas, q1=0.5e-6))
+    # at s = 1e-6, q = 5e-7 < s leaves det_pi0 = -7.5e-13, inside an
+    # absolute DEFAULT_TOL; the relative test q >= s refuses it
+    meas = build_intermediate_ud(1e-6, 1e-6)
+    report = validate(dataclasses.replace(meas, q=0.5e-6))
     assert -1e-12 < report.det_pi0 < 0.0
     assert not report.passed
-    # near s = 1 a relative shortfall of 1e-13 is within the root test's
-    # slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
+    # near s = 1 a relative shortfall of 1e-13 is within the relative
+    # test's slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
     s = 1.0 - 1e-8
-    meas = build_intermediate_ud(s, s, s)
-    report = validate(dataclasses.replace(meas, q1=s * (1.0 - 1e-13)))
+    meas = build_intermediate_ud(s, s)
+    report = validate(dataclasses.replace(meas, q=s * (1.0 - 1e-13)))
     assert report.det_pi0 < -1e-6
     assert not report.passed
     assert validate(meas).passed
@@ -145,11 +140,13 @@ def test_validate_refuses_inadmissible_failure_probabilities():
 def test_sampled_outcome_rates_match_branch_probabilities():
     # classify_uniforms's success mask shares apply()'s cells exactly
     # (checked below), so a vectorized run stands in for a million scalar
-    # applications per input; each input gets its own threshold
-    meas = build_intermediate_ud(0.3, 0.6, 0.8)
+    # applications per input
+    meas = build_intermediate_ud(0.3, 0.6)
     n = 1_000_000
     rng = np.random.default_rng(2024)
-    for i, q in ((1, meas.q1), (2, meas.q2)):
+    q = meas.q
+    for i in (1, 2):
+        assert outcome_probabilities(meas, i)[2] == pytest.approx(q, abs=1e-15)
         u = rng.random(n)
         ok = classify_uniforms(sampling_boundaries(q), u)
         assert ok.dtype == bool and ok.shape == (n,)
@@ -162,51 +159,52 @@ def test_sampled_outcome_rates_match_branch_probabilities():
 
 
 def test_kraus_operators_resolve_the_identity():
-    meas = build_intermediate_ud(0.6, 0.9, 0.8)
+    meas = build_intermediate_ud(0.6, 0.8)
     total = sum(np.conj(a).T @ a for a in meas.kraus)
     assert np.linalg.norm(total - np.eye(2)) < 1e-12
 
 
 def test_admissibility_bound_is_enforced():
     with pytest.raises(ValueError, match="admissibility"):
-        build_intermediate_ud(0.5, 0.5, 0.49)
+        build_intermediate_ud(0.5, 0.49)
     # the boundary itself is accepted, and so is q up to 1e-12 below it
     for q in (0.5, 0.5 - 1e-14):
-        meas = build_intermediate_ud(0.5, q, q)
+        meas = build_intermediate_ud(0.5, q)
         assert meas.t == 1.0
         assert validate(meas).passed
 
 
 def test_admissibility_holds_where_the_products_underflow():
-    # at s = 1e-170 both s^2 and q1*q2 round to 0, so only the output
+    # at s = 1e-170 both s^2 and q^2 round to 0, so only the output
     # overlap can tell admissible failure probabilities from the rest
-    for q1, q2 in ((1e-200, 1e-200), (1e-200, 2e-200)):
+    for q in (1e-200, 9.9e-171):
         with pytest.raises(ValueError, match="admissibility"):
-            build_intermediate_ud(1e-170, q1, q2)
-    meas = build_intermediate_ud(1e-170, 2e-170, 5e-171)
-    assert meas.t == pytest.approx(1.0, abs=1e-15)
-    assert validate(meas).passed
+            build_intermediate_ud(1e-170, q)
+    for q, t in ((1e-170, 1.0), (2e-170, 0.5)):
+        meas = build_intermediate_ud(1e-170, q)
+        assert meas.t == t
+        assert validate(meas).passed
 
 
 def test_failure_probability_range_is_enforced():
-    for q1, q2 in ((0.0, 0.9), (1.2, 0.9), (0.9, -0.1)):
-        with pytest.raises(ValueError):
-            build_intermediate_ud(0.5, q1, q2)
-    # unit failure probability on one branch is a legal extreme point
-    meas = build_intermediate_ud(0.5, 1.0, 0.5)
-    p1, _, _ = outcome_probabilities(meas, 1)
-    assert p1 == 0.0
+    for q in (0.0, 1.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match=f"^q={q} outside"):
+            build_intermediate_ud(0.5, q)
+    # unit failure probability is a legal extreme point: nothing is learned
+    meas = build_intermediate_ud(0.5, 1.0)
+    assert meas.t == 0.5
+    assert outcome_probabilities(meas, 1)[0] == outcome_probabilities(meas, 2)[1] == 0.0
 
 
 def test_degenerate_pairs_are_rejected():
     for s in (0.0, 1.0):
         with pytest.raises(ValueError):
-            build_intermediate_ud(s, 0.5, 0.5)
+            build_intermediate_ud(s, 0.5)
 
 
 def test_apply_cells_and_post_states():
     s = 0.25
-    meas = build_intermediate_ud(s, s, s)
+    meas = build_intermediate_ud(s, s)
     phi1, phi2 = make_state_pair(meas.t)
     # input 1: identify cell [0, 0.75), failure [0.75, 1)
     for rand, want in ((0.0, 1), (0.74, 1), (0.75, 0), (0.99, 0)):
@@ -221,14 +219,14 @@ def test_apply_cells_and_post_states():
 
 
 def test_apply_on_intermediate_measurement_keeps_branches_aligned():
-    meas = build_intermediate_ud(0.25, 0.5, 0.5)
+    meas = build_intermediate_ud(0.25, 0.5)
     _, post_id = apply(meas, 1, 0.0)  # identify outcome
     _, post_fail = apply(meas, 1, 0.99)  # failure outcome
     assert abs(np.vdot(post_id, post_fail)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_validates_arguments():
-    meas = build_intermediate_ud(0.5, 0.5, 0.5)
+    meas = build_intermediate_ud(0.5, 0.5)
     with pytest.raises(ValueError):
         apply(meas, 3, 0.5)
     with pytest.raises(ValueError):
@@ -240,13 +238,11 @@ def test_apply_validates_arguments():
 
 
 def test_classify_uniforms_agrees_with_apply():
-    meas = build_intermediate_ud(0.3, 0.6, 0.8)
+    meas = build_intermediate_ud(0.3, 0.6)
     rng = np.random.default_rng(99)
     u = rng.random(500)
     prep = rng.integers(1, 3, size=500).astype(np.int8)
-    # unequal q1, q2: each trial gets its prepared state's threshold
-    per_trial = np.where(prep == 1, sampling_boundaries(meas.q1), sampling_boundaries(meas.q2))
-    fast = classify_uniforms(per_trial, u)
+    fast = classify_uniforms(sampling_boundaries(meas.q), u)
     for j in range(500):
         outcome, _ = apply(meas, int(prep[j]), float(u[j]))
         # apply() names the prepared state or fails, as the mask says
@@ -294,7 +290,7 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
 
 
 def test_measurement_matrices_are_read_only():
-    meas = build_intermediate_ud(0.5, 0.5, 0.5)
+    meas = build_intermediate_ud(0.5, 0.5)
     with pytest.raises(ValueError):
         meas.povm[0][0, 0] = 9.0
     with pytest.raises(ValueError):

@@ -77,6 +77,21 @@ def test_argument_validation():
         list(chunk_ranges(10, 0))
 
 
+def test_run_trials_refuses_counts_outside_the_draw_cap_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(sampling, "trial_uniforms", refuse)
+    limit = sampling.MAX_DRAWS // 3
+    for trials, name in ((0, "trials"), (limit + 1, "trials"), (2**128, "rounds")):
+        with pytest.raises(ValueError) as refused:
+            run_trials(SEED, trials, (0.5, 0.5), refuse, name)
+        assert str(refused.value) == (f"{name} must be in [1, {limit}] (4294967296 draws "
+                                      f"in all, 3 per trial), got {trials}")
+    with pytest.raises(AssertionError, match="a draw was made"):
+        run_trials(SEED, limit, (0.5, 0.5), refuse)
+
+
 def test_chunk_ranges_cover_exactly():
     ranges = list(chunk_ranges(10, 4))
     assert ranges == [(0, 4), (4, 4), (8, 2)]

@@ -58,6 +58,40 @@ def test_joint_success_constraint_violations_are_named():
         joint_success_analytic(1.5, (0.5, 0.5), (0.5, 0.5))
 
 
+# where the one-sided pairs q_bob = q_charlie = (s, 1) start to beat the
+# symmetric optimum: (1 - s)^2 / 2 = (1 - sqrt(s))^2 at sqrt(s) = sqrt(2) - 1
+CROSSOVER = 3.0 - 2.0 * math.sqrt(2.0)
+
+
+def _admissible_pairs(s, ts=21, splits=11):
+    """A deterministic grid of admissible (q_bob, q_charlie) pairs: t over
+    [s, 1] plus sqrt(s), and each observer's failure product (t^2 for
+    Charlie, s^2/t^2 for Bob) split between the two states in every ratio
+    of the grid, one-sided splits included."""
+    shares = np.linspace(0.0, 1.0, splits)
+    for t in [*np.linspace(s, 1.0, ts), math.sqrt(s)]:
+        for x in shares:
+            for y in shares:
+                q_bob = ((s / t) ** (2 * y), (s / t) ** (2 * (1 - y)))
+                yield q_bob, (t ** (2 * x), t ** (2 * (1 - x)))
+
+
+def test_symmetric_optimum_is_optimal_only_below_the_crossover():
+    """optimize_two_observer's p_star is the optimum over measurements that
+    fail equally on both states; above 3 - 2 sqrt(2) the one-sided pair
+    does better, and below it no pair of the grid does."""
+    assert 0.17 < CROSSOVER < 0.175
+    for s in (0.175, 0.2, 0.3, 0.5, 0.9, 1.0 - 1e-6):
+        one_sided = joint_success_analytic(s, (s, 1.0), (s, 1.0))
+        assert one_sided == pytest.approx((1.0 - s) ** 2 / 2, rel=1e-12)
+        assert one_sided > optimize_two_observer(s).p_star, s
+    for s in (1e-12, 0.01, 0.1, 0.15, 0.17):
+        p_star = optimize_two_observer(s).p_star
+        assert joint_success_analytic(s, (s, 1.0), (s, 1.0)) < p_star, s
+        best = max(joint_success_analytic(s, b, c) for b, c in _admissible_pairs(s))
+        assert best <= p_star * (1.0 + 1e-12), s
+
+
 @pytest.mark.parametrize("s", [0.04, 0.1, 0.25, 0.5, 0.729, 0.9])
 def test_optimizer_beats_exhaustive_grid(s):
     result = optimize_two_observer(s)
@@ -162,14 +196,15 @@ def test_build_chain_schedule(n):
         for k, stage in enumerate(stages):
             assert stage.s == chain.overlaps[k]
             assert stage.s == pytest.approx(s ** ((n - k) / n), rel=1e-12, abs=0)
-            assert stage.q1 == stage.q2 == pytest.approx(chain.q, rel=1e-12, abs=0)
+            assert stage.q == pytest.approx(chain.q, rel=1e-12, abs=0)
         for prev, nxt in zip(stages, stages[1:]):
             assert prev.t == pytest.approx(nxt.s, rel=1e-12, abs=0)
         assert stages[-1].t == 1.0
-    # the sampler draws each stage against one threshold, so every stage
-    # must fail with exactly the same probability on both inputs
+    # the sampler's thresholds come from the failure probabilities the
+    # stages are built with
     for s in (1e-300, 1e-12, 0.3, 1.0 - 1e-6, 1.0 - 1e-12):
-        assert all(stage.q1 == stage.q2 for stage in build_chain(s, n).stages), s
+        chain = build_chain(s, n)
+        assert tuple(stage.q for stage in chain.stages) == chain.failures, s
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-15, 1000), (0.9999999999999999, 2)])
@@ -219,7 +254,7 @@ def test_build_chain_near_overlap_one(log_gap, n):
     for prev, nxt in zip(stages, stages[1:]):
         assert prev.t == nxt.s < 1.0
     last = stages[-1]
-    assert last.q1 == last.q2 == last.s
+    assert last.q == last.s
     assert last.t == 1.0
     assert all(validate(stage).passed for stage in stages)
 
@@ -313,7 +348,7 @@ def _chained_stages(s, n):
     stages, a = [], s
     for k in range(n):
         try:
-            stage = build_intermediate_ud(a, q, q) if k < n - 1 else build_intermediate_ud(a, a, a)
+            stage = build_intermediate_ud(a, q) if k < n - 1 else build_intermediate_ud(a, a)
         except ValueError as exc:
             raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from None
         stages.append(stage)
@@ -346,8 +381,7 @@ def test_schedule_matches_the_chained_stages(s, n):
         assert str(refused.value) == str(exc)
         return
     chain = build_chain(s, n)
-    assert all(st.q1 == st.q2 for st in stages)
-    assert chain.thresholds == tuple(sampling_boundaries(st.q1) for st in stages)
+    assert chain.thresholds == tuple(sampling_boundaries(st.q) for st in stages)
     assert chain.overlaps == (*(st.s for st in stages), stages[-1].t)
     assert chain.overlaps[-1] == 1.0
 

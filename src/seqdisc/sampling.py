@@ -33,7 +33,7 @@ CHUNK_DOUBLES = 1 << 17
 SEED_LIMIT = 1 << 128
 
 # Uniforms run_trials() draws at most in one run, trials * (1 + observers):
-# about two minutes at 20-30 ns a draw, so every accepted count finishes.
+# 2 to 16 minutes at the 20-230 ns a draw measured, so every accepted run ends.
 MAX_DRAWS = 1 << 32
 
 

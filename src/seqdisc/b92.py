@@ -112,21 +112,20 @@ def run_session(config: SessionConfig) -> KeyReport:
 
     def kernel(masks, sent1):
         *seen, sift_b, sift_c = masks
-        sifted = (np.count_nonzero(sift_b & sift_c), np.count_nonzero(sift_b),
-                  np.count_nonzero(sift_c))
+        sifted = (sift_b & sift_c, sift_b, sift_c)
         if not seen:
-            return sifted + (0, 0, 0)
+            return sifted
         *seen, coin = seen
         # she forwards what she identified, else her coin's guess
         known = np.logical_or.reduce(seen)
         wrong = ~known & (coin != sent1)
-        return sifted + (np.count_nonzero(known), np.count_nonzero(sift_b & wrong),
-                         np.count_nonzero(sift_c & wrong))
+        return sifted + (known, sift_b & wrong, sift_c & wrong)
 
     names = ("both_sifted", "bob_sifted", "charlie_sifted", "eve_known",
              "errors_bob", "errors_charlie")
     n = config.rounds
-    counts = dict(zip(names, run_trials(config.seed, n, eve + receivers, kernel,
+    counts = dict.fromkeys(names, 0)
+    counts.update(zip(names, run_trials(config.seed, n, eve + receivers, kernel,
                                         "config field 'rounds'")))
     return KeyReport(rounds=n, **counts,
                      rates={name: dict(zip(("rate", "stderr"), binomial_rate(c, n)))

@@ -90,7 +90,7 @@ def _cmd_b92(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long or deep
                 raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             found = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(

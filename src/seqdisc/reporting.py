@@ -50,12 +50,8 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if isinstance(obj, Echo) else round_sig(float(obj))
+    if isinstance(obj, float) and not isinstance(obj, Echo):
+        return round_sig(obj)
     return obj
 
 

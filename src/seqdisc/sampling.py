@@ -10,8 +10,8 @@ machines for a given seed.
 
 run_trials() is the one chunk loop behind every simulator: it fills each
 chunk's draws, reads from draw 0 which state was sent, classifies every
-other draw against its observer's threshold, and sums the counts a
-simulator-specific kernel returns from those masks.
+other draw against its observer's threshold, and counts the trials in
+each mask a simulator-specific kernel combines from those masks.
 """
 
 from __future__ import annotations
@@ -72,17 +72,17 @@ def chunk_ranges(n_trials: int, chunk_size: int):
 
 
 def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "trials") -> tuple:
-    """Sum the per-chunk counts of `kernel` over `trials` seeded trials.
+    """Count, for each mask `kernel` returns, the seeded trials where it holds.
 
     A trial draws 1 + len(thresholds) uniforms: draw 0 picks the prepared
     state, and observer k succeeds where draw k is below thresholds[k - 1],
     whichever state was sent.  Each chunk gets its draws from
     trial_uniforms, at most CHUNK_DOUBLES generated doubles or one trial,
-    and kernel(masks, sent1) returns a tuple of counts for the chunk, where
-    masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and the
-    bool column sent1 = draw 0 < 0.5, the equal-prior choice, marks the
-    trials that sent state 1.  The sums do not depend on the chunk size,
-    because neither the draws nor the per-trial kernel do.  A count outside
+    and kernel(masks, sent1) returns a tuple of the chunk's bool masks, where
+    masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and sent1 =
+    draw 0 < 0.5, the equal-prior choice, marks the trials that sent state 1.
+    The counts, Python ints, do not depend on the chunk size, because
+    neither the draws nor the per-trial kernel do.  A count outside
     [1, MAX_DRAWS // draws] is refused before any draw, called `name`.
     """
     draws = 1 + len(thresholds)
@@ -90,13 +90,12 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
         raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
                          f"in all, {draws} per trial), got {trials}")
     chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
-    totals = None
+    totals = 0
     for start, count in chunk_ranges(trials, chunk):
         u = trial_uniforms(seed, count, draws, start)
         masks = [classify_uniforms(t, u[:, k]) for k, t in enumerate(thresholds, 1)]
-        counts = kernel(masks, u[:, 0] < 0.5)
-        totals = counts if totals is None else tuple(map(sum, zip(totals, counts)))
-    return totals
+        totals += np.array([np.count_nonzero(m) for m in kernel(masks, u[:, 0] < 0.5)])
+    return tuple(totals.tolist())
 
 
 def binomial_rate(count: int, n: int) -> tuple:

@@ -79,24 +79,24 @@ class TallyReport:
     estimated_joint_probability: float
     standard_error: float
 
-    @classmethod
-    def from_counts(cls, trials, branch1, branch2, all_count, any_count):
-        """Report from summed outcome_counts(); the joint estimate is
-        all_count / trials with its binomial standard error.  error_count
-        is 0 by construction: a sampled observer names the prepared state
-        or fails.  The evidence that the measurements never misidentify is
-        validate()'s zero_error_residuals on their matrices."""
-        return cls(trials, {1: branch1, 2: branch2}, all_count, any_count, 0,
-                   *binomial_rate(all_count, trials))
 
 
-def outcome_counts(joint, at_least_one, sent1) -> tuple:
-    """Per-chunk counts behind TallyReport.from_counts, from trial masks:
-    joint successes split by prepared state (sent1 marks state 1), then
-    their total, and trials with at least one success."""
-    branch1 = np.count_nonzero(joint & sent1)
-    all_count = np.count_nonzero(joint)
-    return branch1, all_count - branch1, all_count, np.count_nonzero(at_least_one)
+def tally_trials(seed: int, trials: int, thresholds: tuple, outcome) -> TallyReport:
+    """Tally run_trials() over the masks outcome(masks) -> (joint, at_least_one).
+
+    Joint successes are split by prepared state, and the joint estimate is
+    their count / trials with its binomial standard error.  error_count is
+    0 by construction: a sampled observer names the prepared state or
+    fails.  The evidence that the measurements never misidentify is
+    validate()'s zero_error_residuals on their matrices."""
+
+    def kernel(masks, sent1):
+        joint, at_least_one = outcome(masks)
+        return joint & sent1, joint, at_least_one
+
+    branch1, all_count, any_count = run_trials(seed, trials, thresholds, kernel)
+    return TallyReport(trials, {1: branch1, 2: all_count - branch1}, all_count, any_count, 0,
+                       *binomial_rate(all_count, trials))
 
 
 def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
@@ -206,8 +206,5 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     conditional state on all of its branches, and fails with the same
     probability on both inputs.
     """
-
-    def kernel(masks, sent1):
-        return outcome_counts(np.logical_and.reduce(masks), np.logical_or.reduce(masks), sent1)
-
-    return TallyReport.from_counts(trials, *run_trials(seed, trials, chain.thresholds, kernel))
+    return tally_trials(seed, trials, chain.thresholds,
+                        lambda masks: (np.logical_and.reduce(masks), np.logical_or.reduce(masks)))

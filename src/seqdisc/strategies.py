@@ -32,8 +32,7 @@ import numpy as np
 
 from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
-from .sampling import run_trials
-from .sequential import TallyReport, build_chain, outcome_counts, simulate_chain
+from .sequential import TallyReport, build_chain, simulate_chain, tally_trials
 from .states import check_overlap
 
 KINDS = ("1", "2", "3", "seq")
@@ -134,7 +133,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     succeeds below 1 / (1 + s).  Every draw is consumed whether or not its
     observer acts, so a given trial index always sees the same numbers.
     None can name the wrong state, and `error_count` is 0 by construction
-    (see TallyReport.from_counts).
+    (see tally_trials).
     """
     kind = str(kind)
     if kind not in KINDS:
@@ -145,17 +144,17 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
     threshold = sampling_boundaries(s)
     thresholds = (threshold,) * 2 if kind == "2" else (1.0 / (1.0 + s), threshold, threshold)
 
-    def kernel(masks, sent1):
+    def outcome(masks):
         *cloned, ok_b, ok_c = masks
         if kind == "2":
             # the second receiver only gets a qubit if the first succeeded,
             # and then it is a perfect copy of the prepared state
-            return outcome_counts(ok_b & ok_c, ok_b, sent1)
+            return ok_b & ok_c, ok_b
         ok_b &= cloned[0]
         ok_c &= cloned[0]
-        return outcome_counts(ok_b & ok_c, ok_b | ok_c, sent1)
+        return ok_b & ok_c, ok_b | ok_c
 
-    return TallyReport.from_counts(trials, *run_trials(seed, trials, thresholds, kernel))
+    return tally_trials(seed, trials, thresholds, outcome)
 
 
 _SVG_SERIES = (

@@ -313,6 +313,10 @@ ROUND_TRIPS = [argv for s in ("0.9999999999999", "0.9999999999999999", "0.123456
                              "--eve", "intercept_ud", "--seed", "5"])]
 ROUND_TRIPS += [["optimize", "--s", "0.3", "--n", "10000000000000", *fmt]
                 for fmt in ([], ["--format", "csv"])]
+# spellings int() and float() accept: underscores, non-ASCII digits, spaces
+ROUND_TRIPS += [["optimize", "--s", s, "--n", n, *fmt]
+                for s, n in (("0.3", "1_0"), ("0.3", "\u0663"), ("0.3", " 4 "), ("0.3_0", "2"))
+                for fmt in ([], ["--format", "csv"])]
 
 
 @pytest.mark.parametrize("argv", ROUND_TRIPS, ids=" ".join)
@@ -596,6 +600,8 @@ UNREADABLE_CONFIGS = {
     "5001-digit-integer": b'{"s": 1' + b"0" * 5000 + b', "rounds": 10, "mode": "two_qubit"}',
     "truncated": b'{"s": 0.3, "rounds": 10, "mode": "two_qubit"',
     "not-utf-8": b'{"s": 0.3, "rounds": 10, "mode": "\xff"}',
+    "nested-10**5-deep": b"[" * 10**5 + b"]" * 10**5,
+    "nested-10**5-deep-in-s": b'{"s": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
 }
 
 

@@ -1,6 +1,8 @@
 """The batched table formatter against the per-cell formatting it replaced,
 and JSON reports built from dataclass fields."""
 
+import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -12,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from seqdisc import reporting
+from seqdisc import b92, reporting
 from seqdisc.reporting import csv_text, dumps_json, fmt, format_rows
-from seqdisc.strategies import curve_svg, make_curve
+from seqdisc.strategies import KINDS, curve_svg, make_curve, simulate_strategy
 
 # Cells at the edges of %.12g: signed zeros, the smallest subnormal, huge
 # and exact-integer values past 2**53, an int, and the non-finite values.
@@ -201,19 +203,19 @@ class _Inner:
 class _Report:
     counts: dict
     pair: tuple
-    count: np.int64
-    share: np.float64
+    count: int
+    share: float
     inner: _Inner
 
 
 def test_dumps_json_writes_bools_as_json_booleans():
-    # bool is a subclass of int, so this fails if jsonable tests int first
-    assert dumps_json({"a": True, "b": np.bool_(False)}) == '{\n  "a": true,\n  "b": false\n}\n'
+    # bool is a subclass of int, and it must stay a JSON boolean
+    assert dumps_json({"a": True, "b": False}) == '{\n  "a": true,\n  "b": false\n}\n'
 
 
 def test_dumps_json_serializes_dataclass_fields():
-    report = _Report(counts={2: np.int64(5), 1: 7}, pair=(1, 0.5), count=np.int64(3),
-                     share=np.float64(1 / 3), inner=_Inner(rate=2 / 3))
+    report = _Report(counts={2: 5, 1: 7}, pair=(1, 0.5), count=3, share=1 / 3,
+                     inner=_Inner(rate=2 / 3))
     assert dumps_json(report) == """\
 {
   "count": 3,
@@ -231,3 +233,34 @@ def test_dumps_json_serializes_dataclass_fields():
   "share": 0.333333333333
 }
 """
+
+
+def _leaves(obj):
+    """Every dict key and non-container value of a report, depth first."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+REPORTS = {
+    **{f"simulate-{kind}": functools.partial(simulate_strategy, kind, 0.3, 5000, 7)
+       for kind in KINDS},
+    **{f"b92-{mode}-{eve}": functools.partial(
+        b92.run_session, b92.SessionConfig(0.3, 5000, mode, eve, 7))
+       for mode in b92.MODES for eve in b92.EVE_POLICIES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_hold_plain_python_numbers(name):
+    leaves = list(_leaves(REPORTS[name]()))
+    assert leaves and all(type(x) in (int, float, bool, str) for x in leaves), \
+        sorted({type(x).__name__ for x in leaves})

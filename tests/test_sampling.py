@@ -155,7 +155,7 @@ def test_run_trials_hands_the_kernel_every_draw_classified(monkeypatch, threshol
             for k, (mask, threshold) in enumerate(zip(masks, thresholds), 1):
                 assert mask.dtype == bool and np.array_equal(mask, u[:, k] < threshold)
             start += len(sent1)
-            return (np.count_nonzero(sent1), *map(np.count_nonzero, masks))
+            return (sent1, *masks)
 
         sums.append(run_trials(SEED, TRIALS, thresholds, kernel))
         assert start == TRIALS

@@ -186,10 +186,10 @@ def sampling_boundaries(q: float) -> float:
 def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:
     """Vectorized success sampling against sampling_boundaries().
 
-    `threshold` is a scalar or an array of per-trial thresholds; returns
-    the bool mask u < threshold: True where apply() identifies the state
-    and False where it gives 0.  The wrong-state outcome has no cell, so a
-    mask is all an observer's outcome holds.
+    `threshold` is a scalar; returns the bool mask u < threshold: True
+    where apply() identifies the state and False where it gives 0.  The
+    wrong-state outcome has no cell, so a mask is all an observer's
+    outcome holds.
     """
     return u < threshold
 

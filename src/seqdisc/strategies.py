@@ -166,6 +166,17 @@ _SVG_SERIES = (
 )
 
 
+def _tag(name, body=None, **attrs):
+    """One SVG element, each keyword an attribute with `_` written as `-`;
+    the element closes itself when it has no body.  It is joined once, so a
+    polyline's long `points` string is copied only into the element."""
+    pieces = [f"<{name}"]
+    for key, value in attrs.items():
+        pieces += [f' {key.replace("_", "-")}="', str(value), '"']
+    pieces += ["/>"] if body is None else [">", body, f"</{name}>"]
+    return "".join(pieces)
+
+
 def curve_svg(curve: StrategyCurve) -> str:
     """Line plot of the four joint rates against the overlap, 640 by 480.
 
@@ -183,59 +194,42 @@ def curve_svg(curve: StrategyCurve) -> str:
     def y(p):
         return top + (1.0 - p) * ph
 
+    base = top + ph  # the y of the s axis
+    axes = f"M {fmt(left)} {fmt(top)} L {fmt(left)} {fmt(base)} L {fmt(left + pw)} {fmt(base)}"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        _tag("rect", width=width, height=height, fill="white"),
+        _tag("g", _tag("path", d=axes), stroke="black", stroke_width="1", fill="none"),
     ]
-    # axes and ticks
-    parts.append(
-        f'<g stroke="black" stroke-width="1" fill="none">'
-        f'<path d="M {fmt(left)} {fmt(top)} L {fmt(left)} {fmt(top + ph)} '
-        f'L {fmt(left + pw)} {fmt(top + ph)}"/></g>'
-    )
     tick_labels = []
     for k in range(6):
         frac = k / 5.0
-        sx = x(s_lo + frac * (s_hi - s_lo))
-        parts.append(
-            f'<line x1="{fmt(sx)}" y1="{fmt(top + ph)}" x2="{fmt(sx)}" '
-            f'y2="{fmt(top + ph + 5)}" stroke="black"/>'
-        )
-        tick_labels.append(
-            f'<text x="{fmt(sx)}" y="{fmt(top + ph + 18)}" text-anchor="middle">'
-            f"{fmt(s_lo + frac * (s_hi - s_lo))}</text>"
-        )
-        py = y(frac)
-        parts.append(
-            f'<line x1="{fmt(left - 5)}" y1="{fmt(py)}" x2="{fmt(left)}" '
-            f'y2="{fmt(py)}" stroke="black"/>'
-        )
-        tick_labels.append(
-            f'<text x="{fmt(left - 8)}" y="{fmt(py + 4)}" text-anchor="end">{fmt(frac)}</text>'
-        )
-    parts.append(f'<g font-family="sans-serif" font-size="11">{"".join(tick_labels)}</g>')
-    parts.append(
-        f'<text x="{fmt(left + pw / 2)}" y="{fmt(height - 8)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">overlap s</text>'
-    )
+        s_tick = s_lo + frac * (s_hi - s_lo)
+        sx, py = x(s_tick), y(frac)
+        parts += [
+            _tag("line", x1=fmt(sx), y1=fmt(base), x2=fmt(sx), y2=fmt(base + 5), stroke="black"),
+            _tag("line", x1=fmt(left - 5), y1=fmt(py), x2=fmt(left), y2=fmt(py), stroke="black"),
+        ]
+        tick_labels += [
+            _tag("text", fmt(s_tick), x=fmt(sx), y=fmt(base + 18), text_anchor="middle"),
+            _tag("text", fmt(frac), x=fmt(left - 8), y=fmt(py + 4), text_anchor="end"),
+        ]
+    parts.append(_tag("g", "".join(tick_labels), font_family="sans-serif", font_size="11"))
+    parts.append(_tag("text", "overlap s", x=fmt(left + pw / 2), y=fmt(height - 8),
+                      text_anchor="middle", font_family="sans-serif", font_size="13"))
     xs = x(curve.s)
     for idx, (attr, label, dash) in enumerate(_SVG_SERIES):
+        stroke = {"stroke": "black", "stroke_width": "1.5"}
+        if dash:
+            stroke["stroke_dasharray"] = dash
         points = format_rows(np.column_stack([xs, y(getattr(curve, attr))]), ",", " ")
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="black" '
-            f'stroke-width="1.5"{dash_attr}/>'
-        )
-        ly = top + 18 + 18 * idx
-        lx = left + pw - 150
-        parts.append(
-            f'<line x1="{fmt(lx)}" y1="{fmt(ly - 4)}" x2="{fmt(lx + 36)}" '
-            f'y2="{fmt(ly - 4)}" stroke="black" stroke-width="1.5"{dash_attr}/>'
-        )
-        parts.append(
-            f'<text x="{fmt(lx + 42)}" y="{fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+        lx, ly = left + pw - 150, top + 18 + 18 * idx
+        parts += [
+            _tag("polyline", points=points, fill="none", **stroke),
+            _tag("line", x1=fmt(lx), y1=fmt(ly - 4), x2=fmt(lx + 36), y2=fmt(ly - 4), **stroke),
+            _tag("text", label, x=fmt(lx + 42), y=fmt(ly), font_family="sans-serif",
+                 font_size="12"),
+        ]
+    # the root, split around its body so that the document is joined only once
+    head, tail = _tag("svg", "\n", xmlns="http://www.w3.org/2000/svg", width=width,
+                      height=height, viewBox=f"0 0 {width} {height}").split("\n")
+    return "\n".join([head, *parts, tail, ""])

@@ -31,8 +31,11 @@ from seqdisc.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-# Two seeds, each with a trial count that is not a multiple of 2^18, so
-# every case ends in a partial chunk when chunks hold 2^18 trials.
+# Two seeds, each with a trial count that is not a multiple of the chunk,
+# so every case ends in a partial chunk.  A chunk holds CHUNK_DOUBLES =
+# 2^17 generated doubles, so a trial of at most 4 draws (one Philox block)
+# gets 32768-trial chunks: 262145 = 8 * 32768 + 1 ends in a one-trial
+# chunk, and 300007 = 9 * 32768 + 5095 in a 5095-trial one.
 RUNS = ((7, 262_145, "0.3"), (2024, 300_007, "0.45"))
 # Long draw rows.  With chunks sized by generated doubles (blocks of 4 per
 # trial) these runs split into many chunks whose trial count depends on the

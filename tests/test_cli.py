@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import seqdisc
-from seqdisc import sampling
+from seqdisc import sampling, sequential
 from seqdisc.b92 import EVE_POLICIES, MODES
 from seqdisc.cli import main
 from seqdisc.reporting import round_sig
@@ -382,6 +382,17 @@ def test_config_file_rounds_beyond_the_draw_cap_are_refused(monkeypatch, tmp_pat
 ])
 def test_malformed_command_lines_give_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_internal_arithmetic_errors_are_not_reported_as_user_errors(monkeypatch, capsys):
+    # exit 2 is for bad input; a ZeroDivisionError in the library is a bug
+    def divide_by_zero(s):
+        return s / 0
+
+    monkeypatch.setattr(sequential, "optimize_two_observer", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        main(["optimize", "--s", "0.3"])
+    assert capsys.readouterr() == ("", "")
 
 
 # The CLI contract over every numeric flag: the edges of each domain,

@@ -1,7 +1,9 @@
 """Tests for the four-strategy comparison."""
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from seqdisc.strategies import (
     strategy3,
     strategy_seq,
 )
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def test_closed_forms_at_quarter_overlap():
@@ -140,12 +144,22 @@ def test_simulate_strategy_validation():
 
 
 def test_svg_output_is_self_contained_and_deterministic():
-    curve = make_curve(steps=21)
-    svg = curve_svg(curve)
-    assert svg.startswith("<svg")
-    assert svg.count("<polyline") == 4
-    assert svg == curve_svg(curve)
-    # no external fetches: the only URL is the SVG namespace itself
-    assert svg.count("http") == svg.count("http://www.w3.org/2000/svg")
-    for label in ("sequential", "broadcast", "resend", "clone"):
-        assert label in svg
+    # a 2-point grid, the default grid and a grid 1e-7 wide
+    for s_min, s_max, steps in ((0.0, 1.0, 2), (0.0, 1.0, 101), (0.3, 0.3000001, 9)):
+        curve = make_curve(s_min, s_max, steps)
+        svg = curve_svg(curve)
+        assert svg == curve_svg(curve)
+        # no external fetches: the only URL is the SVG namespace itself
+        assert svg.count("http") == svg.count("http://www.w3.org/2000/svg")
+        root = ElementTree.fromstring(svg)
+        assert root.tag == f"{SVG}svg"
+        counts = Counter(element.tag.removeprefix(SVG) for element in root.iter())
+        # lines: 12 ticks and 4 legend keys; texts: 12 tick labels, the axis
+        # label and 4 legend labels
+        assert [counts[tag] for tag in ("rect", "line", "text", "polyline")] == [1, 16, 17, 4]
+        for polyline in root.iter(f"{SVG}polyline"):
+            points = polyline.get("points").split(" ")
+            coords = [float(v) for point in points for v in point.split(",")]
+            assert len(points) == steps and len(coords) == 2 * steps
+        labels = [text.text for text in root.iter(f"{SVG}text")]
+        assert labels[-4:] == ["sequential", "broadcast", "resend", "clone"]

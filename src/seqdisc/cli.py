@@ -22,9 +22,9 @@ def _emit(text: str, out_path, extra=None) -> None:
     """Write `extra`, an optional (path, text) pair, then `text` to
     `out_path` if given, and only then `text` to stdout, so a path that
     cannot be written leaves stdout empty."""
-    if extra:
+    if extra is not None:
         reporting.write_text(*extra)
-    if out_path:
+    if out_path is not None:
         reporting.write_text(out_path, text)
     sys.stdout.write(text)
 
@@ -50,7 +50,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_curves(args) -> int:
     curve = strategies.make_curve(args.s_min, args.s_max, args.steps)
-    svg = (args.svg, strategies.curve_svg(curve)) if args.svg else None
+    svg = (args.svg, strategies.curve_svg(curve)) if args.svg is not None else None
     _emit(strategies.curve_csv(curve), args.out, svg)
     return 0
 
@@ -79,14 +79,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_neumark(args) -> int:
     dilation = neumark.build_dilation(args.s)
-    matrix = (args.matrix, neumark.unitary_csv(dilation)) if args.matrix else None
+    matrix = (args.matrix, neumark.unitary_csv(dilation)) if args.matrix is not None else None
     _emit(reporting.dumps_json(neumark.dilation_report(dilation)), args.out, matrix)
     return 0
 
 
 def _cmd_b92(args) -> int:
     raw = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import PROB_FLOOR, build_intermediate_ud, outcome_probabilities, post_state
+from .povm import PROB_FLOOR, build_intermediate_ud, outcome_statistics
 from .reporting import Echo, csv_text
 from .states import check_overlap, freeze, make_state_pair
 
@@ -87,10 +87,10 @@ def build_dilation(s: float) -> DilationUnitary:
 def dilation_statistics(dilation: DilationUnitary, input_index: int):
     """Evolve state `input_index` (ancilla in |0>) and read the ancilla.
 
-    Returns (probs, post_states): probs is the probability of ancilla
-    outcomes (0, 1, 2) and post_states the matching normalized qubit
-    states.  A state whose outcome probability is at most PROB_FLOOR is
-    returned unnormalized (it is never observed).
+    Returns (probs, posts): probs is the probability of ancilla outcomes
+    (0, 1, 2) and posts the matching normalized qubit states.  A state
+    whose outcome probability is at most PROB_FLOOR is returned
+    unnormalized (it is never observed).
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
@@ -113,20 +113,18 @@ def povm_equivalence(dilation: DilationUnitary) -> float:
     failure probability sqrt(s).
 
     Returns the maximum outcome-probability gap plus the maximum
-    conditional-state infidelity over both inputs (ancilla outcome i
-    matching measurement outcome i, with 0 the failure)."""
-    rs = math.sqrt(dilation.s)
-    meas = build_intermediate_ud(dilation.s, rs)
+    conditional-state infidelity over both inputs, read entry by entry
+    from the two outcome tables, which share the order (0, 1, 2)."""
+    meas = build_intermediate_ud(dilation.s, math.sqrt(dilation.s))
     prob_gap = 0.0
     infidelity = 0.0
     for i in (1, 2):
-        dil_probs, dil_posts = dilation_statistics(dilation, i)
-        meas_probs = outcome_probabilities(meas, i)  # (p1, p2, p0): outcome m at [m - 1]
-        for outcome in (0, 1, 2):
-            prob_gap = max(prob_gap, abs(dil_probs[outcome] - meas_probs[outcome - 1]))
-            if dil_probs[outcome] <= PROB_FLOOR or meas_probs[outcome - 1] <= PROB_FLOOR:
+        table = zip(*dilation_statistics(dilation, i), *outcome_statistics(meas, i))
+        for dil_p, dil_post, meas_p, meas_post in table:
+            prob_gap = max(prob_gap, abs(dil_p - meas_p))
+            if dil_p <= PROB_FLOOR or meas_p <= PROB_FLOOR:
                 continue
-            overlap = abs(complex(np.vdot(dil_posts[outcome], post_state(meas, i, outcome)))) ** 2
+            overlap = abs(complex(np.vdot(dil_post, meas_post))) ** 2
             infidelity = max(infidelity, 1.0 - overlap)
     return prob_gap + infidelity
 

@@ -2,7 +2,9 @@
 without error, failing with the same probability q on either state.
 
 Outcome labels: 1 means "state 1 identified", 2 means "state 2 identified",
-0 means the inconclusive result.  In the angle form s = cos 2 theta, with
+0 means the inconclusive result; outcome m has Kraus operator A_m, element
+Pi_m and, in the dilation, ancilla state |m>, and every table lists the
+outcomes in the order (0, 1, 2).  In the angle form s = cos 2 theta, with
 psi_1, psi_2 = (c, +-d) for c, d = cos theta, sin theta, the dual vectors
 w_1, w_2 = (1/2c, +-1/2d) satisfy <w_i|psi_j> = [i == j].  For failure
 probability q the Kraus operators are
@@ -38,7 +40,7 @@ from .states import check_overlap, freeze, make_state_pair
 DEFAULT_TOL = 1e-10
 
 # A wrong-state outcome probability below this floor is rounded to exactly
-# zero by outcome_probabilities() (and so apply()); it carries only float
+# zero by outcome_statistics() (and so apply()); it carries only float
 # noise (~1e-17).  neumark skips outcomes at or below it when comparing
 # conditional states.  The sampler's threshold 1 - q does not use it.
 PROB_FLOOR = 1e-12
@@ -50,8 +52,8 @@ class UDMeasurement:
     `s`, failing with probability `q` on either state, which leaves the
     pair with overlap `t`.
 
-    `kraus` holds (A1, A2, A0), the only stored form of the measurement;
-    `povm` derives (Pi1, Pi2, Pi0) from it, each Pi_i = A_i^dag A_i, so
+    `kraus` holds (A0, A1, A2), the only stored form of the measurement;
+    `povm` derives (Pi0, Pi1, Pi2) from it, each Pi_m = A_m^dag A_m, so
     every element is Hermitian and positive by construction.  validate()
     reports how far their sum sits from the identity.  The states
     themselves are make_state_pair(s) and make_state_pair(t).
@@ -64,7 +66,7 @@ class UDMeasurement:
 
     @property
     def povm(self) -> tuple:
-        """(Pi1, Pi2, Pi0), each A_i^dag A_i, as read-only arrays."""
+        """(Pi0, Pi1, Pi2), each A_m^dag A_m, as read-only arrays."""
         return tuple(freeze(A.conj().T @ A) for A in self.kraus)
 
 
@@ -124,7 +126,7 @@ def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
     A2 = math.sqrt(1.0 - q) * np.outer(phi2, [0.5 / c, -0.5 / d])
     # q - s < 0 only where t was capped at 1
     A0 = np.diag([math.sqrt((q + s) / (1.0 + s)), math.sqrt(max(q - s, 0.0) / (1.0 - s))])
-    return UDMeasurement(s=s, t=t, q=q, kraus=tuple(freeze(A) for A in (A1, A2, A0)))
+    return UDMeasurement(s=s, t=t, q=q, kraus=tuple(freeze(A) for A in (A0, A1, A2)))
 
 
 def validate(meas: UDMeasurement) -> DiagnosticsReport:
@@ -132,7 +134,7 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
 
     Hermiticity and positivity need no check: each element is derived as
     A_i^dag A_i from the stored Kraus operators."""
-    Pi1, Pi2, Pi0 = meas.povm
+    Pi0, Pi1, Pi2 = meas.povm
     s, q = meas.s, meas.q
     psi1, psi2 = make_state_pair(s)
     one_minus_s2 = (1.0 - s) * (1.0 + s)
@@ -160,20 +162,26 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     )
 
 
-def outcome_probabilities(meas: UDMeasurement, input_index: int) -> tuple:
-    """Probabilities of outcomes (1, 2, 0) when state `input_index` is sent.
+def outcome_statistics(meas: UDMeasurement, input_index: int) -> tuple:
+    """The outcome table when state `input_index` (1 or 2) is sent.
 
+    Returns (probs, posts) for outcomes (0, 1, 2), as dilation_statistics()
+    does: probs[m] = <psi|Pi_m|psi> and posts[m] the normalized A_m psi.
     The wrong-state outcome's probability is rounded to exactly zero when
-    it is below PROB_FLOOR; the other two are returned as computed.
+    it is below PROB_FLOOR; the other two are returned as computed.  A
+    state whose probability is 0 is returned unnormalized (it is never
+    observed).
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
     psi = make_state_pair(meas.s)[input_index - 1]
-    probs = [float(np.real(np.vdot(psi, P @ psi))) for P in meas.povm]  # (Pi1, Pi2, Pi0)
-    wrong = 2 - input_index
+    probs = [float(np.real(np.vdot(psi, P @ psi))) for P in meas.povm]
+    wrong = 3 - input_index
     if probs[wrong] < PROB_FLOOR:
         probs[wrong] = 0.0
-    return tuple(probs)
+    kets = [A @ psi for A in meas.kraus]
+    posts = tuple(freeze(v / np.linalg.norm(v) if p else v) for p, v in zip(probs, kets))
+    return tuple(probs), posts
 
 
 def sampling_boundaries(q: float) -> float:
@@ -194,23 +202,15 @@ def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:
     return u < threshold
 
 
-def post_state(meas: UDMeasurement, input_index: int, outcome: int) -> np.ndarray:
-    """The normalized state outcome `outcome` (1, 2 or 0) leaves of input
-    state `input_index` (1 or 2): the matching Kraus operator's action."""
-    psi = make_state_pair(meas.s)[input_index - 1]
-    post = meas.kraus[outcome - 1] @ psi  # kraus is (A1, A2, A0)
-    return freeze(post / np.linalg.norm(post))
-
-
 def apply(meas: UDMeasurement, input_index: int, rand: float):
     """Apply the measurement to one prepared state using a uniform draw.
 
-    Returns (outcome, post_state).  The draw is classified against the
-    cells [0, P(1)), [P(1), P(1)+P(2)), [P(1)+P(2), 1); the post state is
-    post_state()'s.
+    Returns (outcome, post), post the state the outcome leaves.  The draw
+    is classified against the cells [0, P(1)), [P(1), P(1)+P(2)),
+    [P(1)+P(2), 1); the cells and post come from outcome_statistics().
     """
     if not 0.0 <= rand < 1.0:
         raise ValueError(f"rand={rand} outside [0, 1)")
-    p1, p2, _ = outcome_probabilities(meas, input_index)
+    (_, p1, p2), posts = outcome_statistics(meas, input_index)
     outcome = 1 if rand < p1 else 2 if rand < p1 + p2 else 0
-    return outcome, post_state(meas, input_index, outcome)
+    return outcome, posts[outcome]

@@ -7,10 +7,11 @@ byte for byte, as `<name>.json` (`<name>.csv` for `curves` and for
 `--format csv`, whose stdout is a table).  A case can also pin the files a
 command writes: in its argv, the value after `--out`, `--svg` or
 `--matrix` is the name of the fixture that file is compared with, and the
-command is run with that value replaced by a scratch path.  The fixtures
-pin the exact report bytes of the Monte Carlo commands and the table and
-plot bytes of the analytic ones, so a refactor of the sampling,
-classification or formatting code can be checked against them.
+command is run with that value replaced by a scratch path.  `--out`
+writes the stdout bytes, so its value is the case's own stdout fixture.
+The fixtures pin the exact report bytes of the Monte Carlo commands and
+the table and plot bytes of the analytic ones, so a refactor of the
+sampling, classification or formatting code can be checked against them.
 Regenerate only from a commit whose output is known to be right:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -78,7 +79,7 @@ def cases() -> dict:
     out["curves-default"] = ["curves", "--svg", "curves-default.svg"]
     out["curves-steps1001"] = [
         "curves", "--s-min", "0.123", "--s-max", "0.877", "--steps", "1001",
-        "--out", "curves-steps1001.out.csv"]
+        "--out", "curves-steps1001.csv"]
     # a grid 1e-7 wide: the irrational cells need all 12 significant digits
     out["curves-narrow"] = [
         "curves", "--s-min", "0.3", "--s-max", "0.3000001", "--steps", "9",
@@ -95,7 +96,7 @@ def cases() -> dict:
         for n in ("1", "2", "64"):
             name = f"optimize-s{label}-n{n}"
             out[name] = ["optimize", "--s", s, "--n", n]
-            out[f"{name}-csv"] = [*out[name], "--format", "csv", "--out", f"{name}.out.csv"]
+            out[f"{name}-csv"] = [*out[name], "--format", "csv", "--out", f"{name}-csv.csv"]
     return out
 
 

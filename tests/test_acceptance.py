@@ -24,7 +24,6 @@ from _oracles import session_rate_oracle
 
 from seqdisc.b92 import (
     EVE_INTERCEPT,
-    EVE_NONE,
     MODE_ONE_QUBIT,
     MODE_TWO_QUBIT,
     SessionConfig,
@@ -32,7 +31,7 @@ from seqdisc.b92 import (
 )
 from seqdisc.cli import main as cli_main
 from seqdisc.neumark import build_dilation, dilation_statistics, povm_equivalence
-from seqdisc.povm import build_intermediate_ud, outcome_probabilities, validate
+from seqdisc.povm import build_intermediate_ud, validate
 from seqdisc.sequential import build_chain, optimize_two_observer, simulate_chain
 from seqdisc.states import make_state_pair
 from seqdisc.strategies import (
@@ -266,9 +265,9 @@ def test_zero_error_ledger_flags_a_tampered_measurement():
     # rotate A1 into A0 so that Pi1 answers psi2 with probability
     # sin^2(e) |A0 psi2|^2 = 1e-12; the rotation keeps completeness, so
     # validate() still passes it, within DEFAULT_TOL, but the ledger does not
-    A1, A2, A0 = meas.kraus
+    A0, A1, A2 = meas.kraus
     e = math.asin(math.sqrt(1e-12 / meas.q))
-    rotated = (math.cos(e) * A1 + math.sin(e) * A0, A2, math.cos(e) * A0 - math.sin(e) * A1)
+    rotated = (math.cos(e) * A0 - math.sin(e) * A1, math.cos(e) * A1 + math.sin(e) * A0, A2)
     tampered = dataclasses.replace(meas, kraus=rotated)
     assert validate(tampered).passed
     assert _zero_error_residual([tampered]) > ZERO_ERROR_BOUND

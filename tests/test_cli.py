@@ -150,6 +150,12 @@ UNWRITABLE_OUTPUTS = {
     "neumark": ["neumark", "--s", "0.3", "--out", "{bad}"],
     "neumark-matrix": ["neumark", "--s", "0.3", "--matrix", "{bad}", "--out", "{good}"],
     "b92": ["b92", "--s", "0.3", "--rounds", "10", "--mode", "two_qubit", "--out", "{bad}"],
+    # an empty path is a path that cannot be opened, not an absent option
+    "optimize-empty": ["optimize", "--s", "0.3", "--out", ""],
+    "curves-svg-empty": ["curves", "--steps", "3", "--svg", "", "--out", "{good}"],
+    "neumark-matrix-empty": ["neumark", "--s", "0.3", "--matrix", "", "--out", "{good}"],
+    "b92-config-empty": ["b92", "--config", "", "--s", "0.3", "--rounds", "10",
+                         "--mode", "two_qubit"],
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the qubit-qutrit unitary realization."""
 
+import dataclasses
 import json
 import math
 from decimal import Decimal, localcontext
@@ -129,6 +130,22 @@ def test_dilation_worked_example():
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES + [1e-30])
 def test_povm_equivalence_residual_is_tiny(s):
     assert povm_equivalence(build_dilation(s)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.04, 0.3, 0.9])
+def test_povm_equivalence_sees_a_wrong_conditional_state(s):
+    """Negating row 3 of U (qubit 1, ancilla 0) keeps U unitary and every
+    outcome probability, but leaves the mirror image of phi_i on outcome 0,
+    phi_{3-i}, whose fidelity with phi_i is t^2 = s: the residual is 1 - s,
+    which a comparison of the probabilities alone would miss."""
+    d = build_dilation(s)
+    # the broadcast keeps U's column-major layout, so U @ psi rounds alike
+    tampered = dataclasses.replace(d, u=d.u * np.array([1, 1, 1, -1, 1, 1])[:, None])
+    assert np.linalg.norm(tampered.u.conj().T @ tampered.u - np.eye(TOTAL_DIM)) < 1e-15
+    for i in (1, 2):
+        assert dilation_statistics(tampered, i)[0] == dilation_statistics(d, i)[0]
+    assert povm_equivalence(d) < 1e-10
+    assert povm_equivalence(tampered) > 0.5 * (1.0 - s)
 
 
 def test_build_dilation_domain():

@@ -10,7 +10,7 @@ from seqdisc.povm import (
     apply,
     build_intermediate_ud,
     classify_uniforms,
-    outcome_probabilities,
+    outcome_statistics,
     output_overlap,
     sampling_boundaries,
     validate,
@@ -50,8 +50,8 @@ def test_intermediate_measurements_validate_on_a_grid(s):
 def test_branch_probabilities_match_failure_targets(s):
     for q in _q_grid(s):
         meas = build_intermediate_ud(s, q)
-        p1, wrong1, fail1 = outcome_probabilities(meas, 1)
-        wrong2, p2, fail2 = outcome_probabilities(meas, 2)
+        (fail1, p1, wrong1), _ = outcome_statistics(meas, 1)
+        (fail2, wrong2, p2), _ = outcome_statistics(meas, 2)
         assert p1 == pytest.approx(1.0 - q, abs=1e-12)
         assert p2 == pytest.approx(1.0 - q, abs=1e-12)
         assert fail1 == pytest.approx(q, abs=1e-12)
@@ -60,19 +60,21 @@ def test_branch_probabilities_match_failure_targets(s):
         assert wrong2 == 0.0
 
 
-def test_outcome_probabilities_keep_tiny_success_probabilities():
+def test_outcome_statistics_keep_tiny_success_probabilities():
     # at s = 1 - 1e-12 the first of two observers succeeds with probability
     # 1 - s**0.5 = 5.0e-13, below PROB_FLOOR; only the wrong outcome is floored
     stage = build_chain(1.0 - 1e-12, 2).stages[0]
-    p1, wrong, p0 = outcome_probabilities(stage, 1)
+    (p0, p1, wrong), posts = outcome_statistics(stage, 1)
     assert p1 == pytest.approx(1.0 - stage.q, rel=1e-12, abs=0)
     assert p1 > 4e-13 and wrong == 0.0
     assert p0 == pytest.approx(stage.q, rel=1e-15)
+    # the tiny identified branch still leaves a normalized state
+    assert np.linalg.norm(posts[1]) == pytest.approx(1.0, abs=1e-15)
     assert apply(stage, 1, 1e-13)[0] == 1
     assert apply(stage, 2, 1e-13)[0] == 2
 
 
-def test_cumulative_outcome_probabilities_match_sampling_boundaries():
+def test_cumulative_outcome_statistics_match_sampling_boundaries():
     # the sampler's closed-form success thresholds against the measurement's
     # own probabilities, and its pre-floor wrong-outcome mass, over chain
     # stages and the whole admissible range of q, near s = 1 too
@@ -83,7 +85,7 @@ def test_cumulative_outcome_probabilities_match_sampling_boundaries():
         report = validate(stage)
         assert report.passed, stage
         for i in (1, 2):
-            identified = outcome_probabilities(stage, i)[i - 1]
+            identified = outcome_statistics(stage, i)[0][i]
             assert abs(identified - sampling_boundaries(stage.q)) <= 1e-15
         assert max(report.zero_error_residuals) <= 1e-15
 
@@ -103,7 +105,7 @@ def test_output_overlap_is_the_measurements_output_overlap():
 def test_validate_formulas_match_direct_matrix_values():
     meas = build_intermediate_ud(0.3, 0.7)
     report = validate(meas)
-    pi0 = meas.povm[2]
+    pi0 = meas.povm[0]
     assert report.trace_pi0 == pytest.approx(np.trace(pi0).real, abs=1e-12)
     assert report.det_pi0 == pytest.approx(np.linalg.det(pi0).real, abs=1e-12)
     assert report.completeness_residual < 1e-15
@@ -113,8 +115,8 @@ def test_validate_flags_a_tampered_failure_operator():
     # scale A0: Pi0 grows by 2% and the elements no longer sum to the
     # identity
     meas = build_intermediate_ud(0.3, 0.6)
-    bad_A0 = 1.01 * meas.kraus[2]
-    tampered = dataclasses.replace(meas, kraus=(meas.kraus[0], meas.kraus[1], bad_A0))
+    bad_A0 = 1.01 * meas.kraus[0]
+    tampered = dataclasses.replace(meas, kraus=(bad_A0, *meas.kraus[1:]))
     report = validate(tampered)
     assert report.completeness_residual > 1e-4
     assert not report.passed
@@ -146,7 +148,7 @@ def test_sampled_outcome_rates_match_branch_probabilities():
     rng = np.random.default_rng(2024)
     q = meas.q
     for i in (1, 2):
-        assert outcome_probabilities(meas, i)[2] == pytest.approx(q, abs=1e-15)
+        assert outcome_statistics(meas, i)[0][0] == pytest.approx(q, abs=1e-15)
         u = rng.random(n)
         ok = classify_uniforms(sampling_boundaries(q), u)
         assert ok.dtype == bool and ok.shape == (n,)
@@ -190,10 +192,20 @@ def test_failure_probability_range_is_enforced():
     for q in (0.0, 1.2, -0.1, math.nan):
         with pytest.raises(ValueError, match=f"^q={q} outside"):
             build_intermediate_ud(0.5, q)
-    # unit failure probability is a legal extreme point: nothing is learned
+    # unit failure probability is a legal extreme point: nothing is learned.
+    # Each identified branch has probability exactly 0, and its state comes
+    # back as the zero vector, unnormalized, not as 0 / 0
     meas = build_intermediate_ud(0.5, 1.0)
     assert meas.t == 0.5
-    assert outcome_probabilities(meas, 1)[0] == outcome_probabilities(meas, 2)[1] == 0.0
+    phi = make_state_pair(meas.t)
+    for i in (1, 2):
+        with np.errstate(all="raise"):
+            probs, posts = outcome_statistics(meas, i)
+        assert probs[i] == 0.0 and probs[0] == pytest.approx(1.0, abs=1e-15)
+        assert all(np.all(np.isfinite(post)) for post in posts)
+        assert not np.any(posts[i])
+        assert abs(np.vdot(posts[0], phi[i - 1])) == pytest.approx(1.0, abs=1e-12)
+        assert apply(meas, i, 0.0)[0] == 0
 
 
 def test_degenerate_pairs_are_rejected():
@@ -234,7 +246,7 @@ def test_apply_validates_arguments():
     with pytest.raises(ValueError):
         apply(meas, 1, -0.01)
     with pytest.raises(ValueError):
-        outcome_probabilities(meas, 0)
+        outcome_statistics(meas, 0)
 
 
 def test_classify_uniforms_agrees_with_apply():

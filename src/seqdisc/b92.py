@@ -23,7 +23,7 @@ receivers, which never happen on a clean line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ EVE_INTERCEPT = "intercept_ud"
 EVE_POLICIES = (EVE_NONE, EVE_INTERCEPT)
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(NamedTuple):
     s: float
     rounds: int
     mode: str
@@ -51,8 +50,7 @@ class SessionConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class KeyReport:
+class KeyReport(NamedTuple):
     """Counts over a session; `rates` maps each count's name to
     {"rate": its fraction of rounds, "stderr": that rate's binomial
     standard error}."""
@@ -69,7 +67,7 @@ class KeyReport:
 
 def session_config_from_dict(raw: dict) -> SessionConfig:
     """Validate a configuration mapping, naming the offending field."""
-    unknown = sorted(set(raw) - {f.name for f in fields(SessionConfig)})
+    unknown = sorted(set(raw) - set(SessionConfig._fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     for field in ("s", "rounds", "mode"):

@@ -11,7 +11,6 @@ are sorted, so runs with the same arguments and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -97,12 +96,12 @@ def _cmd_b92(args) -> int:
                 type(raw), "number")
             raise ValueError(f"config file {args.config}: holds a JSON {found}, not a JSON object")
     # explicit flags win over config-file values
-    for field in dataclasses.fields(b92.SessionConfig):
-        value = getattr(args, field.name)
+    for field in b92.SessionConfig._fields:
+        value = getattr(args, field)
         if value is not None:
-            raw[field.name] = value
+            raw[field] = value
     config = b92.session_config_from_dict(raw)
-    payload = {"config": dataclasses.replace(config, s=reporting.Echo(config.s)),
+    payload = {"config": config._replace(s=reporting.Echo(config.s)),
                "report": b92.run_session(config)}
     _emit(reporting.dumps_json(payload), args.out)
     return 0

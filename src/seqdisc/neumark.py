@@ -19,7 +19,7 @@ orthogonal to v1 and v2 gives the last two columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ ANCILLA_DIM = 3
 TOTAL_DIM = QUBIT_DIM * ANCILLA_DIM
 
 
-@dataclass(frozen=True)
-class DilationUnitary:
+class DilationUnitary(NamedTuple):
     """The 6x6 unitary together with the geometry it was built from.
 
     theta encodes the input pair (s = cos 2*theta) and theta_prime the

@@ -28,7 +28,7 @@ measurement succeeds does not depend on the input, and one threshold
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ DEFAULT_TOL = 1e-10
 PROB_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class UDMeasurement:
+class UDMeasurement(NamedTuple):
     """An unambiguous discrimination measurement of the pair with overlap
     `s`, failing with probability `q` on either state, which leaves the
     pair with overlap `t`.
@@ -70,8 +69,7 @@ class UDMeasurement:
         return tuple(freeze(A.conj().T @ A) for A in self.kraus)
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(NamedTuple):
     """Numerical health check of a UDMeasurement.
 
     trace_pi0 and det_pi0 come from the closed forms

@@ -8,7 +8,6 @@ so runs with identical inputs produce byte-identical files on any platform.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 
@@ -42,10 +41,10 @@ class Echo(float):
 
 def jsonable(obj):
     """Recursively convert a report structure to JSON-ready values; a
-    dataclass instance becomes the mapping of its fields, so a report's
-    schema is the field list of its dataclass."""
-    if dataclasses.is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    record (a NamedTuple) becomes the mapping of its fields, not an array,
+    so a report's schema is the field list of its record."""
+    if hasattr(obj, "_fields"):
+        return dict(zip(obj._fields, map(jsonable, obj)))
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

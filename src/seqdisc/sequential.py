@@ -24,7 +24,7 @@ s > 3 - 2 sqrt(2) (about 0.1716).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .states import check_overlap
 MAX_CHAIN_LENGTH = 10**4
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
     """The optimal n-observer chain as its overlap schedule.
 
     overlaps[k] (0-based) is the overlap observer k+1 receives, about
@@ -67,8 +66,7 @@ class ChainSpec:
         return tuple(build_intermediate_ud(a, q) for a, q in zip(self.overlaps, self.failures))
 
 
-@dataclass(frozen=True)
-class TallyReport:
+class TallyReport(NamedTuple):
     """Counts from a Monte Carlo run over prepared-state trials."""
 
     trials: int
@@ -127,8 +125,7 @@ def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
     return 0.5 * ((1.0 - q1b) * (1.0 - q1c) + (1.0 - q2b) * (1.0 - q2c))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     t_star: float
     q_star: float
     p_star: float

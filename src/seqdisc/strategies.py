@@ -26,7 +26,7 @@ tabulates the rates through those functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def strategy_seq(s):
     return ((1.0 - s) / (1.0 + np.sqrt(s))) ** 2
 
 
-@dataclass(frozen=True)
-class StrategyCurve:
+class StrategyCurve(NamedTuple):
     """Tabulated joint-success rates on a common overlap grid."""
 
     s: np.ndarray

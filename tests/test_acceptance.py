@@ -13,7 +13,6 @@ least ten million registered trials and a largest residual of at most
 ZERO_ERROR_BOUND.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -268,7 +267,7 @@ def test_zero_error_ledger_flags_a_tampered_measurement():
     A0, A1, A2 = meas.kraus
     e = math.asin(math.sqrt(1e-12 / meas.q))
     rotated = (math.cos(e) * A0 - math.sin(e) * A1, math.cos(e) * A1 + math.sin(e) * A0, A2)
-    tampered = dataclasses.replace(meas, kraus=rotated)
+    tampered = meas._replace(kraus=rotated)
     assert validate(tampered).passed
     assert _zero_error_residual([tampered]) > ZERO_ERROR_BOUND
 

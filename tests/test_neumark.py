@@ -1,6 +1,5 @@
 """Tests for the qubit-qutrit unitary realization."""
 
-import dataclasses
 import json
 import math
 from decimal import Decimal, localcontext
@@ -140,7 +139,7 @@ def test_povm_equivalence_sees_a_wrong_conditional_state(s):
     which a comparison of the probabilities alone would miss."""
     d = build_dilation(s)
     # the broadcast keeps U's column-major layout, so U @ psi rounds alike
-    tampered = dataclasses.replace(d, u=d.u * np.array([1, 1, 1, -1, 1, 1])[:, None])
+    tampered = d._replace(u=d.u * np.array([1, 1, 1, -1, 1, 1])[:, None])
     assert np.linalg.norm(tampered.u.conj().T @ tampered.u - np.eye(TOTAL_DIM)) < 1e-15
     for i in (1, 2):
         assert dilation_statistics(tampered, i)[0] == dilation_statistics(d, i)[0]

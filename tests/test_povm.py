@@ -1,6 +1,5 @@
 """Tests for the three-outcome discrimination measurements."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -116,7 +115,7 @@ def test_validate_flags_a_tampered_failure_operator():
     # identity
     meas = build_intermediate_ud(0.3, 0.6)
     bad_A0 = 1.01 * meas.kraus[0]
-    tampered = dataclasses.replace(meas, kraus=(bad_A0, *meas.kraus[1:]))
+    tampered = meas._replace(kraus=(bad_A0, *meas.kraus[1:]))
     report = validate(tampered)
     assert report.completeness_residual > 1e-4
     assert not report.passed
@@ -126,14 +125,14 @@ def test_validate_refuses_inadmissible_failure_probabilities():
     # at s = 1e-6, q = 5e-7 < s leaves det_pi0 = -7.5e-13, inside an
     # absolute DEFAULT_TOL; the relative test q >= s refuses it
     meas = build_intermediate_ud(1e-6, 1e-6)
-    report = validate(dataclasses.replace(meas, q=0.5e-6))
+    report = validate(meas._replace(q=0.5e-6))
     assert -1e-12 < report.det_pi0 < 0.0
     assert not report.passed
     # near s = 1 a relative shortfall of 1e-13 is within the relative
     # test's slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
     s = 1.0 - 1e-8
     meas = build_intermediate_ud(s, s)
-    report = validate(dataclasses.replace(meas, q=s * (1.0 - 1e-13)))
+    report = validate(meas._replace(q=s * (1.0 - 1e-13)))
     assert report.det_pi0 < -1e-6
     assert not report.passed
     assert validate(meas).passed

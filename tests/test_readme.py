@@ -1,5 +1,5 @@
 """The README's library tour against the modules it describes, and what
-`import seqdisc` loads."""
+`import seqdisc` and `import seqdisc.cli` load."""
 
 import importlib
 import inspect
@@ -57,13 +57,22 @@ def test_tour_lists_every_public_function_and_class(module):
     assert not missing, f"the README tour's {module} bullet does not name {missing}"
 
 
-def test_package_import_loads_every_layer_but_the_cli():
+def fresh_stdout(code):
+    """stdout of `code` run in a new interpreter that imports this seqdisc."""
     src = str(pathlib.Path(seqdisc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, seqdisc; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('seqdisc'))), "
-            "'numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_package_import_loads_every_layer_but_the_cli():
+    out = fresh_stdout("import sys, seqdisc; "
+                       "print(' '.join(sorted(m for m in sys.modules if m.startswith('seqdisc'))), "
+                       "'numpy' in sys.modules)").split()
     assert out[:-1] == ["seqdisc"] + [f"seqdisc.{m}" for m in sorted(TOUR)]
     assert out[-1] == "True"
+
+
+def test_console_script_import_loads_no_dataclasses():
+    # the records are NamedTuples, so no process pays for generating their methods
+    assert fresh_stdout("import sys, seqdisc.cli; print('dataclasses' in sys.modules)") == "False\n"

@@ -1,12 +1,11 @@
 """The batched table formatter against the per-cell formatting it replaced,
-and JSON reports built from dataclass fields."""
+and JSON reports built from record (NamedTuple) fields."""
 
-import dataclasses
 import functools
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from seqdisc import b92, reporting
+from seqdisc import b92, neumark, povm, reporting, sequential, strategies
 from seqdisc.reporting import csv_text, dumps_json, fmt, format_rows
 from seqdisc.strategies import KINDS, curve_svg, make_curve, simulate_strategy
 
@@ -194,13 +193,11 @@ def test_svg_points_match_per_point_reference(curve):
         assert first_difference(got, reference_points(curve, attr), " ") is None, attr
 
 
-@dataclass(frozen=True)
-class _Inner:
+class _Inner(NamedTuple):
     rate: float
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(NamedTuple):
     counts: dict
     pair: tuple
     count: int
@@ -213,7 +210,7 @@ def test_dumps_json_writes_bools_as_json_booleans():
     assert dumps_json({"a": True, "b": False}) == '{\n  "a": true,\n  "b": false\n}\n'
 
 
-def test_dumps_json_serializes_dataclass_fields():
+def test_dumps_json_serializes_record_fields():
     report = _Report(counts={2: 5, 1: 7}, pair=(1, 0.5), count=3, share=1 / 3,
                      inner=_Inner(rate=2 / 3))
     assert dumps_json(report) == """\
@@ -237,8 +234,8 @@ def test_dumps_json_serializes_dataclass_fields():
 
 def _leaves(obj):
     """Every dict key and non-container value of a report, depth first."""
-    if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_fields"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield key
@@ -264,3 +261,38 @@ def test_reports_hold_plain_python_numbers(name):
     leaves = list(_leaves(REPORTS[name]()))
     assert leaves and all(type(x) in (int, float, bool, str) for x in leaves), \
         sorted({type(x).__name__ for x in leaves})
+
+
+RECORDS = {
+    "SessionConfig": lambda: b92.session_config_from_dict(
+        {"s": 0.3, "rounds": 100, "mode": b92.MODE_ONE_QUBIT}),
+    "KeyReport": lambda: b92.run_session(b92.SessionConfig(0.3, 100, b92.MODE_TWO_QUBIT)),
+    "DilationUnitary": lambda: neumark.build_dilation(0.3),
+    "UDMeasurement": lambda: povm.build_intermediate_ud(0.3, 0.5),
+    "DiagnosticsReport": lambda: povm.validate(povm.build_intermediate_ud(0.3, 0.5)),
+    "ChainSpec": lambda: sequential.build_chain(0.3, 3),
+    "TallyReport": lambda: sequential.simulate_chain(sequential.build_chain(0.3, 3), 100, 7),
+    "OptimizationResult": lambda: sequential.optimize_two_observer(0.3),
+    "StrategyCurve": lambda: make_curve(steps=5),
+}
+
+
+def test_records_cover_every_record_class():
+    classes = {name for mod in (b92, neumark, povm, sequential, strategies)
+               for name, obj in vars(mod).items()
+               if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == mod.__name__}
+    assert classes == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    changed = record._replace(**{field: None})
+    assert type(changed) is type(record) and getattr(changed, field) is None
+    assert getattr(record, field) is before
+    assert all(getattr(changed, f) is getattr(record, f) for f in record._fields[1:])

@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .povm import PROB_FLOOR, build_intermediate_ud, outcome_statistics
+from .povm import PROB_FLOOR, build_intermediate_ud, outcome_statistics, outcome_table
 from .reporting import Echo, csv_text
-from .states import check_overlap, freeze, make_state_pair
+from .states import check_overlap, freeze
 
 QUBIT_DIM = 2
 ANCILLA_DIM = 3
@@ -60,21 +60,19 @@ def build_dilation(s: float) -> DilationUnitary:
     gap = (1.0 - s) / (1.0 + rs)
     # orthonormal ancilla vectors: v1 and v2 synthesize the physical
     # columns and v3 completes the basis
-    e0, e1, e2 = np.eye(3, dtype=complex)
+    e0, e1, e2 = np.eye(3)
     norm = math.sqrt(1.0 + rs)
     v1 = (math.sqrt(2.0) * s**0.25 * e0 + math.sqrt(gap / 2.0) * (e1 + e2)) / norm
     v2 = (e1 - e2) / math.sqrt(2.0)
     v3 = (math.sqrt(gap) * e0 - s**0.25 * (e1 + e2)) / norm
-    e0q, e1q = np.eye(2, dtype=complex)
+    e0q, e1q = np.eye(2)
     norm = math.sqrt(2.0 * (1.0 + s))
     col_00 = ((1.0 + rs) * np.kron(e0q, v1) + gap * np.kron(e1q, v2)) / norm
     col_10 = (np.kron(e0q, v2) + np.kron(e1q, v1)) / math.sqrt(2.0)
     partner_00 = (gap * np.kron(e0q, v1) - (1.0 + rs) * np.kron(e1q, v2)) / norm
     partner_10 = (np.kron(e0q, v2) - np.kron(e1q, v1)) / math.sqrt(2.0)
-    # rows transposed, so U is column-major: the reported residuals come
-    # from U @ psi, whose last bits depend on the memory order
-    u = np.array([col_00, partner_00, partner_10, col_10,
-                  np.kron(e0q, v3), np.kron(e1q, v3)]).T
+    u = np.column_stack([col_00, partner_00, partner_10, col_10,
+                         np.kron(e0q, v3), np.kron(e1q, v3)])
     return DilationUnitary(
         s=float(s),
         theta=0.5 * math.acos(s),
@@ -86,24 +84,12 @@ def build_dilation(s: float) -> DilationUnitary:
 def dilation_statistics(dilation: DilationUnitary, input_index: int):
     """Evolve state `input_index` (ancilla in |0>) and read the ancilla.
 
-    Returns (probs, posts): probs is the probability of ancilla outcomes
-    (0, 1, 2) and posts the matching normalized qubit states.  A state
-    whose outcome probability is at most PROB_FLOOR is returned
-    unnormalized (it is never observed).
+    Returns (probs, posts) for ancilla outcomes (0, 1, 2) through
+    povm.outcome_table(): the ket of outcome m is the qubit part of
+    U |psi>|0> beside |m>, read from U's physical columns 0 and 3.
     """
-    if input_index not in (1, 2):
-        raise ValueError(f"input_index must be 1 or 2, got {input_index}")
-    psi = make_state_pair(dilation.s)[input_index - 1]
-    anc0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    evolved = dilation.u @ np.kron(psi, anc0)
-    probs = []
-    posts = []
-    for m in range(ANCILLA_DIM):
-        amp = np.array([evolved[m], evolved[ANCILLA_DIM + m]])
-        p = float(np.real(np.vdot(amp, amp)))
-        probs.append(p)
-        posts.append(freeze(amp / math.sqrt(p)) if p > PROB_FLOOR else freeze(amp))
-    return tuple(probs), tuple(posts)
+    return outcome_table(dilation.s, input_index, lambda psi: (
+        dilation.u[:, ::ANCILLA_DIM] @ psi).reshape(QUBIT_DIM, ANCILLA_DIM).T)
 
 
 def povm_equivalence(dilation: DilationUnitary) -> float:
@@ -123,7 +109,7 @@ def povm_equivalence(dilation: DilationUnitary) -> float:
             prob_gap = max(prob_gap, abs(dil_p - meas_p))
             if dil_p <= PROB_FLOOR or meas_p <= PROB_FLOOR:
                 continue
-            overlap = abs(complex(np.vdot(dil_post, meas_post))) ** 2
+            overlap = float(dil_post @ meas_post) ** 2
             infidelity = max(infidelity, 1.0 - overlap)
     return prob_gap + infidelity
 
@@ -131,14 +117,18 @@ def povm_equivalence(dilation: DilationUnitary) -> float:
 def dilation_report(dilation: DilationUnitary) -> dict:
     """The `neumark` command's report: the dilation's angles, how far U is
     from unitary, its povm_equivalence() residual, and the largest
-    wrong-outcome probability of either input."""
-    unitarity = float(np.linalg.norm(dilation.u.conj().T @ dilation.u - np.eye(TOTAL_DIM)))
+    wrong-outcome probability of either input.  A residual at or below
+    PROB_FLOOR prints as 0.0, as a wrong-outcome probability below it
+    does: it is rounding noise, and no byte may depend on how it rounds."""
+    residuals = {
+        "unitarity_residual": float(np.linalg.norm(dilation.u.T @ dilation.u - np.eye(TOTAL_DIM))),
+        "equivalence_residual": povm_equivalence(dilation),
+    }
     return {
         "s": Echo(dilation.s),
         "theta": dilation.theta,
         "theta_prime": dilation.theta_prime,
-        "unitarity_residual": unitarity,
-        "equivalence_residual": povm_equivalence(dilation),
+        **{key: 0.0 if x <= PROB_FLOOR else x for key, x in residuals.items()},
         "max_wrong_outcome_probability": max(
             dilation_statistics(dilation, i)[0][3 - i] for i in (1, 2)),
     }
@@ -146,7 +136,8 @@ def dilation_report(dilation: DilationUnitary) -> dict:
 
 def unitary_csv(dilation: DilationUnitary) -> str:
     """The `neumark --matrix` table: header re0,im0,...,re5,im5, then the
-    rows of U as alternating real and imaginary parts (6 rows of 12), the
-    float64 view of a row-major copy of the complex matrix."""
+    rows of U as alternating real and imaginary parts (6 rows of 12).  U
+    is real, so every im column is a literal 0."""
     header = [f"{part}{j}" for j in range(TOTAL_DIM) for part in ("re", "im")]
-    return csv_text(header, np.ascontiguousarray(dilation.u).view(np.float64))
+    cells = np.stack([dilation.u, np.zeros_like(dilation.u)], -1)
+    return csv_text(header, cells.reshape(TOTAL_DIM, 2 * TOTAL_DIM))

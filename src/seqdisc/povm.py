@@ -40,9 +40,10 @@ from .states import check_overlap, freeze, make_state_pair
 DEFAULT_TOL = 1e-10
 
 # A wrong-state outcome probability below this floor is rounded to exactly
-# zero by outcome_statistics() (and so apply()); it carries only float
-# noise (~1e-17).  neumark skips outcomes at or below it when comparing
-# conditional states.  The sampler's threshold 1 - q does not use it.
+# zero by outcome_table(), so in the Kraus form and the dilation alike; it
+# carries only float noise (~1e-32).  neumark skips outcomes at or below it
+# when comparing conditional states and prints a residual at or below it
+# as 0.  The sampler's threshold 1 - q does not use it.
 PROB_FLOOR = 1e-12
 
 
@@ -66,7 +67,7 @@ class UDMeasurement(NamedTuple):
     @property
     def povm(self) -> tuple:
         """(Pi0, Pi1, Pi2), each A_m^dag A_m, as read-only arrays."""
-        return tuple(freeze(A.conj().T @ A) for A in self.kraus)
+        return tuple(freeze(A.T @ A) for A in self.kraus)
 
 
 class DiagnosticsReport(NamedTuple):
@@ -118,7 +119,7 @@ def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
     """
     t = output_overlap(s, q)
     s, q = float(s), float(q)
-    c, d = make_state_pair(s)[0].real
+    c, d = make_state_pair(s)[0]
     phi1, phi2 = make_state_pair(t)
     A1 = math.sqrt(1.0 - q) * np.outer(phi1, [0.5 / c, 0.5 / d])
     A2 = math.sqrt(1.0 - q) * np.outer(phi2, [0.5 / c, -0.5 / d])
@@ -140,10 +141,7 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
     trace_pi0 = 2.0 * (q - s * s) / one_minus_s2
     det_pi0 = (q - s) * (q + s) / one_minus_s2
-    zero_err = (
-        abs(complex(np.vdot(psi2, Pi1 @ psi2))),
-        abs(complex(np.vdot(psi1, Pi2 @ psi1))),
-    )
+    zero_err = (abs(float(psi2 @ (Pi1 @ psi2))), abs(float(psi1 @ (Pi2 @ psi1))))
 
     passed = (
         completeness <= DEFAULT_TOL
@@ -160,26 +158,32 @@ def validate(meas: UDMeasurement) -> DiagnosticsReport:
     )
 
 
-def outcome_statistics(meas: UDMeasurement, input_index: int) -> tuple:
-    """The outcome table when state `input_index` (1 or 2) is sent.
+def outcome_table(s: float, input_index: int, kets_of) -> tuple:
+    """The outcome table when state `input_index` (1 or 2) of the pair
+    with overlap `s` is sent; `kets_of(psi)` gives the three unnormalized
+    states A_m psi it leaves, in the order (0, 1, 2).
 
-    Returns (probs, posts) for outcomes (0, 1, 2), as dilation_statistics()
-    does: probs[m] = <psi|Pi_m|psi> and posts[m] the normalized A_m psi.
-    The wrong-state outcome's probability is rounded to exactly zero when
-    it is below PROB_FLOOR; the other two are returned as computed.  A
-    state whose probability is 0 is returned unnormalized (it is never
-    observed).
+    Returns (probs, posts): probs[m] = |A_m psi|^2 and posts[m] the
+    normalized A_m psi.  The wrong-state outcome's probability is rounded
+    to exactly zero when it is below PROB_FLOOR; the other two are returned
+    as computed.  A state whose probability is 0 is returned unnormalized
+    (it is never observed).
     """
     if input_index not in (1, 2):
         raise ValueError(f"input_index must be 1 or 2, got {input_index}")
-    psi = make_state_pair(meas.s)[input_index - 1]
-    probs = [float(np.real(np.vdot(psi, P @ psi))) for P in meas.povm]
+    kets = kets_of(make_state_pair(s)[input_index - 1])
+    probs = [float(v @ v) for v in kets]
     wrong = 3 - input_index
     if probs[wrong] < PROB_FLOOR:
         probs[wrong] = 0.0
-    kets = [A @ psi for A in meas.kraus]
-    posts = tuple(freeze(v / np.linalg.norm(v) if p else v) for p, v in zip(probs, kets))
+    posts = tuple(freeze(v / math.sqrt(p) if p else v) for p, v in zip(probs, kets))
     return tuple(probs), posts
+
+
+def outcome_statistics(meas: UDMeasurement, input_index: int) -> tuple:
+    """The outcome table of outcome_table() for the Kraus form: the kets
+    are A_m psi."""
+    return outcome_table(meas.s, input_index, lambda psi: [A @ psi for A in meas.kraus])
 
 
 def sampling_boundaries(q: float) -> float:

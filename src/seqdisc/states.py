@@ -20,8 +20,8 @@ import numpy as np
 
 
 def freeze(array) -> np.ndarray:
-    """Return a read-only complex copy of `array`."""
-    out = np.array(array, dtype=complex)
+    """Return a read-only float64 copy of `array`."""
+    out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
 

@@ -84,8 +84,9 @@ def cases() -> dict:
     out["curves-narrow"] = [
         "curves", "--s-min", "0.3", "--s-max", "0.3000001", "--steps", "9",
         "--svg", "curves-narrow.svg"]
-    # the imaginary parts of the real unitary print as 0, never -0; at
-    # 0.803606 equivalence_residual shows one rounding in the measurement
+    # the imaginary parts of the real unitary print as literal 0, never -0,
+    # and the three noise fields print as 0.0: each is 1e-15 or less, far
+    # under PROB_FLOOR, so no report byte depends on how U was rounded
     for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999"),
                      ("0.803606", "0.803606")):
         out[f"neumark-s{label}"] = [

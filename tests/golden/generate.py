@@ -76,6 +76,15 @@ def cases() -> dict:
                 "b92", "--s", s, "--rounds", str(trials), "--mode", mode,
                 "--eve", eve, "--seed", str(seed)]
     out.update(CHUNKED_RUNS)
+    # an overlap so small that a threshold, 1 - s or the cloner's
+    # 1 / (1 + s), rounds to 1.0, where every draw succeeds
+    tiny = ["--s", "1e-300", "--seed", "7"]
+    for kind in ("1", "3"):
+        out[f"simulate-kind{kind}-s1e-300-seed7"] = [
+            "simulate", "--kind", kind, "--trials", "100003", *tiny]
+    out["b92-one_qubit_sequential-intercept_ud-s1e-300-seed7"] = [
+        "b92", "--rounds", "100003", "--mode", "one_qubit_sequential",
+        "--eve", "intercept_ud", *tiny]
     out["curves-default"] = ["curves", "--svg", "curves-default.svg"]
     out["curves-steps1001"] = [
         "curves", "--s-min", "0.123", "--s-max", "0.877", "--steps", "1001",

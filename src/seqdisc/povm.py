@@ -197,22 +197,10 @@ def classify_uniforms(threshold, u: np.ndarray) -> np.ndarray:
     """Vectorized success sampling against sampling_boundaries().
 
     `threshold` is a scalar; returns the bool mask u < threshold: True
-    where apply() identifies the state and False where it gives 0.  The
+    where the observer identifies the state and False where it fails.
+    run_trials() passes raw Philox words and each threshold's word bound,
+    so the mask is the one their doubles give against the threshold.  The
     wrong-state outcome has no cell, so a mask is all an observer's
     outcome holds.
     """
     return u < threshold
-
-
-def apply(meas: UDMeasurement, input_index: int, rand: float):
-    """Apply the measurement to one prepared state using a uniform draw.
-
-    Returns (outcome, post), post the state the outcome leaves.  The draw
-    is classified against the cells [0, P(1)), [P(1), P(1)+P(2)),
-    [P(1)+P(2), 1); the cells and post come from outcome_statistics().
-    """
-    if not 0.0 <= rand < 1.0:
-        raise ValueError(f"rand={rand} outside [0, 1)")
-    (_, p1, p2), posts = outcome_statistics(meas, input_index)
-    outcome = 1 if rand < p1 else 2 if rand < p1 + p2 else 0
-    return outcome, posts[outcome]

@@ -3,10 +3,11 @@
 All Monte Carlo code in this package draws from a counter-based Philox
 stream keyed by the user seed.  Each trial owns a fixed window of the
 stream: trial i uses counter blocks [i*B, (i+1)*B) where B is the number of
-128-bit blocks needed for its draws (Philox emits 4 doubles per block).
+256-bit blocks needed for its draws (Philox emits 4 64-bit words per block).
 Because the window depends only on the trial index, any chunking of a run
 produces bit-identical draws, and results are reproducible across runs and
-machines for a given seed.
+machines for a given seed.  A draw is a raw word of the bit generator's
+stream, which numpy's RNG policy (NEP 19) keeps stable across releases.
 
 run_trials() is the one chunk loop behind every simulator: it fills each
 chunk's draws, reads from draw 0 which state was sent, classifies every
@@ -22,10 +23,10 @@ import numpy as np
 
 from .povm import classify_uniforms
 
-# doubles produced per 128-bit Philox counter increment
+# 64-bit words produced per Philox counter increment
 _BLOCK = 4
 
-# Doubles Philox generates per chunk of run_trials() (1 MB): a chunk's draws
+# Words Philox generates per chunk of run_trials() (1 MB): a chunk's draws
 # stay in cache while every kernel stage reads its column of them.
 CHUNK_DOUBLES = 1 << 17
 
@@ -44,10 +45,10 @@ def blocks_per_trial(draws_per_trial: int) -> int:
 def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: int = 0) -> np.ndarray:
     """Uniform draws for trials [start_trial, start_trial + n_trials).
 
-    Returns an (n_trials, draws_per_trial) view, with values in [0, 1), of
+    Returns an (n_trials, draws_per_trial) view, of raw uint64 words, of
     the (n_trials, 4 * blocks_per_trial) block Philox generates.  Column j
-    is draw j of each trial; the values do not depend on how a run is split
-    into chunks.
+    is draw j of each trial; the words do not depend on how a run is split
+    into chunks.  Generator.random's double of a word w is (w >> 11) * 2**-53.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
@@ -59,8 +60,17 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     blocks = blocks_per_trial(draws_per_trial)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start_trial * blocks)
-    raw = np.random.Generator(bitgen).random((n_trials, blocks * _BLOCK))
-    return raw[:, :draws_per_trial]
+    return bitgen.random_raw((n_trials, blocks * _BLOCK))[:, :draws_per_trial]
+
+
+def _word_bound(threshold: float):
+    """Word bound of a threshold in [0, 1]: the double (w >> 11) * 2**-53 of
+    a raw word w is below it exactly where w < ceil(threshold * 2**53) << 11
+    (the product is exact), a np.uint64 below 2**64 for thresholds below 1.
+    At 1 every word succeeds, and the bound is infinity."""
+    if threshold >= 1.0:
+        return math.inf
+    return np.uint64(math.ceil(threshold * 2.0**53) << 11)
 
 
 def chunk_ranges(n_trials: int, chunk_size: int):
@@ -77,10 +87,11 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     A trial draws 1 + len(thresholds) uniforms: draw 0 picks the prepared
     state, and observer k succeeds where draw k is below thresholds[k - 1],
     whichever state was sent.  Each chunk gets its draws from
-    trial_uniforms, at most CHUNK_DOUBLES generated doubles or one trial,
+    trial_uniforms, at most CHUNK_DOUBLES generated words or one trial,
     and kernel(masks, sent1) returns a tuple of the chunk's bool masks, where
-    masks[k - 1] = classify_uniforms(thresholds[k - 1], draw k) and sent1 =
-    draw 0 < 0.5, the equal-prior choice, marks the trials that sent state 1.
+    masks[k - 1] = classify_uniforms(bound k, draw k), bound k being the
+    word bound of thresholds[k - 1], and sent1 = draw 0 < 0.5, the
+    equal-prior choice, marks the trials that sent state 1.
     The counts, Python ints, do not depend on the chunk size, because
     neither the draws nor the per-trial kernel do.  A count outside
     [1, MAX_DRAWS // draws] is refused before any draw, called `name`.
@@ -89,12 +100,13 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     if not 1 <= trials <= MAX_DRAWS // draws:
         raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
                          f"in all, {draws} per trial), got {trials}")
+    half, *bounds = map(_word_bound, (0.5, *thresholds))
     chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
     totals = 0
     for start, count in chunk_ranges(trials, chunk):
-        u = trial_uniforms(seed, count, draws, start)
-        masks = [classify_uniforms(t, u[:, k]) for k, t in enumerate(thresholds, 1)]
-        totals += np.array([np.count_nonzero(m) for m in kernel(masks, u[:, 0] < 0.5)])
+        w = trial_uniforms(seed, count, draws, start)
+        masks = [classify_uniforms(b, w[:, k]) for k, b in enumerate(bounds, 1)]
+        totals += np.array([np.count_nonzero(m) for m in kernel(masks, w[:, 0] < half)])
     return tuple(totals.tolist())
 
 

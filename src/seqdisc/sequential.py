@@ -160,7 +160,7 @@ def _check_chain_length(n) -> None:
 
 
 def optimal_n_observer(s: float, n: int) -> float:
-    """Best probability that all n observers identify the state."""
+    """Best probability that all n observers identify the state, each failing equally on both."""
     s = check_overlap(s)
     _check_chain_length(n)
     return (1.0 - s ** (1.0 / n)) ** n

@@ -17,7 +17,10 @@ Regenerate only from a commit whose output is known to be right:
     PYTHONPATH=src python tests/golden/generate.py
 
 The tier-1 test `tests/test_golden.py` reads these files; it never writes
-them.
+them.  check_entry_point() runs every case through an installed command
+in a subprocess, as CI does from this directory:
+
+    python -c 'import generate, sys; sys.exit(generate.check_entry_point(["seqdisc"], "/tmp"))'
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import io
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -34,11 +38,11 @@ HERE = pathlib.Path(__file__).resolve().parent
 
 # Two seeds, each with a trial count that is not a multiple of the chunk,
 # so every case ends in a partial chunk.  A chunk holds CHUNK_DOUBLES =
-# 2^17 generated doubles, so a trial of at most 4 draws (one Philox block)
+# 2^17 generated words, so a trial of at most 4 draws (one Philox block)
 # gets 32768-trial chunks: 262145 = 8 * 32768 + 1 ends in a one-trial
 # chunk, and 300007 = 9 * 32768 + 5095 in a 5095-trial one.
 RUNS = ((7, 262_145, "0.3"), (2024, 300_007, "0.45"))
-# Long draw rows.  With chunks sized by generated doubles (blocks of 4 per
+# Long draw rows.  With chunks sized by generated words (blocks of 4 per
 # trial) these runs split into many chunks whose trial count depends on the
 # row length, and none of the trial counts is a multiple of the chunk.
 CHUNKED_RUNS = (
@@ -145,6 +149,28 @@ def fixture_names(table: dict) -> set:
         names.add(stdout_fixture(name, argv))
         names.update(written_fixtures(argv).values())
     return names
+
+
+def check_entry_point(command: list, workdir):
+    """Run every case as `command + argv` in a subprocess, with the files it
+    writes under `workdir`, and print one ok or FAIL line per case.  A case
+    passes when it exits 0 with empty stderr and its stdout and files match
+    the fixtures.  Returns None, or a message naming the cases that differ."""
+    workdir = pathlib.Path(workdir)
+    table = cases()
+    failed = []
+    for name, argv in sorted(table.items()):
+        files = written_fixtures(argv)
+        actual = [str(workdir / a) if i and argv[i - 1] in files else a
+                  for i, a in enumerate(argv)]
+        done = subprocess.run([*command, *actual], capture_output=True)
+        ok = done.returncode == 0 and not done.stderr
+        ok = ok and done.stdout == (HERE / stdout_fixture(name, argv)).read_bytes()
+        for fixture in files.values():
+            ok = ok and (workdir / fixture).read_bytes() == (HERE / fixture).read_bytes()
+        print("ok  " if ok else "FAIL", name, flush=True)
+        failed += [] if ok else [name]
+    return f"{len(failed)} of {len(table)} cases differ: {failed}" if failed else None
 
 
 def generate() -> None:

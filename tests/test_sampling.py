@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _reference import doubles
 
 from seqdisc import sampling
 from seqdisc.b92 import EVE_POLICIES, MODES, SessionConfig, run_session
@@ -30,7 +31,7 @@ def test_single_trial_window_matches_batch():
 
 
 def test_draws_are_uniform_in_unit_interval():
-    u = trial_uniforms(2024, 2000, 3)
+    u = doubles(trial_uniforms(2024, 2000, 3))
     assert u.shape == (2000, 3)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     # crude sanity on the mean, 4 sigma of a uniform's mean over 6000 draws
@@ -48,10 +49,10 @@ def test_philox_doubles_are_the_top_53_bits_of_the_raw_stream(key, advance):
     drawn, raw = np.random.Philox(key=key), np.random.Philox(key=key)
     drawn.advance(advance)
     raw.advance(advance)
-    doubles = np.random.Generator(drawn).random(1001)
+    drawn_doubles = np.random.Generator(drawn).random(1001)
     words = raw.random_raw(1001)
     assert words.dtype == np.uint64
-    assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+    assert np.array_equal(drawn_doubles, doubles(words))
 
 
 def test_different_seeds_differ():
@@ -134,7 +135,7 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
 SEED, TRIALS = 31, 300
 # draw 4 of trial 123 under a two-block window, which every layout of 5-8
 # draws shares; the thresholds next to it are its nextafter neighbours
-DRAWN = float(trial_uniforms(SEED, TRIALS, 8)[123, 4])
+DRAWN = float(doubles(trial_uniforms(SEED, TRIALS, 8)[123, 4]))
 EDGES = (np.nextafter(DRAWN, 0.0), DRAWN, np.nextafter(DRAWN, 1.0))
 
 
@@ -149,7 +150,7 @@ def test_run_trials_hands_the_kernel_every_draw_classified(monkeypatch, threshol
 
         def kernel(masks, sent1):
             nonlocal start
-            u = trial_uniforms(SEED, len(sent1), draws, start)
+            u = doubles(trial_uniforms(SEED, len(sent1), draws, start))
             assert np.array_equal(sent1, u[:, 0] < 0.5)
             assert len(masks) == len(thresholds)
             for k, (mask, threshold) in enumerate(zip(masks, thresholds), 1):
@@ -160,8 +161,48 @@ def test_run_trials_hands_the_kernel_every_draw_classified(monkeypatch, threshol
         sums.append(run_trials(SEED, TRIALS, thresholds, kernel))
         assert start == TRIALS
     assert sums[0] == sums[1] == sums[2]
-    u = trial_uniforms(SEED, TRIALS, draws)
+    u = doubles(trial_uniforms(SEED, TRIALS, draws))
     assert sums[0] == (np.count_nonzero(u[:, 0] < 0.5),
                        *(np.count_nonzero(u[:, k] < t) for k, t in enumerate(thresholds, 1)))
     if thresholds and thresholds[-1] in EDGES:  # only the neighbour above holds the draw
         assert (u[123, 4] < thresholds[-1]) == (thresholds[-1] == EDGES[2])
+
+
+def test_word_classification_equals_double_classification_at_every_edge(monkeypatch):
+    """run_trials classifies raw words against integer bounds.  Each mask it
+    hands the kernel must be the one the words' doubles give against the
+    float thresholds: at 0, 1, 0.5, the cloner's 1 / (1 + s) and a chain's
+    1 - q, and at each one's nextafter neighbours, on the words that sit on
+    either side of every threshold and at both ends of the word range."""
+    s = 0.3
+    centres = (0.0, 1.0, 0.5, 1.0 / (1.0 + s), build_chain(s, 3).thresholds[0])
+    thresholds = tuple(float(np.nextafter(t, d)) for t in centres for d in (-1.0, t, 2.0))
+    draws = 1 + len(thresholds)
+    # the doubles m * 2**-53 next to t, each from its lowest and highest word
+    grid = {m for t in thresholds for m in range(int(t * 2**53) - 1, int(t * 2**53) + 3)
+            if 0 <= m < 2**53}
+    edges = [word for m in grid for word in (m << 11, (m << 11) | 0x7FF)]
+    edges += [0, 2**63 - 1, 2**63, 2**64 - 1]
+    drawn = np.random.default_rng(8).integers(0, 2**64, 200, dtype=np.uint64, endpoint=False)
+    words = np.concatenate([np.array(sorted(set(edges)), dtype=np.uint64), drawn])
+    table = np.repeat(words[:, None], draws, axis=1)
+    monkeypatch.setattr(sampling, "trial_uniforms",
+                        lambda seed, n, d, start: table[start:start + n, :d])
+    u = doubles(table)
+    expected = (np.count_nonzero(u[:, 0] < 0.5),
+                *(np.count_nonzero(u[:, k] < t) for k, t in enumerate(thresholds, 1)))
+    for budget in (1, 28, 1 << 17):
+        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        start = 0
+
+        def kernel(masks, sent1):
+            nonlocal start
+            rows = u[start:start + len(sent1)]
+            assert np.array_equal(sent1, rows[:, 0] < 0.5)
+            for k, (mask, threshold) in enumerate(zip(masks, thresholds), 1):
+                assert np.array_equal(mask, rows[:, k] < threshold), threshold
+            start += len(sent1)
+            return (sent1, *masks)
+
+        assert run_trials(SEED, len(words), thresholds, kernel) == expected
+        assert start == len(words)

@@ -5,13 +5,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from _reference import apply, doubles
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqdisc import povm, sequential
 from seqdisc.b92 import EVE_INTERCEPT, MODE_ONE_QUBIT, SessionConfig, run_session
 from seqdisc.povm import (
-    apply,
     build_intermediate_ud,
     sampling_boundaries,
     validate,
@@ -286,7 +286,7 @@ def test_simulate_chain_matches_scalar_application():
     joint = any_ok = errors = 0
     branch = {1: 0, 2: 0}
     for i in range(trials):
-        u = trial_uniforms(seed, 1, 3, start_trial=i)[0]
+        u = doubles(trial_uniforms(seed, 1, 3, start_trial=i)[0])
         prep = 1 if u[0] < 0.5 else 2
         ok = []
         for k, stage in enumerate(stages):

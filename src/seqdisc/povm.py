@@ -34,11 +34,6 @@ import numpy as np
 
 from .states import check_overlap, freeze, make_state_pair
 
-# Tolerance of the numerical checks in validate(): absolute on the
-# completeness and zero-error residuals and on det Pi0, relative on the
-# admissibility test q >= s.
-DEFAULT_TOL = 1e-10
-
 # A wrong-state outcome probability below this floor is rounded to exactly
 # zero by outcome_table(), so in the Kraus form and the dilation alike; it
 # carries only float noise (~1e-32).  neumark skips outcomes at or below it
@@ -53,10 +48,9 @@ class UDMeasurement(NamedTuple):
     pair with overlap `t`.
 
     `kraus` holds (A0, A1, A2), the only stored form of the measurement;
-    `povm` derives (Pi0, Pi1, Pi2) from it, each Pi_m = A_m^dag A_m, so
-    every element is Hermitian and positive by construction.  validate()
-    reports how far their sum sits from the identity.  The states
-    themselves are make_state_pair(s) and make_state_pair(t).
+    each POVM element Pi_m = A_m^dag A_m is Hermitian and positive by
+    construction.  The states themselves are make_state_pair(s) and
+    make_state_pair(t).
     """
 
     s: float
@@ -64,38 +58,13 @@ class UDMeasurement(NamedTuple):
     q: float
     kraus: tuple
 
-    @property
-    def povm(self) -> tuple:
-        """(Pi0, Pi1, Pi2), each A_m^dag A_m, as read-only arrays."""
-        return tuple(freeze(A.T @ A) for A in self.kraus)
-
-
-class DiagnosticsReport(NamedTuple):
-    """Numerical health check of a UDMeasurement.
-
-    trace_pi0 and det_pi0 come from the closed forms
-    2 (q - s^2) / (1 - s^2) and (q - s)(q + s) / (1 - s^2), with 1 - s^2
-    taken as (1 - s)(1 + s); both must be nonnegative for Pi0 to be a
-    valid element.  Factored this way neither cancels as s nears 1.
-    validate() requires det_pi0 >= -DEFAULT_TOL, which sees a shortfall of
-    q near s = 1, and q >= s to a relative DEFAULT_TOL, which sees it at
-    small s; together they imply trace_pi0 >= 0, since s >= s^2.
-    Positivity has no entry: every element is A_i^dag A_i.
-    """
-
-    completeness_residual: float
-    trace_pi0: float
-    det_pi0: float
-    zero_error_residuals: tuple
-    passed: bool
-
 
 def output_overlap(s: float, q: float) -> float:
     """Overlap t = s / q of the pair that failure probability q in (0, 1]
     leaves of input overlap s, exactly 1 at q = s.  It does not square,
     so admissibility, q >= s, is checked on t even where s^2 underflows;
-    t up to 1e-12 above 1 is capped at 1.  ValueError names the bad s, q
-    or bound."""
+    t up to 1e-12 above 1, from a q up to a relative 1e-12 below s, is
+    capped at 1.  ValueError names the bad s, q or bound."""
     s = check_overlap(s, "input overlap s")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q={q} outside (0, 1]")
@@ -116,46 +85,18 @@ def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
     and the measurement extracts everything: q = s is the minimum-failure
     measurement for equal priors, and q = 1 never identifies a state.
     The output overlap t, and every check, comes from output_overlap().
+    A q that it accepts below s, where t is capped at 1, is raised to s, so
+    the measurement built is the minimum-failure one.
     """
     t = output_overlap(s, q)
-    s, q = float(s), float(q)
+    s = float(s)
+    q = max(float(q), s)
     c, d = make_state_pair(s)[0]
     phi1, phi2 = make_state_pair(t)
     A1 = math.sqrt(1.0 - q) * np.outer(phi1, [0.5 / c, 0.5 / d])
     A2 = math.sqrt(1.0 - q) * np.outer(phi2, [0.5 / c, -0.5 / d])
-    # q - s < 0 only where t was capped at 1
-    A0 = np.diag([math.sqrt((q + s) / (1.0 + s)), math.sqrt(max(q - s, 0.0) / (1.0 - s))])
+    A0 = np.diag([math.sqrt((q + s) / (1.0 + s)), math.sqrt((q - s) / (1.0 - s))])
     return UDMeasurement(s=s, t=t, q=q, kraus=tuple(freeze(A) for A in (A0, A1, A2)))
-
-
-def validate(meas: UDMeasurement) -> DiagnosticsReport:
-    """Check completeness, admissibility and the zero-error property.
-
-    Hermiticity and positivity need no check: each element is derived as
-    A_i^dag A_i from the stored Kraus operators."""
-    Pi0, Pi1, Pi2 = meas.povm
-    s, q = meas.s, meas.q
-    psi1, psi2 = make_state_pair(s)
-    one_minus_s2 = (1.0 - s) * (1.0 + s)
-
-    completeness = float(np.linalg.norm(Pi1 + Pi2 + Pi0 - np.eye(2)))
-    trace_pi0 = 2.0 * (q - s * s) / one_minus_s2
-    det_pi0 = (q - s) * (q + s) / one_minus_s2
-    zero_err = (abs(float(psi2 @ (Pi1 @ psi2))), abs(float(psi1 @ (Pi2 @ psi1))))
-
-    passed = (
-        completeness <= DEFAULT_TOL
-        and det_pi0 >= -DEFAULT_TOL
-        and q >= s * (1.0 - DEFAULT_TOL)
-        and all(r <= DEFAULT_TOL for r in zero_err)
-    )
-    return DiagnosticsReport(
-        completeness_residual=completeness,
-        trace_pi0=trace_pi0,
-        det_pi0=det_pi0,
-        zero_error_residuals=zero_err,
-        passed=passed,
-    )
 
 
 def outcome_table(s: float, input_index: int, kets_of) -> tuple:

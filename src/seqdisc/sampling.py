@@ -28,7 +28,7 @@ _BLOCK = 4
 
 # Words Philox generates per chunk of run_trials() (1 MB): a chunk's draws
 # stay in cache while every kernel stage reads its column of them.
-CHUNK_DOUBLES = 1 << 17
+CHUNK_WORDS = 1 << 17
 
 # Philox keys are 128-bit integers.
 SEED_LIMIT = 1 << 128
@@ -87,7 +87,7 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     A trial draws 1 + len(thresholds) uniforms: draw 0 picks the prepared
     state, and observer k succeeds where draw k is below thresholds[k - 1],
     whichever state was sent.  Each chunk gets its draws from
-    trial_uniforms, at most CHUNK_DOUBLES generated words or one trial,
+    trial_uniforms, at most CHUNK_WORDS generated words or one trial,
     and kernel(masks, sent1) returns a tuple of the chunk's bool masks, where
     masks[k - 1] = classify_uniforms(bound k, draw k), bound k being the
     word bound of thresholds[k - 1], and sent1 = draw 0 < 0.5, the
@@ -101,7 +101,7 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
         raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
                          f"in all, {draws} per trial), got {trials}")
     half, *bounds = map(_word_bound, (0.5, *thresholds))
-    chunk = max(1, CHUNK_DOUBLES // (blocks_per_trial(draws) * _BLOCK))
+    chunk = max(1, CHUNK_WORDS // (blocks_per_trial(draws) * _BLOCK))
     totals = 0
     for start, count in chunk_ranges(trials, chunk):
         w = trial_uniforms(seed, count, draws, start)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .povm import build_intermediate_ud, output_overlap, sampling_boundaries
+from .povm import output_overlap, sampling_boundaries
 from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
 from .sampling import binomial_rate, run_trials
 from .states import check_overlap
@@ -43,7 +43,7 @@ class ChainSpec(NamedTuple):
     overlaps[k] (0-based) is the overlap observer k+1 receives, about
     s**((n-k)/n), and overlaps[n] = 1 the one the last leaves.  All but the
     last fail with per-state probability q = s**(1/n), the last with its
-    input overlap.  No measurement is built until `stages` is read."""
+    input overlap.  Samplers read only the thresholds: no measurement is built."""
 
     s: float
     n: int
@@ -59,11 +59,6 @@ class ChainSpec(NamedTuple):
     def thresholds(self) -> tuple:
         """Each observer's sampling_boundaries(): it succeeds on a draw below it."""
         return tuple(map(sampling_boundaries, self.failures))
-
-    @property
-    def stages(self) -> tuple:
-        """Observer k+1's UDMeasurement at [k], built on every read."""
-        return tuple(build_intermediate_ud(a, q) for a, q in zip(self.overlaps, self.failures))
 
 
 class TallyReport(NamedTuple):
@@ -85,8 +80,8 @@ def tally_trials(seed: int, trials: int, thresholds: tuple, outcome) -> TallyRep
     Joint successes are split by prepared state, and the joint estimate is
     their count / trials with its binomial standard error.  error_count is
     0 by construction: a sampled observer names the prepared state or
-    fails.  The evidence that the measurements never misidentify is
-    validate()'s zero_error_residuals on their matrices."""
+    fails.  The evidence that the measurements never misidentify lies in
+    their wrong-state probabilities, which the tests read from the Kraus operators."""
 
     def kernel(masks, sent1):
         joint, at_least_one = outcome(masks)

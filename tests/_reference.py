@@ -1,14 +1,18 @@
-"""One-draw references that the vectorized sampler is compared with.
+"""References that the package's fast paths and records are checked with.
 
 apply() measures one prepared state with one uniform double, reading the
 measurement's own outcome table rather than the sampler's threshold, and
 doubles() turns the raw Philox words sampling.trial_uniforms returns into
-the doubles Generator.random makes of them.
+the doubles Generator.random makes of them.  completeness_residual() and
+zero_error_residuals() read a measurement's health from its Kraus
+operators, and stages() builds the measurements of a chain's schedule.
 """
 
 import numpy as np
 
+from seqdisc import povm
 from seqdisc.povm import outcome_statistics
+from seqdisc.states import make_state_pair
 
 
 def doubles(words):
@@ -28,3 +32,22 @@ def apply(meas, input_index: int, rand: float):
     (_, p1, p2), posts = outcome_statistics(meas, input_index)
     outcome = 1 if rand < p1 else 2 if rand < p1 + p2 else 0
     return outcome, posts[outcome]
+
+
+def completeness_residual(meas) -> float:
+    """||sum_m A_m^T A_m - I||: how far the POVM elements sit from the identity."""
+    return float(np.linalg.norm(sum(A.T @ A for A in meas.kraus) - np.eye(2)))
+
+
+def zero_error_residuals(meas) -> tuple:
+    """(|A_1 psi_2|^2, |A_2 psi_1|^2), the wrong-state probabilities before
+    outcome_table()'s floor."""
+    _, A1, A2 = meas.kraus
+    psi1, psi2 = make_state_pair(meas.s)
+    return tuple(float(v @ v) for v in (A1 @ psi2, A2 @ psi1))
+
+
+def stages(chain) -> tuple:
+    """Observer k+1's measurement at [k].  build_intermediate_ud is looked
+    up on povm at each call, so a test can replace it there."""
+    return tuple(povm.build_intermediate_ud(a, q) for a, q in zip(chain.overlaps, chain.failures))

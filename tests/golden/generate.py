@@ -37,7 +37,7 @@ from seqdisc.cli import main
 HERE = pathlib.Path(__file__).resolve().parent
 
 # Two seeds, each with a trial count that is not a multiple of the chunk,
-# so every case ends in a partial chunk.  A chunk holds CHUNK_DOUBLES =
+# so every case ends in a partial chunk.  A chunk holds CHUNK_WORDS =
 # 2^17 generated words, so a trial of at most 4 draws (one Philox block)
 # gets 32768-trial chunks: 262145 = 8 * 32768 + 1 ends in a one-trial
 # chunk, and 300007 = 9 * 32768 + 5095 in a 5095-trial one.

@@ -5,10 +5,11 @@ they pass; `pytest -v` shows the same information through the test names.
 
 The zero-error criterion is cumulative: every Monte Carlo run in this
 module registers its trial count in a module ledger, together with the
-largest wrong-state probability that validate() finds in the measurements
-the run samples (its zero_error_residuals).  The sampler cannot name the
-wrong state, so a misidentification count would be zero by construction;
-the residuals are the evidence that can fail.  The final test demands at
+largest wrong-state probability |A_i psi_j|^2 (i != j) that
+_reference.zero_error_residuals() reads from the Kraus operators of the
+measurements the run samples.  The sampler cannot name the wrong state, so
+a misidentification count would be zero by construction; the residuals
+are the evidence that can fail.  The final test demands at
 least ten million registered trials and a largest residual of at most
 ZERO_ERROR_BOUND.
 """
@@ -20,6 +21,7 @@ import time
 import numpy as np
 import pytest
 from _oracles import session_rate_oracle
+from _reference import completeness_residual, stages, zero_error_residuals
 
 from seqdisc.b92 import (
     EVE_INTERCEPT,
@@ -30,7 +32,7 @@ from seqdisc.b92 import (
 )
 from seqdisc.cli import main as cli_main
 from seqdisc.neumark import build_dilation, dilation_statistics, povm_equivalence
-from seqdisc.povm import build_intermediate_ud, validate
+from seqdisc.povm import build_intermediate_ud
 from seqdisc.sequential import build_chain, optimize_two_observer, simulate_chain
 from seqdisc.states import make_state_pair
 from seqdisc.strategies import (
@@ -48,16 +50,20 @@ LEDGER = {"trials": 0, "residual": 0.0}
 # measurement; the same bound as test_povm's sweep of chain stages near s = 1.
 ZERO_ERROR_BOUND = 1e-15
 
+# Bound on a measurement's completeness residual, and a zero-error bound
+# far looser than the ledger's
+TOL = 1e-10
+
 
 def _zero_error_residual(measurements):
-    """Largest validate().zero_error_residuals entry over `measurements`."""
-    return max(max(validate(m).zero_error_residuals) for m in measurements)
+    """Largest zero_error_residuals() entry over `measurements`."""
+    return max(max(zero_error_residuals(m)) for m in measurements)
 
 
 def _sampled(s, sequential):
     """The measurements a run at overlap s samples: the two-observer chain's
     stages, or the minimum-failure measurement (also Eve's)."""
-    return build_chain(s, 2).stages if sequential else (build_intermediate_ud(s, s),)
+    return stages(build_chain(s, 2)) if sequential else (build_intermediate_ud(s, s),)
 
 
 def _register(trials, measurements):
@@ -80,7 +86,7 @@ def test_criterion_1_two_observer_optimum():
     for s in (0.1, 0.25, 0.5, 0.75):
         chain = build_chain(s, 2)
         report = simulate_chain(chain, trials, seed=101)
-        _register(report.trials, chain.stages)
+        _register(report.trials, stages(chain))
         p = (1.0 - math.sqrt(s)) ** 2
         se = math.sqrt(p * (1.0 - p) / trials)
         ok &= abs(report.estimated_joint_probability - p) <= 4 * se
@@ -99,8 +105,7 @@ def test_criterion_2_measurement_grid():
         for u in np.linspace(0.0, 1.0, 50):
             q = s + (1.0 - s) * u
             meas = build_intermediate_ud(float(s), float(q))
-            report = validate(meas)
-            ok &= report.passed
+            ok &= completeness_residual(meas) <= TOL
             ok &= _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
             got_t = float(np.vdot(*make_state_pair(meas.t)).real)
             ok &= abs(got_t - s / q) <= 1e-10
@@ -149,7 +154,7 @@ def test_criterion_5_three_observer_law():
     s, trials = 0.729, 1_000_000
     chain = build_chain(s, 3)
     report = simulate_chain(chain, trials, seed=55)
-    _register(report.trials, chain.stages)
+    _register(report.trials, stages(chain))
     p = 0.001
     se = math.sqrt(p * (1.0 - p) / trials)
     ok = abs(report.estimated_joint_probability - p) <= 4 * se
@@ -263,12 +268,13 @@ def test_zero_error_ledger_flags_a_tampered_measurement():
     assert _zero_error_residual([meas]) <= ZERO_ERROR_BOUND
     # rotate A1 into A0 so that Pi1 answers psi2 with probability
     # sin^2(e) |A0 psi2|^2 = 1e-12; the rotation keeps completeness, so
-    # validate() still passes it, within DEFAULT_TOL, but the ledger does not
+    # both residuals stay within TOL, but the ledger's bound does not
     A0, A1, A2 = meas.kraus
     e = math.asin(math.sqrt(1e-12 / meas.q))
     rotated = (math.cos(e) * A0 - math.sin(e) * A1, math.cos(e) * A1 + math.sin(e) * A0, A2)
     tampered = meas._replace(kraus=rotated)
-    assert validate(tampered).passed
+    assert completeness_residual(tampered) <= TOL
+    assert max(zero_error_residuals(tampered)) <= TOL
     assert _zero_error_residual([tampered]) > ZERO_ERROR_BOUND
 
 

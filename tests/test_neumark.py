@@ -195,7 +195,7 @@ def test_both_outcome_tables_round_the_wrong_state_to_zero(s):
 def test_states_measurements_and_dilation_are_real():
     s = 0.42
     meas = build_intermediate_ud(s, math.sqrt(s))
-    arrays = [*make_state_pair(s), *meas.kraus, *meas.povm, build_dilation(s).u]
+    arrays = [*make_state_pair(s), *meas.kraus, build_dilation(s).u]
     assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
 
 

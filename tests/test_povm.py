@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from _reference import apply
+from _reference import apply, completeness_residual, stages, zero_error_residuals
 
 from seqdisc.povm import (
     build_intermediate_ud,
@@ -12,12 +12,14 @@ from seqdisc.povm import (
     outcome_statistics,
     output_overlap,
     sampling_boundaries,
-    validate,
 )
 from seqdisc.sequential import build_chain
 from seqdisc.states import make_state_pair
 
 S_GRID = [0.04, 0.25, 0.5, 0.75, 0.9]
+
+# Bound on a built measurement's completeness and zero-error residuals
+TOL = 1e-10
 
 
 def _q_grid(s, count=8):
@@ -30,17 +32,17 @@ def test_optimal_measurement_is_valid_and_exhausting(s):
     meas = build_intermediate_ud(s, s)
     assert meas.q == s
     assert meas.t == 1.0
-    report = validate(meas)
-    assert report.passed
-    assert abs(report.det_pi0) < 1e-12
+    assert completeness_residual(meas) <= TOL and max(zero_error_residuals(meas)) <= TOL
+    pi0 = meas.kraus[0].T @ meas.kraus[0]
+    assert abs(np.linalg.det(pi0)) < 1e-12
 
 
 @pytest.mark.parametrize("s", S_GRID)
 def test_intermediate_measurements_validate_on_a_grid(s):
     for q in _q_grid(s):
         meas = build_intermediate_ud(s, q)
-        report = validate(meas)
-        assert report.passed, (s, q, report)
+        assert completeness_residual(meas) <= TOL, (s, q)
+        assert max(zero_error_residuals(meas)) <= TOL, (s, q)
         want_t = min(1.0, s / q)
         assert meas.t == pytest.approx(want_t, abs=1e-10)
 
@@ -62,7 +64,7 @@ def test_branch_probabilities_match_failure_targets(s):
 def test_outcome_statistics_keep_tiny_success_probabilities():
     # at s = 1 - 1e-12 the first of two observers succeeds with probability
     # 1 - s**0.5 = 5.0e-13, below PROB_FLOOR; only the wrong outcome is floored
-    stage = build_chain(1.0 - 1e-12, 2).stages[0]
+    stage = stages(build_chain(1.0 - 1e-12, 2))[0]
     (p0, p1, wrong), posts = outcome_statistics(stage, 1)
     assert p1 == pytest.approx(1.0 - stage.q, rel=1e-12, abs=0)
     assert p1 > 4e-13 and wrong == 0.0
@@ -78,15 +80,14 @@ def test_cumulative_outcome_statistics_match_sampling_boundaries():
     # own probabilities, and its pre-floor wrong-outcome mass, over chain
     # stages and the whole admissible range of q, near s = 1 too
     gaps = np.logspace(-12, -1, 60)
-    stages = [stage for gap in gaps for n in (2, 64) for stage in build_chain(1.0 - gap, n).stages]
-    stages += [build_intermediate_ud(s, q) for s in [*S_GRID, *(1.0 - gaps)] for q in _q_grid(s)]
-    for stage in stages:
-        report = validate(stage)
-        assert report.passed, stage
+    built = [stage for gap in gaps for n in (2, 64) for stage in stages(build_chain(1.0 - gap, n))]
+    built += [build_intermediate_ud(s, q) for s in [*S_GRID, *(1.0 - gaps)] for q in _q_grid(s)]
+    for stage in built:
+        assert completeness_residual(stage) <= TOL, stage
         for i in (1, 2):
             identified = outcome_statistics(stage, i)[0][i]
             assert abs(identified - sampling_boundaries(stage.q)) <= 1e-15
-        assert max(report.zero_error_residuals) <= 1e-15
+        assert max(zero_error_residuals(stage)) <= 1e-15
 
 
 def test_output_overlap_is_the_measurements_output_overlap():
@@ -102,12 +103,15 @@ def test_output_overlap_is_the_measurements_output_overlap():
 
 
 def test_validate_formulas_match_direct_matrix_values():
-    meas = build_intermediate_ud(0.3, 0.7)
-    report = validate(meas)
-    pi0 = meas.povm[0]
-    assert report.trace_pi0 == pytest.approx(np.trace(pi0).real, abs=1e-12)
-    assert report.det_pi0 == pytest.approx(np.linalg.det(pi0).real, abs=1e-12)
-    assert report.completeness_residual < 1e-15
+    # Pi0 = A0^T A0 has trace 2 (q - s^2) / (1 - s^2) and determinant
+    # (q - s)(q + s) / (1 - s^2), both nonnegative exactly when q >= s
+    s, q = 0.3, 0.7
+    meas = build_intermediate_ud(s, q)
+    pi0 = meas.kraus[0].T @ meas.kraus[0]
+    one_minus_s2 = (1.0 - s) * (1.0 + s)
+    assert 2.0 * (q - s * s) / one_minus_s2 == pytest.approx(np.trace(pi0), abs=1e-12)
+    assert (q - s) * (q + s) / one_minus_s2 == pytest.approx(np.linalg.det(pi0), abs=1e-12)
+    assert completeness_residual(meas) < 1e-15
 
 
 def test_validate_flags_a_tampered_failure_operator():
@@ -116,26 +120,7 @@ def test_validate_flags_a_tampered_failure_operator():
     meas = build_intermediate_ud(0.3, 0.6)
     bad_A0 = 1.01 * meas.kraus[0]
     tampered = meas._replace(kraus=(bad_A0, *meas.kraus[1:]))
-    report = validate(tampered)
-    assert report.completeness_residual > 1e-4
-    assert not report.passed
-
-
-def test_validate_refuses_inadmissible_failure_probabilities():
-    # at s = 1e-6, q = 5e-7 < s leaves det_pi0 = -7.5e-13, inside an
-    # absolute DEFAULT_TOL; the relative test q >= s refuses it
-    meas = build_intermediate_ud(1e-6, 1e-6)
-    report = validate(meas._replace(q=0.5e-6))
-    assert -1e-12 < report.det_pi0 < 0.0
-    assert not report.passed
-    # near s = 1 a relative shortfall of 1e-13 is within the relative
-    # test's slack, but 1 / (1 - s^2) magnifies det_pi0 past the absolute one
-    s = 1.0 - 1e-8
-    meas = build_intermediate_ud(s, s)
-    report = validate(meas._replace(q=s * (1.0 - 1e-13)))
-    assert report.det_pi0 < -1e-6
-    assert not report.passed
-    assert validate(meas).passed
+    assert completeness_residual(tampered) > 1e-4
 
 
 def test_sampled_outcome_rates_match_branch_probabilities():
@@ -172,7 +157,21 @@ def test_admissibility_bound_is_enforced():
     for q in (0.5, 0.5 - 1e-14):
         meas = build_intermediate_ud(0.5, q)
         assert meas.t == 1.0
-        assert validate(meas).passed
+        assert completeness_residual(meas) <= TOL and max(zero_error_residuals(meas)) <= TOL
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 1e-15])
+def test_a_failure_probability_just_below_s_builds_the_minimum_failure_measurement(s):
+    # output_overlap caps t = s / q at 1 for q up to a relative 1e-12
+    # below s; the measurement built must then fail with q = s, not with
+    # the q asked for, or its identified branches outweigh 1 - s
+    for r in (0.0, 1e-16, 1e-13, 9e-13):
+        meas = build_intermediate_ud(s, s * (1.0 - r))
+        assert meas.q == s and meas.t == 1.0, r
+        for i in (1, 2):
+            identified = outcome_statistics(meas, i)[0][i]
+            assert identified == pytest.approx(1.0 - s, rel=1e-12, abs=0), (r, i)
+        assert completeness_residual(meas) <= 1e-15, r
 
 
 def test_admissibility_holds_where_the_products_underflow():
@@ -184,7 +183,7 @@ def test_admissibility_holds_where_the_products_underflow():
     for q, t in ((1e-170, 1.0), (2e-170, 0.5)):
         meas = build_intermediate_ud(1e-170, q)
         assert meas.t == t
-        assert validate(meas).passed
+        assert completeness_residual(meas) <= TOL and max(zero_error_residuals(meas)) <= TOL
 
 
 def test_failure_probability_range_is_enforced():
@@ -302,7 +301,5 @@ def test_classify_uniforms_matches_masked_store_reference(prep_dtype):
 
 def test_measurement_matrices_are_read_only():
     meas = build_intermediate_ud(0.5, 0.5)
-    with pytest.raises(ValueError):
-        meas.povm[0][0, 0] = 9.0
     with pytest.raises(ValueError):
         meas.kraus[0][0, 0] = 9.0

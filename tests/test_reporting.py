@@ -269,7 +269,6 @@ RECORDS = {
     "KeyReport": lambda: b92.run_session(b92.SessionConfig(0.3, 100, b92.MODE_TWO_QUBIT)),
     "DilationUnitary": lambda: neumark.build_dilation(0.3),
     "UDMeasurement": lambda: povm.build_intermediate_ud(0.3, 0.5),
-    "DiagnosticsReport": lambda: povm.validate(povm.build_intermediate_ud(0.3, 0.5)),
     "ChainSpec": lambda: sequential.build_chain(0.3, 3),
     "TallyReport": lambda: sequential.simulate_chain(sequential.build_chain(0.3, 3), 100, 7),
     "OptimizationResult": lambda: sequential.optimize_two_observer(0.3),

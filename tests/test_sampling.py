@@ -120,7 +120,7 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     reports = []
     # a 1-trial floor for every run, chunks of 3 or 7 trials, one chunk per run
     for budget in (1, 28, 1 << 17):
-        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        monkeypatch.setattr(sampling, "CHUNK_WORDS", budget)
         reports.append([])
         for draws, run in runs:
             calls.clear()
@@ -145,7 +145,7 @@ def test_run_trials_hands_the_kernel_every_draw_classified(monkeypatch, threshol
     draws = 1 + len(thresholds)
     sums = []
     for budget in (1, 28, 1 << 17):
-        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        monkeypatch.setattr(sampling, "CHUNK_WORDS", budget)
         start = 0
 
         def kernel(masks, sent1):
@@ -192,7 +192,7 @@ def test_word_classification_equals_double_classification_at_every_edge(monkeypa
     expected = (np.count_nonzero(u[:, 0] < 0.5),
                 *(np.count_nonzero(u[:, k] < t) for k, t in enumerate(thresholds, 1)))
     for budget in (1, 28, 1 << 17):
-        monkeypatch.setattr(sampling, "CHUNK_DOUBLES", budget)
+        monkeypatch.setattr(sampling, "CHUNK_WORDS", budget)
         start = 0
 
         def kernel(masks, sent1):

@@ -5,17 +5,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from _reference import apply, doubles
+from _reference import apply, completeness_residual, doubles, stages, zero_error_residuals
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqdisc import povm, sequential
 from seqdisc.b92 import EVE_INTERCEPT, MODE_ONE_QUBIT, SessionConfig, run_session
-from seqdisc.povm import (
-    build_intermediate_ud,
-    sampling_boundaries,
-    validate,
-)
+from seqdisc.povm import build_intermediate_ud, sampling_boundaries
 from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
@@ -28,6 +24,8 @@ from seqdisc.sequential import (
 from seqdisc.states import check_overlap
 from seqdisc.strategies import simulate_strategy
 
+# Bound on a built stage's completeness and zero-error residuals
+TOL = 1e-10
 
 def test_joint_success_worked_examples():
     # symmetric optimal point at s = 0.25: both fail with probability 0.5
@@ -191,20 +189,20 @@ def test_build_chain_schedule(n):
         chain = build_chain(s, n)
         assert chain.q == pytest.approx(s ** (1.0 / n), rel=1e-12, abs=0)
         assert len(chain.overlaps) == n + 1 and chain.overlaps[-1] == 1.0
-        stages = chain.stages
-        assert len(stages) == n
-        for k, stage in enumerate(stages):
+        built = stages(chain)
+        assert len(built) == n
+        for k, stage in enumerate(built):
             assert stage.s == chain.overlaps[k]
             assert stage.s == pytest.approx(s ** ((n - k) / n), rel=1e-12, abs=0)
             assert stage.q == pytest.approx(chain.q, rel=1e-12, abs=0)
-        for prev, nxt in zip(stages, stages[1:]):
+        for prev, nxt in zip(built, built[1:]):
             assert prev.t == pytest.approx(nxt.s, rel=1e-12, abs=0)
-        assert stages[-1].t == 1.0
+        assert built[-1].t == 1.0
     # the sampler's thresholds come from the failure probabilities the
     # stages are built with
     for s in (1e-300, 1e-12, 0.3, 1.0 - 1e-6, 1.0 - 1e-12):
         chain = build_chain(s, n)
-        assert tuple(stage.q for stage in chain.stages) == chain.failures, s
+        assert tuple(stage.q for stage in stages(chain)) == chain.failures, s
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-15, 1000), (0.9999999999999999, 2)])
@@ -248,39 +246,42 @@ def test_build_chain_near_overlap_one(log_gap, n):
         assert f"s={s}" in str(exc) and f"n={n}" in str(exc)
         assert 1.0 - s < 1e-12
         return
-    stages = chain.stages
-    assert chain.q == s ** (1.0 / n) < 1.0 and len(stages) == n
-    assert stages[0].s == s
-    for prev, nxt in zip(stages, stages[1:]):
+    built = stages(chain)
+    assert chain.q == s ** (1.0 / n) < 1.0 and len(built) == n
+    assert built[0].s == s
+    for prev, nxt in zip(built, built[1:]):
         assert prev.t == nxt.s < 1.0
-    last = stages[-1]
+    last = built[-1]
     assert last.q == last.s
     assert last.t == 1.0
-    assert all(validate(stage).passed for stage in stages)
+    for stage in built:
+        assert completeness_residual(stage) <= TOL and max(zero_error_residuals(stage)) <= TOL
 
 
 @pytest.mark.parametrize("s, n", [(1.0 - 1e-10, 64), (0.999999999999, 2)])
 def test_near_one_chain_stages_are_positive(s, n):
-    """Every stage of these chains passes validate(): complete, positive,
-    zero-error and consistent within DEFAULT_TOL."""
-    for stage in build_chain(s, n).stages:
-        assert validate(stage).passed
+    """Every stage of these chains is complete and zero-error within TOL;
+    positive, since each element is A_m^T A_m."""
+    for stage in stages(build_chain(s, n)):
+        assert completeness_residual(stage) <= TOL and max(zero_error_residuals(stage)) <= TOL
 
 
 def test_near_one_chain_pi0_determinants_are_nonnegative():
-    """Every stage passes validate(), det Pi0 >= -DEFAULT_TOL among its
-    checks, for 1 - s log-spaced in [1e-12, 1e-1]."""
+    """Every stage is complete and zero-error within TOL, and fails with
+    q >= s, which is det Pi0 >= 0, for 1 - s log-spaced in [1e-12, 1e-1]."""
     for gap in np.logspace(-12, -1, 60):
         for n in (2, 64):
-            for stage in build_chain(1.0 - gap, n).stages:
-                assert validate(stage).passed, (gap, n)
+            for stage in stages(build_chain(1.0 - gap, n)):
+                assert completeness_residual(stage) <= TOL, (gap, n)
+                assert max(zero_error_residuals(stage)) <= TOL, (gap, n)
+                assert stage.q >= stage.s, (gap, n)
 
 
 def test_simulate_chain_matches_scalar_application():
     """The vectorized sampler must agree, trial by trial, with walking the
     chain through apply() on the same draw windows."""
     chain = build_chain(0.36, 2)
-    stages = chain.stages
+    built = stages(chain)
     trials, seed = 3000, 17
     report = simulate_chain(chain, trials, seed)
     joint = any_ok = errors = 0
@@ -289,7 +290,7 @@ def test_simulate_chain_matches_scalar_application():
         u = doubles(trial_uniforms(seed, 1, 3, start_trial=i)[0])
         prep = 1 if u[0] < 0.5 else 2
         ok = []
-        for k, stage in enumerate(stages):
+        for k, stage in enumerate(built):
             outcome, _ = apply(stage, prep, float(u[k + 1]))
             ok.append(outcome == prep)
             errors += outcome == 3 - prep
@@ -387,11 +388,12 @@ def test_schedule_matches_the_chained_stages(s, n):
 
 
 def test_no_sampling_path_builds_a_measurement(monkeypatch):
-    """Samplers read a chain's thresholds; only `stages` builds matrices."""
+    """Samplers read a chain's thresholds; sequential cannot build a
+    measurement, and the tests' stages() builds one per observer."""
     def refuse(*args, **kwargs):
         raise AssertionError("a measurement was built")
 
-    monkeypatch.setattr(sequential, "build_intermediate_ud", refuse)
+    assert not hasattr(sequential, "build_intermediate_ud")
     monkeypatch.setattr(povm, "build_intermediate_ud", refuse)
     monkeypatch.setattr(povm.UDMeasurement, "__init__", refuse)
     assert build_chain(0.3, 10**4).n == 10**4
@@ -401,7 +403,7 @@ def test_no_sampling_path_builds_a_measurement(monkeypatch):
     config = SessionConfig(s=0.3, rounds=100, mode=MODE_ONE_QUBIT, eve=EVE_INTERCEPT, seed=1)
     assert run_session(config).rounds == 100
     with pytest.raises(AssertionError, match="a measurement was built"):
-        build_chain(0.3, 2).stages
+        stages(build_chain(0.3, 2))
 
 
 def test_tally_report_as_dict_round_trip():

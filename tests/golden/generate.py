@@ -97,11 +97,14 @@ def cases() -> dict:
     out["curves-narrow"] = [
         "curves", "--s-min", "0.3", "--s-max", "0.3000001", "--steps", "9",
         "--svg", "curves-narrow.svg"]
+    # a grid ending at 1: 13 of its 66 cells are nonzero and below 1e-11
+    out["curves-near1"] = ["curves", "--s-min", "0.99999", "--s-max", "1", "--steps", "11"]
     # the imaginary parts of the real unitary print as literal 0, never -0,
     # and the three noise fields print as 0.0: each is 1e-15 or less, far
-    # under PROB_FLOOR, so no report byte depends on how U was rounded
+    # under PROB_FLOOR, so no report byte depends on how U was rounded;
+    # at s = 1 - 1e-15 five of the matrix cells are nonzero and below 1e-11
     for label, s in (("0.42", "0.42"), ("1e-6", "1e-6"), ("1-1e-6", "0.999999"),
-                     ("0.803606", "0.803606")):
+                     ("0.803606", "0.803606"), ("1-1e-15", "0.999999999999999")):
         out[f"neumark-s{label}"] = [
             "neumark", "--s", s, "--matrix", f"neumark-s{label}.matrix.csv"]
     # both ends of the domain and the middle, as JSON and as CSV also

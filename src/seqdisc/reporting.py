@@ -87,23 +87,23 @@ def _tables():
 
 
 def _slots(x, sep):
-    """A slot of _tables() per cell of `x`, with its digits and followed by
-    the bytes `sep`; every cell is 0 or 1e-11 <= |x| < 1e11. The scale
-    10**(11 - e) is exact, so rint(p) is correctly rounded unless p is a
-    half-integer (each below 2**52 is a double), and e is right if rint(p)
-    is in [1e11, 1e12): log10 misses the decade only next to a power of ten,
-    where both decades round alike. CPython's "%.11e" settles the rest."""
+    """A slot of _tables() per cell of `x`, holding the cell in fmt()'s
+    format and followed by the bytes `sep`. For 0 and 1e-11 <= |x| < 1e11
+    the scale 10**(11 - e) is exact, so rint(p) is correctly rounded unless
+    p is a half-integer (each below 2**52 is a double), and e is right if
+    rint(p) is in [1e11, 1e12): log10 misses the decade only next to a
+    power of ten, where both decades round alike. The cells this arithmetic
+    cannot settle, such a tie or miss and every cell outside that domain
+    (nan and the infinities too), get fmt()'s text, at most 19 bytes."""
     groups, trailing, pow10, slot = _tables()
-    ax = np.where(x == 0.0, 1.0, np.abs(x))  # log10 stays finite; 0 gets its digits below
+    ax = np.abs(x)
+    outside = ~((ax < 1e11) & ((ax >= 1e-11) | (ax == 0.0)))
+    ax = np.where(outside | (x == 0.0), 1.0, ax)  # log10 and the int casts stay finite
     e = np.clip(np.floor(np.log10(ax)).astype(np.intp), -11, 11)  # 10**(11 - e) stays exact
     p = ax * pow10[11 - e]
     m = np.rint(p)
-    odd = np.flatnonzero((np.abs(p - m) == 0.5) | (m >= 1e12) | (m < 1e11))
-    # "d.ddddddddddde+XX": 17 bytes per cell over the kernel's domain
-    text = np.frombuffer(("%.11e" * len(odd) % tuple(ax[odd].tolist())).encode(), np.uint8)
-    d = text.reshape(-1, 17).astype(np.int64) - ord("0")
-    m[odd] = d[:, np.r_[0, 2:13]] @ 10 ** np.arange(11, -1, -1)
-    e[odd] = (10 * d[:, 15] + d[:, 16]) * np.where(d[:, 14] == ord("-") - ord("0"), -1, 1)
+    odd = np.flatnonzero(outside | (np.abs(p - m) == 0.5) | (m >= 1e12) | (m < 1e11))
+    m[odd] = 0  # any digits in range: odd slots are overwritten below
     m = np.where(x == 0.0, 0, m).astype(np.int64)
     q0, q1, q2 = m // 10**8, m // 10**4 % 10**4, m % 10**4
     zeros = trailing[q2] + (q2 == 0) * (trailing[q1] + (q1 == 0) * trailing[q0])
@@ -111,32 +111,26 @@ def _slots(x, sep):
     out = np.take(layouts, ((e + 11) * 13 + zeros) * 2 + (x < 0), axis=0)
     for j, q in enumerate((q0, q1, q2)):
         out[:, 6:30].view(np.uint64)[:, j] &= groups[q]
+    text = np.array([fmt(v) for v in x[odd].tolist()], "S34")  # NUL-padded to a slot
+    out[odd, :34] = text.view(np.uint8).reshape(-1, 34)
     return out
-
-
-def _kernel_text(block, sep: str, eol: str):
-    """The rows of a block in fmt()'s format, each ending in eol, or None
-    when a cell is outside the kernel's domain: 0 and 1e-11 <= |x| < 1e11."""
-    ab = np.abs(block)
-    if not (block.size and "\0" not in sep + eol and np.all(
-            (ab < 1e11) & ((ab >= 1e-11) | (ab == 0.0)))):
-        return None
-    w = max(len(sep.encode()), len(eol.encode()))
-    sep_b, eol_b = (np.frombuffer(s.encode().ljust(w, b"\0"), np.uint8) for s in (sep, eol))
-    out = _slots(block.ravel(), sep_b)
-    out.reshape(len(block), -1)[:, -w:] = eol_b
-    return out.tobytes().translate(None, b"\0").decode()
 
 
 def format_rows(a, sep: str, eol: str) -> str:
     """Every number of a 2-D array in fmt()'s format: cells joined by sep,
-    rows by eol. A block of FORMAT_BLOCK_ROWS rows goes through the numpy
-    kernel of _kernel_text when it can, else through the `%.12g` template
-    that fmt() runs, with -0.0 normalized by adding 0.0."""
+    rows by eol, neither of which may hold a NUL. Each block of
+    FORMAT_BLOCK_ROWS rows is one call of _slots; its NUL padding is
+    deleted from the text."""
     a = np.asarray(a, dtype=np.float64)
-    line = sep.join(["%.12g"] * a.shape[1]) + eol
-    blocks = [_kernel_text(b, sep, eol) or line * len(b) % tuple((b + 0.0).ravel().tolist())
-              for b in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS))]
+    if not a.size:
+        return eol.join([""] * len(a))
+    w = max(len(sep.encode()), len(eol.encode()), 1)  # a slot for eol even when it is empty
+    sep_b, eol_b = (np.frombuffer(s.encode().ljust(w, b"\0"), np.uint8) for s in (sep, eol))
+    blocks = []
+    for b in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS)):
+        out = _slots(b.ravel(), sep_b)
+        out.reshape(len(b), -1)[:, -w:] = eol_b
+        blocks.append(out.tobytes().translate(None, b"\0").decode())
     blocks[-1] = blocks[-1][:len(blocks[-1]) - len(eol)]  # the last row ends without eol
     return "".join(blocks)
 

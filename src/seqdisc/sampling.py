@@ -34,7 +34,8 @@ CHUNK_WORDS = 1 << 17
 SEED_LIMIT = 1 << 128
 
 # Uniforms run_trials() draws at most in one run, trials * (1 + observers):
-# 2 to 16 minutes at the 20-230 ns a draw measured, so every accepted run ends.
+# 20 s to 7 minutes at the 5-9 ns a draw takes for n <= 16 observers and the
+# 93 ns at n = 10**4, on one pinned CPU of a 2-vCPU VM, so every accepted run ends.
 MAX_DRAWS = 1 << 32
 
 

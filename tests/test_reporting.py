@@ -72,10 +72,16 @@ def test_format_rows_does_not_depend_on_the_block_size(monkeypatch, block):
     assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
 
 
+@pytest.mark.parametrize("sep, eol", [("", ""), (",", ""), ("", "\n"), (" \u00b7 ", "\r\n")])
+def test_format_rows_joins_with_any_separators(sep, eol):
+    rows = np.array([[0.25, -3.5, 1e10], [7.0, -0.0, -1e-11], [1 / 3, 2e-5, 0.5]])
+    assert format_rows(rows, sep, eol) == eol.join(sep.join(fmt(c) for c in r) for r in rows)
+
+
 @pytest.fixture
 def kernel_cells(monkeypatch):
-    """The sizes of the blocks format_rows renders through its numpy kernel
-    rather than the `%.12g` template."""
+    """The number of cells in each block format_rows passes to its numpy
+    kernel, _slots."""
     sizes = []
     slots = reporting._slots
 
@@ -147,15 +153,16 @@ def test_kernel_covers_every_exponent_and_signed_zero(kernel_cells):
                               kernel_cells)
 
 
-def test_template_renders_blocks_outside_the_kernel_domain(monkeypatch, kernel_cells):
+def test_kernel_renders_blocks_with_cells_outside_its_domain(monkeypatch, kernel_cells):
     """A block holding nan, infinities, 1e300 or a subnormal goes through
-    the template whole; the in-domain block before it through the kernel."""
+    the kernel like the in-domain block before it, with fmt()'s text in
+    the slots of those cells."""
     monkeypatch.setattr(reporting, "FORMAT_BLOCK_ROWS", 2)
     rows = np.array([[0.25, -3.5, 1e10], [7.0, 0.0, -1e-11],
                      [math.nan, math.inf, 0.5], [-math.inf, 1e300, 5e-324]])
     want = "|".join(";".join(fmt(c) for c in row) for row in rows)
     assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
-    assert kernel_cells == [6]
+    assert kernel_cells == [6, 6]
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),

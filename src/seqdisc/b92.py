@@ -66,27 +66,26 @@ class KeyReport(NamedTuple):
 
 
 def session_config_from_dict(raw: dict) -> SessionConfig:
-    """Validate a configuration mapping, naming the offending field."""
+    """Validate a configuration mapping, naming the offending field; a field
+    it leaves out takes SessionConfig's default, if the field has one."""
     unknown = sorted(set(raw) - set(SessionConfig._fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-    for field in ("s", "rounds", "mode"):
-        if field not in raw:
+    for field in SessionConfig._fields:
+        if field not in raw and field not in SessionConfig._field_defaults:
             raise ValueError(f"config field '{field}' is required")
-    s = check_overlap(raw["s"], "config field 's'")
-    rounds = raw["rounds"]
+    config = SessionConfig(**raw)
+    s, rounds, mode, eve, seed = config
+    s = check_overlap(s, "config field 's'")
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise ValueError(f"config field 'rounds'={rounds!r} must be a positive integer")
-    mode = raw["mode"]
     if mode not in MODES:
         raise ValueError(f"config field 'mode'={mode!r} must be one of {MODES}")
-    eve = raw.get("eve", EVE_NONE)
     if eve not in EVE_POLICIES:
         raise ValueError(f"config field 'eve'={eve!r} must be one of {EVE_POLICIES}")
-    seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"config field 'seed'={seed!r} must be an integer in [0, 2**128)")
-    return SessionConfig(s=s, rounds=rounds, mode=mode, eve=eve, seed=seed)
+    return config._replace(s=s)
 
 
 def run_session(config: SessionConfig) -> KeyReport:

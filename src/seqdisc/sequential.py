@@ -73,7 +73,6 @@ class TallyReport(NamedTuple):
     standard_error: float
 
 
-
 def tally_trials(seed: int, trials: int, thresholds: tuple, outcome) -> TallyReport:
     """Tally run_trials() over the masks outcome(masks) -> (joint, at_least_one).
 
@@ -90,34 +89,6 @@ def tally_trials(seed: int, trials: int, thresholds: tuple, outcome) -> TallyRep
     branch1, all_count, any_count = run_trials(seed, trials, thresholds, kernel)
     return TallyReport(trials, {1: branch1, 2: all_count - branch1}, all_count, any_count, 0,
                        *binomial_rate(all_count, trials))
-
-
-def joint_success_analytic(s: float, q_bob, q_charlie) -> float:
-    """Joint success probability for explicit failure pairs.
-
-    `q_bob` and `q_charlie` are the (q1, q2) pairs of the first and second
-    observer.  Raises ValueError, naming the violated relation, when the
-    pairs are not an admissible chain for overlap s; both relations are
-    checked on square roots to a relative 1e-9, so neither underflows.
-    """
-    s = check_overlap(s)
-    q1b, q2b = (float(q) for q in q_bob)
-    q1c, q2c = (float(q) for q in q_charlie)
-    for name, q in (("q1_bob", q1b), ("q2_bob", q2b), ("q1_charlie", q1c), ("q2_charlie", q2c)):
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"{name}={q} outside (0, 1]")
-    t = math.sqrt(q1c) * math.sqrt(q2c)
-    if t < s * (1.0 - 1e-9):
-        raise ValueError(
-            f"t = sqrt(q1_charlie*q2_charlie) = {t} violates s <= t <= 1 (s={s})"
-        )
-    root_b, want = math.sqrt(q1b) * math.sqrt(q2b), s / t
-    if abs(root_b - want) > 1e-9 * want:
-        raise ValueError(
-            f"sqrt(q1_bob*q2_bob) = {root_b} violates the chaining constraint "
-            f"q1_bob*q2_bob = s^2/t^2, whose root is s/t = {want}"
-        )
-    return 0.5 * ((1.0 - q1b) * (1.0 - q1c) + (1.0 - q2b) * (1.0 - q2c))
 
 
 class OptimizationResult(NamedTuple):

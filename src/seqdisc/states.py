@@ -31,9 +31,8 @@ def check_overlap(s, name: str = "s") -> float:
     discrimination problem here; the ValueError names `name` and the value.
 
     Only real numbers pass: a bool, a string or None is refused rather than
-    converted, and an int too large for a float is out of range.  A float
-    skips the slower numbers.Real test: build_chain checks every stage."""
-    if type(s) is not float and (isinstance(s, bool) or not isinstance(s, numbers.Real)):
+    converted, and an int too large for a float is out of range."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
         raise ValueError(f"{name}={s!r} is not a number")
     try:
         s = float(s)
@@ -44,13 +43,20 @@ def check_overlap(s, name: str = "s") -> float:
     return s
 
 
+def check_unit_interval(s):
+    """`s` as a float, or a float array for array input, every value in the
+    closed range [0, 1] of a pair's overlap; the ValueError names the value."""
+    a = np.asarray(s, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError(f"s={s} outside [0, 1]")
+    return float(a) if a.ndim == 0 else a
+
+
 def make_state_pair(s: float) -> tuple:
     """The canonical pair (psi_1, psi_2) = ((c, d), (c, -d)) with overlap
     `s` = c^2 - d^2, 0 <= s <= 1, as read-only arrays: state i is at
     [i - 1]."""
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"overlap s={s} outside [0, 1]")
+    s = check_unit_interval(s)
     theta = 0.5 * math.acos(s)
     c, d = math.cos(theta), math.sin(theta)
     return freeze([c, d]), freeze([c, -d])

@@ -33,7 +33,7 @@ import numpy as np
 from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sequential import TallyReport, build_chain, simulate_chain, tally_trials
-from .states import check_overlap
+from .states import check_overlap, check_unit_interval
 
 KINDS = ("1", "2", "3", "seq")
 
@@ -42,34 +42,26 @@ KINDS = ("1", "2", "3", "seq")
 MAX_STEPS = 10**6
 
 
-def _check_unit_interval(s):
-    """`s` as a float, or a float array for array input, every value in [0, 1]."""
-    a = np.asarray(s, dtype=float)
-    if not np.all((a >= 0.0) & (a <= 1.0)):
-        raise ValueError(f"s={s} outside [0, 1]")
-    return float(a) if a.ndim == 0 else a
-
-
 def strategy1(s):
     """Both learn the state iff the broadcast measurement succeeds."""
-    return 1.0 - _check_unit_interval(s)
+    return 1.0 - check_unit_interval(s)
 
 
 def strategy2(s):
     """Two independent minimum-failure measurements must both succeed."""
-    return (1.0 - _check_unit_interval(s)) ** 2
+    return (1.0 - check_unit_interval(s)) ** 2
 
 
 def strategy3(s):
     """Cloning succeeds with 1/(1+s), then two independent measurements."""
-    s = _check_unit_interval(s)
+    s = check_unit_interval(s)
     return (1.0 - s) ** 2 / (1.0 + s)
 
 
 def strategy_seq(s):
     """Optimal two-observer sequential rate, written as
     ((1 - s) / (1 + sqrt(s)))^2 so that it does not cancel near s = 1."""
-    s = _check_unit_interval(s)
+    s = check_unit_interval(s)
     return ((1.0 - s) / (1.0 + np.sqrt(s))) ** 2
 
 
@@ -82,10 +74,6 @@ class StrategyCurve(NamedTuple):
     p2: np.ndarray
     p3: np.ndarray
     at_least_one: np.ndarray
-
-
-# curve_csv's columns in order, each a StrategyCurve field
-CSV_HEADER = ("s", "p_seq", "p1", "p2", "p3", "at_least_one")
 
 
 def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> StrategyCurve:
@@ -113,7 +101,8 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
 
 
 def curve_csv(curve: StrategyCurve) -> str:
-    return csv_text(CSV_HEADER, np.column_stack([getattr(curve, name) for name in CSV_HEADER]))
+    """The curve as CSV, one column per StrategyCurve field, in field order."""
+    return csv_text(curve._fields, np.column_stack(curve))
 
 
 def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:

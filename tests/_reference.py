@@ -6,6 +6,7 @@ doubles() turns the raw Philox words sampling.trial_uniforms returns into
 the doubles Generator.random makes of them.  completeness_residual() and
 zero_error_residuals() read a measurement's health from its Kraus
 operators, and stages() builds the measurements of a chain's schedule.
+pair_rate() is the paper's joint rate P for explicit failure pairs.
 """
 
 import numpy as np
@@ -51,3 +52,9 @@ def stages(chain) -> tuple:
     """Observer k+1's measurement at [k].  build_intermediate_ud is looked
     up on povm at each call, so a test can replace it there."""
     return tuple(povm.build_intermediate_ud(a, q) for a, q in zip(chain.overlaps, chain.failures))
+
+
+def pair_rate(q_bob, q_charlie) -> float:
+    """P = ((1 - q1_b)(1 - q1_c) + (1 - q2_b)(1 - q2_c)) / 2 for the (q1, q2)
+    failure pairs of two observers in turn; the caller makes them admissible."""
+    return ((1 - q_bob[0]) * (1 - q_charlie[0]) + (1 - q_bob[1]) * (1 - q_charlie[1])) / 2

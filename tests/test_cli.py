@@ -19,7 +19,7 @@ from seqdisc.cli import main
 from seqdisc.reporting import round_sig
 from seqdisc.sampling import MAX_DRAWS
 from seqdisc.sequential import optimal_n_observer, optimize_two_observer
-from seqdisc.strategies import CSV_HEADER, KINDS
+from seqdisc.strategies import KINDS, StrategyCurve
 
 
 def run_cli(capsys, *argv):
@@ -546,7 +546,7 @@ def test_every_numeric_input_gives_a_report_or_a_named_refusal(tmp_path, capsys,
         s_min, s_max = values.get("--s-min", 0.0), values.get("--s-max", 1.0)
         header, *rows = out.splitlines()
         grid = [float(row.split(",")[0]) for row in rows]
-        assert header == ",".join(CSV_HEADER) and len(rows) == values.get("--steps", 101)
+        assert header == ",".join(StrategyCurve._fields) and len(rows) == values.get("--steps", 101)
         assert s_min < s_max and (grid[0], grid[-1]) == (round_sig(s_min), round_sig(s_max))
         return
     if "--format=csv" in argv:

@@ -2,14 +2,17 @@
 
 The fixtures under tests/golden/ were written by tests/golden/generate.py
 from known-good code; these tests only read them.  Every cell of a
-`curves` table is also checked against its rate in 60-digit decimal
-arithmetic.  The same cases, cut short, show that every def in the
-package runs under some command.
+`curves` table, and each angle a `neumark` report prints, is also
+checked against its exact value in 60-digit decimal arithmetic.  The
+same cases, cut short, show that every def in the package runs under
+some command.
 """
 
 import ast
 import decimal
 import importlib.util
+import json
+import math
 import pathlib
 import sys
 
@@ -88,15 +91,54 @@ def test_curves_cells_match_the_rates_in_decimal(name):
             assert len(cells) == 6 and not bad, (s, row, [exact[j] for j in bad])
 
 
-# Defs that no command runs yet, each with the reason it stays in the package
-UNREACHED = {"sequential.joint_success_analytic":
-             "ROADMAP item 6 makes it the schedule rate that optimize reports"}
+NEUMARK = sorted(name for name, argv in CASES.items() if argv[0] == "neumark")
+
+
+def sin_cos(x):
+    """(sin x, cos x) of a Decimal x in [0, 2], summed from their Taylor series."""
+    sin = cos = decimal.Decimal(0)
+    term, k = decimal.Decimal(1), 0  # x**k / k!
+    while term > decimal.Decimal("1e-70"):
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return sin, cos
+
+
+def exact_angle(c):
+    """The theta in (0, pi/4] with cos 2 theta = c, for a Decimal c in (0, 1), by
+    Newton's method from the double acos(c) / 2."""
+    theta = decimal.Decimal(math.acos(float(c)) / 2)
+    for _ in range(50):
+        sin, cos = sin_cos(2 * theta)
+        step = (cos - c) / (2 * sin)
+        theta += step
+        if abs(step) <= theta * decimal.Decimal("1e-55"):
+            return theta
+    raise AssertionError(f"no convergence for cos 2 theta = {c}")
+
+
+@pytest.mark.parametrize("name", NEUMARK)
+def test_neumark_angles_match_the_exact_angles_in_decimal(name):
+    """theta and theta_prime, where cos 2 theta = s and cos 2 theta' = sqrt(s),
+    within half a unit of their 12th digit.  s is the double the command ran
+    with: the angles of its 15-digit echo are 4e-4 off at s = 1 - 1e-15."""
+    text = (GOLDEN / generate.stdout_fixture(name, CASES[name])).read_text()
+    report = json.loads(text, parse_float=str)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        s = decimal.Decimal(float(report["s"]))
+        for key, c in (("theta", s), ("theta_prime", s.sqrt())):
+            exact = exact_angle(c)
+            assert within_half_a_unit(report[key], exact), (key, report[key], exact)
 
 
 def test_every_def_in_the_package_runs_under_some_command(tmp_path):
     """The cases, with trials and rounds cut to 50, and an argparse and a
     value refusal run every def in the package, methods and properties
-    too, but those in UNREACHED: code that only tests run belongs in tests/."""
+    too: code that only tests run belongs in tests/."""
     modules = [importlib.import_module(f"seqdisc.{p.stem}")
                for p in pathlib.Path(seqdisc.__file__).parent.glob("*.py")]
     defined = {}
@@ -123,4 +165,4 @@ def test_every_def_in_the_package_runs_under_some_command(tmp_path):
     finally:
         sys.setprofile(previous)
     assert refused == [2, 2]
-    assert sorted(name for key, name in defined.items() if key not in ran) == sorted(UNREACHED)
+    assert sorted(name for key, name in defined.items() if key not in ran) == []

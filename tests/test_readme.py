@@ -1,17 +1,21 @@
-"""The README's library tour against the modules it describes, and what
-`import seqdisc` and `import seqdisc.cli` load."""
+"""The README's quick start and library tour against the commands and
+modules they describe, and what `import seqdisc` and `import seqdisc.cli`
+load."""
 
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import seqdisc
+from seqdisc.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -30,6 +34,28 @@ def tour():
 
 
 TOUR = tour()
+
+
+def quick_start():
+    """{command line: the JSON shown under it} for each `$ seqdisc` example
+    in the README's "Quick start" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"```sh\n\$ seqdisc ([^\n]*)\n(.*?)```", section, re.S))
+
+
+QUICK_START = quick_start()
+
+
+def test_quick_start_shows_both_commands():
+    assert [line.split()[0] for line in QUICK_START] == ["optimize", "simulate"]
+
+
+@pytest.mark.parametrize("line", sorted(QUICK_START))
+def test_quick_start_example_prints_the_json_shown(line, capsys):
+    assert main(shlex.split(line)) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == json.loads(QUICK_START[line]) and err == ""
 
 
 def test_tour_covers_every_module_but_the_cli():

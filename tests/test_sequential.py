@@ -5,7 +5,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from _reference import apply, completeness_residual, doubles, stages, zero_error_residuals
+from _reference import (
+    apply,
+    completeness_residual,
+    doubles,
+    pair_rate,
+    stages,
+    zero_error_residuals,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
@@ -16,7 +23,6 @@ from seqdisc.reporting import jsonable
 from seqdisc.sampling import trial_uniforms
 from seqdisc.sequential import (
     build_chain,
-    joint_success_analytic,
     optimal_n_observer,
     optimize_two_observer,
     simulate_chain,
@@ -27,33 +33,19 @@ from seqdisc.strategies import simulate_strategy
 # Bound on a built stage's completeness and zero-error residuals
 TOL = 1e-10
 
+
 def test_joint_success_worked_examples():
     # symmetric optimal point at s = 0.25: both fail with probability 0.5
-    assert joint_success_analytic(0.25, (0.5, 0.5), (0.5, 0.5)) == pytest.approx(0.25)
+    assert pair_rate((0.5, 0.5), (0.5, 0.5)) == pytest.approx(0.25)
     # both endpoints t = s and t = 1 of the symmetric slice, where the
     # observers fail with s/t and t, are worthless
     for t in (0.3, 1.0):
-        assert joint_success_analytic(0.3, (0.3 / t,) * 2, (t,) * 2) == 0.0
+        assert pair_rate((0.3 / t,) * 2, (t,) * 2) == 0.0
     # asymmetric second observer: q_charlie = (0.25, 1.0) gives t = 0.5,
     # so q_bob must satisfy q1*q2 = s^2/t^2 = 0.25
-    assert joint_success_analytic(0.25, (0.5, 0.5), (0.25, 1.0)) == pytest.approx(0.1875)
+    assert pair_rate((0.5, 0.5), (0.25, 1.0)) == pytest.approx(0.1875)
     # small s: t = 1e-6 and q1_bob*q2_bob = s^2/t^2 = 1e-12 exactly
-    assert joint_success_analytic(1e-12, (1e-6, 1e-6), (1e-6, 1e-6)) == (1.0 - 1e-6) ** 2
-
-
-def test_joint_success_constraint_violations_are_named():
-    with pytest.raises(ValueError, match=r"s <= t <= 1"):
-        joint_success_analytic(0.5, (1.0, 1.0), (0.3, 0.3))  # t = 0.3 < s
-    with pytest.raises(ValueError, match=r"s\^2/t\^2"):
-        joint_success_analytic(0.25, (0.9, 0.9), (0.5, 0.5))
-    # q1_bob*q2_bob = 1e-26 is below s^2 = 1e-24, though within 1e-9 of
-    # s^2/t^2 = 1e-10: an absolute slack would accept it
-    with pytest.raises(ValueError, match=r"s\^2/t\^2"):
-        joint_success_analytic(1e-12, (1e-13, 1e-13), (1e-7, 1e-7))
-    with pytest.raises(ValueError, match="q1_charlie"):
-        joint_success_analytic(0.25, (0.5, 0.5), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        joint_success_analytic(1.5, (0.5, 0.5), (0.5, 0.5))
+    assert pair_rate((1e-6, 1e-6), (1e-6, 1e-6)) == (1.0 - 1e-6) ** 2
 
 
 # where the one-sided pairs q_bob = q_charlie = (s, 1) start to beat the
@@ -80,13 +72,13 @@ def test_symmetric_optimum_is_optimal_only_below_the_crossover():
     does better, and below it no pair of the grid does."""
     assert 0.17 < CROSSOVER < 0.175
     for s in (0.175, 0.2, 0.3, 0.5, 0.9, 1.0 - 1e-6):
-        one_sided = joint_success_analytic(s, (s, 1.0), (s, 1.0))
+        one_sided = pair_rate((s, 1.0), (s, 1.0))
         assert one_sided == pytest.approx((1.0 - s) ** 2 / 2, rel=1e-12)
         assert one_sided > optimize_two_observer(s).p_star, s
     for s in (1e-12, 0.01, 0.1, 0.15, 0.17):
         p_star = optimize_two_observer(s).p_star
-        assert joint_success_analytic(s, (s, 1.0), (s, 1.0)) < p_star, s
-        best = max(joint_success_analytic(s, b, c) for b, c in _admissible_pairs(s))
+        assert pair_rate((s, 1.0), (s, 1.0)) < p_star, s
+        best = max(pair_rate(b, c) for b, c in _admissible_pairs(s))
         assert best <= p_star * (1.0 + 1e-12), s
 
 

@@ -1,9 +1,12 @@
 """Tests for the canonical state-pair embedding."""
 
+import re
+
 import numpy as np
 import pytest
 
 from seqdisc.states import make_state_pair
+from seqdisc.strategies import strategy1, strategy2, strategy3, strategy_seq
 
 S_GRID = [0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
 
@@ -34,9 +37,12 @@ def test_degenerate_endpoints():
 
 
 def test_overlap_range_is_enforced():
-    for bad in (-0.1, 1.1, 2.0):
-        with pytest.raises(ValueError):
-            make_state_pair(bad)
+    """The state pair and every strategy rate refuse an overlap outside the
+    closed [0, 1] with one message."""
+    for bad in (-0.1, 1.1, 2.0, float("nan")):
+        for check in (make_state_pair, strategy1, strategy2, strategy3, strategy_seq):
+            with pytest.raises(ValueError, match=rf"^s={re.escape(str(bad))} outside \[0, 1\]$"):
+                check(bad)
 
 
 def test_states_are_read_only():

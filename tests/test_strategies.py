@@ -11,7 +11,7 @@ import pytest
 from seqdisc.reporting import round_sig
 from seqdisc.sequential import build_chain, simulate_chain
 from seqdisc.strategies import (
-    CSV_HEADER,
+    StrategyCurve,
     curve_csv,
     curve_svg,
     make_curve,
@@ -96,7 +96,7 @@ def test_curve_csv_schema_and_round_trip():
     curve = make_curve(steps=11)
     text = curve_csv(curve)
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_HEADER)
+    assert lines[0] == ",".join(StrategyCurve._fields)
     assert len(lines) == 12
     # parsing the table back reproduces the values at output precision
     for idx, line in enumerate(lines[1:]):

@@ -55,13 +55,8 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.kind == "seq":
-        chain = sequential.build_chain(args.s, args.n)
-        tally = sequential.simulate_chain(chain, args.trials, args.seed)
-    else:
-        if args.n != 2:
-            raise ValueError(f"--n applies only to kind 'seq', got n={args.n}")
-        tally = strategies.simulate_strategy(args.kind, args.s, args.trials, args.seed)
+    """One simulate_strategy() call runs every kind and checks --n."""
+    tally = strategies.simulate_strategy(args.kind, args.s, args.trials, args.seed, args.n)
     report = {
         "params": {
             "kind": args.kind,

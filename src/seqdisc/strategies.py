@@ -105,8 +105,9 @@ def curve_csv(curve: StrategyCurve) -> str:
     return csv_text(curve._fields, np.column_stack(curve))
 
 
-def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
-    """Monte Carlo of one strategy at the event level.
+def simulate_strategy(kind, s: float, trials: int, seed: int, n: int = 2) -> TallyReport:
+    """Monte Carlo of one strategy at the event level: the one call that
+    `simulate` makes, for every kind.
 
     Draw layout per trial: run_trials()'s, draw 0 picking the prepared
     state and draw k sampling observer k of the threshold tuple below.
@@ -114,21 +115,23 @@ def simulate_strategy(kind, s: float, trials: int, seed: int) -> TallyReport:
         kind 1:  the one-observer chain
         kind 2:  (first receiver, second receiver)
         kind 3:  (cloner, first receiver, second receiver)
-        seq:     the two-observer chain
+        seq:     the n-observer chain, simulate_chain(build_chain(s, n))
 
-    Every receiver runs the minimum-failure measurement (q = s) on a
-    perfect copy of the prepared state, so it succeeds where its draw is
-    below the one threshold 1 - s, whichever state was sent; the cloner
-    succeeds below 1 / (1 + s).  Every draw is consumed whether or not its
-    observer acts, so a given trial index always sees the same numbers.
-    None can name the wrong state, and `error_count` is 0 by construction
-    (see tally_trials).
+    Kinds 1-3 refuse n != 2 before any check of s, trials or seed.  Their
+    receivers run the minimum-failure measurement (q = s) on a perfect
+    copy of the prepared state, so each succeeds below the one threshold
+    1 - s, whichever state was sent; the cloner succeeds below 1 / (1 + s).
+    Every draw is consumed whether or not its observer acts, so a given
+    trial index always sees the same numbers.  None can name the wrong
+    state, and `error_count` is 0 by construction (see tally_trials).
     """
     kind = str(kind)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind != "seq" and n != 2:
+        raise ValueError(f"--n applies only to kind 'seq', got n={n}")
     if kind in ("1", "seq"):
-        return simulate_chain(build_chain(s, 1 if kind == "1" else 2), trials, seed)
+        return simulate_chain(build_chain(s, 1 if kind == "1" else n), trials, seed)
     s = check_overlap(s)
     threshold = sampling_boundaries(s)
     thresholds = (threshold,) * 2 if kind == "2" else (1.0 / (1.0 + s), threshold, threshold)

@@ -128,6 +128,17 @@ def test_sequential_kind_delegates_to_the_chain():
     report = simulate_strategy("seq", 0.36, 50_000, seed=3)
     direct = simulate_chain(build_chain(0.36, 2), 50_000, seed=3)
     assert report == direct
+    for n in (1, 3, 16):
+        report = simulate_strategy("seq", 0.36, 20_000, 3, n)
+        assert report == simulate_chain(build_chain(0.36, n), 20_000, 3)
+
+
+@pytest.mark.parametrize("kind", ["1", "2", "3"])
+@pytest.mark.parametrize("s,trials,seed", [(0.5, 100, 1), (1.0, 100, 1), (0.5, 0, 1),
+                                           (float("nan"), -5, -1)])
+def test_other_kinds_refuse_n_before_any_other_check(kind, s, trials, seed):
+    with pytest.raises(ValueError, match=r"^--n applies only to kind 'seq', got n=3$"):
+        simulate_strategy(kind, s, trials, seed, n=3)
 
 
 def test_simulate_strategy_accepts_integer_kinds():

@@ -89,7 +89,8 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
 
 
 def run_session(config: SessionConfig) -> KeyReport:
-    """Simulate a whole session round by round.
+    """Simulate a whole session round by round, once `config` passes
+    session_config_from_dict(), which names a bad field.
 
     Draw layout per round: run_trials()'s, draw 0 picking Alice's bit and
     draw k sampling observer k of the threshold tuple: with an
@@ -100,10 +101,10 @@ def run_session(config: SessionConfig) -> KeyReport:
     state arrived.  His outcome is then the state he received: an error
     exactly when Eve forwarded a wrong guess.
     """
-    s = check_overlap(config.s)
-    eve_threshold = sampling_boundaries(s)
+    config = session_config_from_dict(config._asdict())
+    eve_threshold = sampling_boundaries(config.s)
     two_qubit = config.mode == MODE_TWO_QUBIT
-    receivers = (eve_threshold,) * 2 if two_qubit else build_chain(s, 2).thresholds
+    receivers = (eve_threshold,) * 2 if two_qubit else build_chain(config.s, 2).thresholds
     # her measurement of each link she reaches, then her guessing coin
     eve = () if config.eve == EVE_NONE else (eve_threshold,) * (2 if two_qubit else 1) + (0.5,)
 

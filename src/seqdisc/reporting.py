@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 # rows format_rows renders at once; bounds its per-block arrays (a 6-column
-# block of cell slots is under 1 MB)
+# block of 35-byte cell slots is under 1 MB)
 FORMAT_BLOCK_ROWS = 4096
 
 
@@ -62,7 +62,7 @@ def dumps_json(obj) -> str:
 def _tables():
     """format_rows's tables, built on first use: groups 0000-9999 as ASCII
     digits interleaved with 0xff, their trailing zeros, 10**0 .. 10**22, and a
-    slot per exponent, trailing zeros and sign, 0xff where %g keeps a digit."""
+    35-byte slot per exponent, trailing zeros and sign: 0xff where %g keeps a digit."""
     groups = np.full((10,) * 4 + (8,), 0xFF, np.uint8)
     groups[..., ::2] = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1) + ord("0")
     z = (np.arange(10) == 0).astype(np.uint8)
@@ -75,22 +75,23 @@ def _tables():
     lead = np.where(fixed & (e < 0), 1 - e, 0)[:, None]  # length of "0.000"[:lead]
     k = np.arange(12)
     # a slot: the sign, the "0.000" of values in [1e-4, 1), twelve digits
-    # each followed by a point slot, and "e-XX"; NULs fill what is unused
-    slot = np.zeros((len(e), 34), np.uint8)
+    # each followed by a point slot, "e-XX" and the comma; NULs fill what is unused
+    slot = np.zeros((len(e), 35), np.uint8)
     slot[:, 0] = neg * ord("-")
     slot[:, 1:6] = (k[:5] < lead) * np.frombuffer(b"0.000", np.uint8)
     slot[:, 6:30:2] = (k < keep) * 0xFF
     slot[:, 7:30:2] = ((k == int_digits[:, None] - 1) & (k + 1 < keep)) * ord(".")
     slot[~fixed, 30:34] = [list(b"e-%02d" % -v) for v in e[~fixed]]
+    slot[:, 34] = ord(",")
     tables = groups.reshape(10**4, 8).view(np.uint64).ravel(), trailing.ravel(), pow10, slot
     return tuple(table.setflags(write=False) or table for table in tables)  # shared: read-only
 
 
-def _slots(x, sep):
+def _slots(x):
     """A slot of _tables() per cell of `x`, holding the cell in fmt()'s
-    format and followed by the bytes `sep`. For 0 and 1e-11 <= |x| < 1e11
-    the scale 10**(11 - e) is exact, so rint(p) is correctly rounded unless
-    p is a half-integer (each below 2**52 is a double), and e is right if
+    format and then a comma. For 0 and 1e-11 <= |x| < 1e11 the scale
+    10**(11 - e) is exact, so rint(p) is correctly rounded unless p is a
+    half-integer (each below 2**52 is a double), and e is right if
     rint(p) is in [1e11, 1e12): log10 misses the decade only next to a
     power of ten, where both decades round alike. The cells this arithmetic
     cannot settle, such a tie or miss and every cell outside that domain
@@ -107,8 +108,7 @@ def _slots(x, sep):
     m = np.where(x == 0.0, 0, m).astype(np.int64)
     q0, q1, q2 = m // 10**8, m // 10**4 % 10**4, m % 10**4
     zeros = trailing[q2] + (q2 == 0) * (trailing[q1] + (q1 == 0) * trailing[q0])
-    layouts = np.hstack([slot, np.broadcast_to(sep, (len(slot), len(sep)))])
-    out = np.take(layouts, ((e + 11) * 13 + zeros) * 2 + (x < 0), axis=0)
+    out = np.take(slot, ((e + 11) * 13 + zeros) * 2 + (x < 0), axis=0)
     for j, q in enumerate((q0, q1, q2)):
         out[:, 6:30].view(np.uint64)[:, j] &= groups[q]
     text = np.array([fmt(v) for v in x[odd].tolist()], "S34")  # NUL-padded to a slot
@@ -116,29 +116,27 @@ def _slots(x, sep):
     return out
 
 
-def format_rows(a, sep: str, eol: str) -> str:
-    """Every number of a 2-D array in fmt()'s format: cells joined by sep,
-    rows by eol, neither of which may hold a NUL. Each block of
-    FORMAT_BLOCK_ROWS rows is one call of _slots; its NUL padding is
-    deleted from the text."""
+def format_rows(a, eol: str) -> str:
+    """Every number of a 2-D array in fmt()'s format: cells joined by
+    commas, rows by eol, one ASCII character other than NUL. Each block of
+    FORMAT_BLOCK_ROWS rows is one call of _slots, whose row-ending comma
+    becomes eol; its NUL padding is deleted from the text."""
     a = np.asarray(a, dtype=np.float64)
     if not a.size:
         return eol.join([""] * len(a))
-    w = max(len(sep.encode()), len(eol.encode()), 1)  # a slot for eol even when it is empty
-    sep_b, eol_b = (np.frombuffer(s.encode().ljust(w, b"\0"), np.uint8) for s in (sep, eol))
     blocks = []
     for b in np.split(a, range(FORMAT_BLOCK_ROWS, len(a), FORMAT_BLOCK_ROWS)):
-        out = _slots(b.ravel(), sep_b)
-        out.reshape(len(b), -1)[:, -w:] = eol_b
+        out = _slots(b.ravel())
+        out.reshape(len(b), -1)[:, -1] = ord(eol)
         blocks.append(out.tobytes().translate(None, b"\0").decode())
-    blocks[-1] = blocks[-1][:len(blocks[-1]) - len(eol)]  # the last row ends without eol
+    blocks[-1] = blocks[-1][:-1]  # the last row ends without eol
     return "".join(blocks)
 
 
 def csv_text(header, rows) -> str:
-    """Render a numeric table under a header line; every cell is a number
-    formatted with the one `%.12g` spec of fmt()."""
-    return "\n".join([",".join(str(h) for h in header), format_rows(rows, ",", "\n"), ""])
+    """Render a numeric table under a header line of strings; every cell is
+    a number formatted with the one `%.12g` spec of fmt()."""
+    return "\n".join([",".join(header), format_rows(rows, "\n"), ""])
 
 
 def write_text(path, text: str) -> None:

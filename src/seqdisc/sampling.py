@@ -51,12 +51,12 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     is draw j of each trial; the words do not depend on how a run is split
     into chunks.  Generator.random's double of a word w is (w >> 11) * 2**-53.
     """
-    if not 0 <= seed < SEED_LIMIT:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
     for name, value in (("n_trials", n_trials), ("start_trial", start_trial)):
-        if value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    if draws_per_trial < 1:
+    if not isinstance(draws_per_trial, int) or isinstance(draws_per_trial, bool) or draws_per_trial < 1:
         raise ValueError(f"draws_per_trial must be positive, got {draws_per_trial}")
     blocks = blocks_per_trial(draws_per_trial)
     bitgen = np.random.Philox(key=seed)
@@ -98,7 +98,7 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     [1, MAX_DRAWS // draws] is refused before any draw, called `name`.
     """
     draws = 1 + len(thresholds)
-    if not 1 <= trials <= MAX_DRAWS // draws:
+    if not isinstance(trials, int) or isinstance(trials, bool) or not 1 <= trials <= MAX_DRAWS // draws:
         raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
                          f"in all, {draws} per trial), got {trials}")
     half, *bounds = map(_word_bound, (0.5, *thresholds))

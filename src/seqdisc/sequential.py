@@ -40,20 +40,18 @@ MAX_CHAIN_LENGTH = 10**4
 class ChainSpec(NamedTuple):
     """The optimal n-observer chain as its overlap schedule.
 
-    overlaps[k] (0-based) is the overlap observer k+1 receives, about
-    s**((n-k)/n), and overlaps[n] = 1 the one the last leaves.  All but the
-    last fail with per-state probability q = s**(1/n), the last with its
-    input overlap.  Samplers read only the thresholds: no measurement is built."""
+    overlaps[k] (0-based) is the overlap observer k+1 of n = len(overlaps) - 1
+    receives, about s**((n-k)/n), and overlaps[n] = 1 the one the last leaves.
+    All but the last fail with per-state probability q = s**(1/n), the last
+    with its input overlap.  Samplers read only the thresholds: no measurement is built."""
 
-    s: float
-    n: int
     q: float
     overlaps: tuple
 
     @property
     def failures(self) -> tuple:
         """Each observer's failure probability, the same on both states."""
-        return (self.q,) * (self.n - 1) + (self.overlaps[-2],)
+        return (self.q,) * (len(self.overlaps) - 2) + (self.overlaps[-2],)
 
     @property
     def thresholds(self) -> tuple:
@@ -156,7 +154,7 @@ def build_chain(s: float, n: int) -> ChainSpec:
             overlaps.append(output_overlap(a, q) if k < n - 1 else output_overlap(a, a))
         except ValueError as exc:
             raise ValueError(f"no chain of n={n} observers for s={s}: stage {k + 1} {exc}") from exc
-    return ChainSpec(s=s, n=n, q=q, overlaps=tuple(overlaps))
+    return ChainSpec(q=q, overlaps=tuple(overlaps))
 
 
 def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:

@@ -87,7 +87,7 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     s_min, s_max = float(s_min), float(s_max)
     if not 0.0 <= s_min < s_max <= 1.0:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
-    if not 2 <= steps <= MAX_STEPS:
+    if not isinstance(steps, int) or isinstance(steps, bool) or not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
     grid = np.linspace(s_min, s_max, steps)
     tiny = grid[(grid > 0.0) & (1.0 + grid == 1.0)]
@@ -213,7 +213,7 @@ def curve_svg(curve: StrategyCurve) -> str:
         stroke = {"stroke": "black", "stroke_width": "1.5"}
         if dash:
             stroke["stroke_dasharray"] = dash
-        points = format_rows(np.column_stack([xs, y(getattr(curve, attr))]), ",", " ")
+        points = format_rows(np.column_stack([xs, y(getattr(curve, attr))]), " ")
         lx, ly = left + pw - 150, top + 18 + 18 * idx
         parts += [
             _tag("polyline", points=points, fill="none", **stroke),

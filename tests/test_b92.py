@@ -46,6 +46,17 @@ def test_config_validation_names_the_field():
             session_config_from_dict(raw)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s", 1.5), ("rounds", True), ("rounds", 2.0), ("mode", "bogus"), ("eve", "bogus"),
+    ("seed", 1.7), ("seed", True)])
+def test_run_session_checks_its_config(field, value):
+    """A config built in code meets session_config_from_dict()'s rules, the
+    ones the CLI applies: each bad field is refused by name."""
+    config = SessionConfig(0.3, 1000, MODE_ONE_QUBIT, EVE_INTERCEPT, 1)._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^config field '{field}'={value!r} "):
+        run_session(config)
+
+
 def test_single_qubit_leaks_less_than_two_qubits():
     for k in range(1, 100):
         s = k / 100.0

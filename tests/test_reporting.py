@@ -68,14 +68,17 @@ def test_csv_text_matches_reference_across_magnitudes():
 def test_format_rows_does_not_depend_on_the_block_size(monkeypatch, block):
     rows = np.array(edge_rows(100), dtype=float)
     monkeypatch.setattr(reporting, "FORMAT_BLOCK_ROWS", block)
-    want = "|".join(";".join(fmt(c) for c in r) for r in rows)
-    assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
+    want = "|".join(",".join(fmt(c) for c in r) for r in rows)
+    assert first_difference(format_rows(rows, "|"), want, "|") is None
 
 
-@pytest.mark.parametrize("sep, eol", [("", ""), (",", ""), ("", "\n"), (" \u00b7 ", "\r\n")])
-def test_format_rows_joins_with_any_separators(sep, eol):
+@pytest.mark.parametrize("eol", ["\n", " "], ids=["csv_text", "curve_svg"])
+def test_format_rows_joins_with_any_separators(eol):
+    """Cells are joined by commas and rows by the row end each caller passes."""
     rows = np.array([[0.25, -3.5, 1e10], [7.0, -0.0, -1e-11], [1 / 3, 2e-5, 0.5]])
-    assert format_rows(rows, sep, eol) == eol.join(sep.join(fmt(c) for c in r) for r in rows)
+    assert format_rows(rows, eol) == eol.join(",".join(fmt(c) for c in r) for r in rows)
+    assert format_rows(rows[:, :1], eol) == eol.join(fmt(c) for c in rows[:, 0])
+    assert format_rows(np.empty((2, 0)), eol) == eol
 
 
 @pytest.fixture
@@ -85,9 +88,9 @@ def kernel_cells(monkeypatch):
     sizes = []
     slots = reporting._slots
 
-    def spy(x, sep):
+    def spy(x):
         sizes.append(x.size)
-        return slots(x, sep)
+        return slots(x)
 
     monkeypatch.setattr(reporting, "_slots", spy)
     return sizes
@@ -100,7 +103,7 @@ def assert_kernel_matches_fmt(values, kernel_cells, cols=5):
     values = np.concatenate([values, -values])
     rows = np.resize(values, (-(-len(values) // cols), cols))
     want = "\n".join(",".join(fmt(c) for c in row) for row in rows)
-    assert first_difference(format_rows(rows, ",", "\n"), want) is None
+    assert first_difference(format_rows(rows, "\n"), want) is None
     assert sum(kernel_cells) == rows.size
 
 
@@ -160,8 +163,8 @@ def test_kernel_renders_blocks_with_cells_outside_its_domain(monkeypatch, kernel
     monkeypatch.setattr(reporting, "FORMAT_BLOCK_ROWS", 2)
     rows = np.array([[0.25, -3.5, 1e10], [7.0, 0.0, -1e-11],
                      [math.nan, math.inf, 0.5], [-math.inf, 1e300, 5e-324]])
-    want = "|".join(";".join(fmt(c) for c in row) for row in rows)
-    assert first_difference(format_rows(rows, ";", "|"), want, "|") is None
+    want = "|".join(",".join(fmt(c) for c in row) for row in rows)
+    assert first_difference(format_rows(rows, "|"), want, "|") is None
     assert kernel_cells == [6, 6]
 
 
@@ -169,7 +172,7 @@ def test_kernel_renders_blocks_with_cells_outside_its_domain(monkeypatch, kernel
                   elements=hst.floats() | hst.floats(-1e11, 1e11, exclude_max=True)))
 def test_format_rows_matches_fmt_on_arbitrary_arrays(rows):
     want = "\n".join(",".join(fmt(c) for c in row) for row in rows)
-    assert format_rows(rows, ",", "\n") == want
+    assert format_rows(rows, "\n") == want
 
 
 def reference_points(curve, attr, width=640, height=480) -> str:

@@ -8,7 +8,7 @@ from seqdisc import sampling
 from seqdisc.b92 import EVE_POLICIES, MODES, SessionConfig, run_session
 from seqdisc.sampling import blocks_per_trial, chunk_ranges, run_trials, trial_uniforms
 from seqdisc.sequential import build_chain, simulate_chain
-from seqdisc.strategies import simulate_strategy
+from seqdisc.strategies import MAX_STEPS, make_curve, simulate_strategy
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3, 4, 5, 6, 8, 9])
@@ -76,6 +76,22 @@ def test_argument_validation():
         trial_uniforms(1, 10, 0)
     with pytest.raises(ValueError, match=r"^chunk_size must be positive, got 0$"):
         list(chunk_ranges(10, 0))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 3.0])
+def test_a_bool_or_non_int_seed_or_count_is_refused(bad):
+    """Each gets the message of an out-of-range value, not a silent
+    conversion or a TypeError."""
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*128\), got {bad}$"):
+        simulate_strategy("2", 0.3, 10, bad)
+    with pytest.raises(ValueError, match=rf"^trials must be in \[1, \d+\] .*, got {bad}$"):
+        simulate_chain(build_chain(0.3, 2), bad, 0)
+    with pytest.raises(ValueError, match=rf"^steps must be in \[2, {MAX_STEPS}\], got {bad}$"):
+        make_curve(0, 1, bad)
+    for name, args in (("n_trials", (1, bad, 2)), ("draws_per_trial", (1, 10, bad)),
+                       ("start_trial", (1, 10, 2, bad))):
+        with pytest.raises(ValueError, match=rf"^{name} must be \w+, got {bad}$"):
+            trial_uniforms(*args)
 
 
 def test_run_trials_refuses_counts_outside_the_draw_cap_before_any_draw(monkeypatch):

@@ -388,7 +388,7 @@ def test_no_sampling_path_builds_a_measurement(monkeypatch):
     assert not hasattr(sequential, "build_intermediate_ud")
     monkeypatch.setattr(povm, "build_intermediate_ud", refuse)
     monkeypatch.setattr(povm.UDMeasurement, "__init__", refuse)
-    assert build_chain(0.3, 10**4).n == 10**4
+    assert len(build_chain(0.3, 10**4).overlaps) == 10**4 + 1
     assert simulate_chain(build_chain(0.3, 64), 10, 1).trials == 10
     for kind in ("1", "seq"):
         assert simulate_strategy(kind, 0.3, 10, 1).trials == 10

@@ -31,7 +31,7 @@ from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads
 from .povm import sampling_boundaries
 from .sampling import SEED_LIMIT, binomial_rate, run_trials
 from .sequential import build_chain
-from .states import check_overlap
+from .states import check_integer, check_overlap
 
 MODE_TWO_QUBIT = "two_qubit"
 MODE_ONE_QUBIT = "one_qubit_sequential"
@@ -67,7 +67,8 @@ class KeyReport(NamedTuple):
 
 def session_config_from_dict(raw: dict) -> SessionConfig:
     """Validate a configuration mapping, naming the offending field; a field
-    it leaves out takes SessionConfig's default, if the field has one."""
+    it leaves out takes SessionConfig's default, if the field has one.
+    check_integer() refuses rounds below 1 and a seed outside [0, 2**128)."""
     unknown = sorted(set(raw) - set(SessionConfig._fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
@@ -77,14 +78,12 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     config = SessionConfig(**raw)
     s, rounds, mode, eve, seed = config
     s = check_overlap(s, "config field 's'")
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
-        raise ValueError(f"config field 'rounds'={rounds!r} must be a positive integer")
+    check_integer(rounds, "config field 'rounds'", 1)
     if mode not in MODES:
         raise ValueError(f"config field 'mode'={mode!r} must be one of {MODES}")
     if eve not in EVE_POLICIES:
         raise ValueError(f"config field 'eve'={eve!r} must be one of {EVE_POLICIES}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"config field 'seed'={seed!r} must be an integer in [0, 2**128)")
+    check_integer(seed, "config field 'seed'", 0, SEED_LIMIT - 1)
     return config._replace(s=s)
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import check_overlap, freeze, make_state_pair
+from .states import check_integer, check_overlap, freeze, make_state_pair
 
 # A wrong-state outcome probability below this floor is rounded to exactly
 # zero by outcome_table(), so in the Kraus form and the dilation alike; it
@@ -66,8 +66,7 @@ def output_overlap(s: float, q: float) -> float:
     t up to 1e-12 above 1, from a q up to a relative 1e-12 below s, is
     capped at 1.  ValueError names the bad s, q or bound."""
     s = check_overlap(s, "input overlap s")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q={q} outside (0, 1]")
+    q = check_overlap(q, "q", one=True)
     t = s / q
     if t > 1.0 + 1e-12:
         raise ValueError(
@@ -100,7 +99,7 @@ def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
 
 
 def outcome_table(s: float, input_index: int, kets_of) -> tuple:
-    """The outcome table when state `input_index` (1 or 2) of the pair
+    """The outcome table when state `input_index`, the int 1 or 2, of the pair
     with overlap `s` is sent; `kets_of(psi)` gives the three unnormalized
     states A_m psi it leaves, in the order (0, 1, 2).
 
@@ -110,8 +109,7 @@ def outcome_table(s: float, input_index: int, kets_of) -> tuple:
     as computed.  A state whose probability is 0 is returned unnormalized
     (it is never observed).
     """
-    if input_index not in (1, 2):
-        raise ValueError(f"input_index must be 1 or 2, got {input_index}")
+    check_integer(input_index, "input_index", 1, 2)
     kets = kets_of(make_state_pair(s)[input_index - 1])
     probs = [float(v @ v) for v in kets]
     wrong = 3 - input_index

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .povm import classify_uniforms
+from .states import check_integer
 
 # 64-bit words produced per Philox counter increment
 _BLOCK = 4
@@ -50,14 +51,12 @@ def trial_uniforms(seed: int, n_trials: int, draws_per_trial: int, start_trial: 
     the (n_trials, 4 * blocks_per_trial) block Philox generates.  Column j
     is draw j of each trial; the words do not depend on how a run is split
     into chunks.  Generator.random's double of a word w is (w >> 11) * 2**-53.
+    check_integer() refuses a seed outside [0, 2**128) and a count below its bound.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
-    for name, value in (("n_trials", n_trials), ("start_trial", start_trial)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    if not isinstance(draws_per_trial, int) or isinstance(draws_per_trial, bool) or draws_per_trial < 1:
-        raise ValueError(f"draws_per_trial must be positive, got {draws_per_trial}")
+    check_integer(seed, "seed", 0, SEED_LIMIT - 1)
+    check_integer(n_trials, "n_trials", 0)
+    check_integer(start_trial, "start_trial", 0)
+    check_integer(draws_per_trial, "draws_per_trial", 1)
     blocks = blocks_per_trial(draws_per_trial)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start_trial * blocks)
@@ -76,8 +75,7 @@ def _word_bound(threshold: float):
 
 def chunk_ranges(n_trials: int, chunk_size: int):
     """Yield (start, count) pairs covering range(n_trials) in chunks."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    check_integer(chunk_size, "chunk_size", 1)
     for start in range(0, n_trials, chunk_size):
         yield start, min(chunk_size, n_trials - start)
 
@@ -95,12 +93,11 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     equal-prior choice, marks the trials that sent state 1.
     The counts, Python ints, do not depend on the chunk size, because
     neither the draws nor the per-trial kernel do.  A count outside
-    [1, MAX_DRAWS // draws] is refused before any draw, called `name`.
+    [1, MAX_DRAWS // draws], the most trials whose draws stay within
+    MAX_DRAWS, is refused by check_integer() before any draw, called `name`.
     """
     draws = 1 + len(thresholds)
-    if not isinstance(trials, int) or isinstance(trials, bool) or not 1 <= trials <= MAX_DRAWS // draws:
-        raise ValueError(f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws "
-                         f"in all, {draws} per trial), got {trials}")
+    check_integer(trials, name, 1, MAX_DRAWS // draws)
     half, *bounds = map(_word_bound, (0.5, *thresholds))
     chunk = max(1, CHUNK_WORDS // (blocks_per_trial(draws) * _BLOCK))
     totals = 0

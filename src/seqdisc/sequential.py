@@ -24,6 +24,7 @@ s > 3 - 2 sqrt(2) (about 0.1716).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .povm import output_overlap, sampling_boundaries
 from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
 from .sampling import binomial_rate, run_trials
-from .states import check_overlap
+from .states import check_integer, check_overlap
 
 # Observers build_chain accepts; a sampled trial of the chain draws n + 1 uniforms.
 MAX_CHAIN_LENGTH = 10**4
@@ -114,19 +115,10 @@ def optimize_two_observer(s: float) -> OptimizationResult:
                               p_star_closed_form=(1.0 - t_star) ** 2)
 
 
-def _check_chain_length(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    try:
-        float(n)
-    except OverflowError:
-        raise ValueError(f"n must fit in a float, got a {n.bit_length()}-bit integer") from None
-
-
 def optimal_n_observer(s: float, n: int) -> float:
     """Best probability that all n observers identify the state, each failing equally on both."""
     s = check_overlap(s)
-    _check_chain_length(n)
+    check_integer(n, "n", 1, sys.float_info.max)
     return (1.0 - s ** (1.0 / n)) ** n
 
 
@@ -138,12 +130,10 @@ def build_chain(s: float, n: int) -> ChainSpec:
     receives, so q = s, on the admissibility bound, and it outputs 1.
     An s so close to 1 that q rounds to 1, or that an earlier stage's
     output does, raises ValueError naming s and n: no observer but the last
-    could then succeed.  n is capped at MAX_CHAIN_LENGTH.
+    could then succeed.  check_integer() refuses n outside [1, MAX_CHAIN_LENGTH].
     """
     s = check_overlap(s)
-    _check_chain_length(n)
-    if n > MAX_CHAIN_LENGTH:
-        raise ValueError(f"n must be at most {MAX_CHAIN_LENGTH}, got {n}")
+    check_integer(n, "n", 1, MAX_CHAIN_LENGTH)
     q = s ** (1.0 / n)
     if q == 1.0:
         raise ValueError(f"no chain of n={n} observers for s={s}: q = s**(1/n) rounds to 1")

@@ -33,7 +33,7 @@ import numpy as np
 from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sequential import TallyReport, build_chain, simulate_chain, tally_trials
-from .states import check_overlap, check_unit_interval
+from .states import check_integer, check_overlap, check_unit_interval
 
 KINDS = ("1", "2", "3", "seq")
 
@@ -83,12 +83,12 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     p2 == p3, raises ValueError.  At every other interior point the strict
     ordering p1 > p2 > p3 > p_seq holds as doubles: a**2 < a, dividing by
     1 + s >= 1 + 2**-52 lowers a value by more than half an ulp, and
-    p_seq / p3 = (1 + s) / (1 + sqrt(s))**2 is at most 1 - 2e-8."""
-    s_min, s_max = float(s_min), float(s_max)
-    if not 0.0 <= s_min < s_max <= 1.0:
+    p_seq / p3 = (1 + s) / (1 + sqrt(s))**2 is at most 1 - 2e-8.  Each
+    bound passes check_unit_interval() and steps check_integer() in [2, MAX_STEPS]."""
+    s_min, s_max = check_unit_interval(s_min, "s_min"), check_unit_interval(s_max, "s_max")
+    if not s_min < s_max:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
-    if not isinstance(steps, int) or isinstance(steps, bool) or not 2 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in [2, {MAX_STEPS}], got {steps}")
+    check_integer(steps, "steps", 2, MAX_STEPS)
     grid = np.linspace(s_min, s_max, steps)
     tiny = grid[(grid > 0.0) & (1.0 + grid == 1.0)]
     if tiny.size:

@@ -87,10 +87,9 @@ def test_simulate_rejects_zero_trials(capsys):
     ("b92", "--s", "0.5", "--rounds", "10", "--mode", "two_qubit"),
 ])
 def test_seed_beyond_128_bits_is_named(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--seed", str(2**128))
-    assert code == 2
-    assert out == ""
-    assert "seed" in err and "2**128" in err
+    name = "seed" if argv[0] == "simulate" else "config field 'seed'"
+    message = f"{name}={2**128} outside [0, {2**128 - 1}]"
+    assert run_cli(capsys, *argv, "--seed", str(2**128)) == (2, "", f"error: {message}\n")
 
 
 def test_optimize_rejects_bad_overlap(capsys):
@@ -220,14 +219,16 @@ def test_curves_writes_csv_and_svg(tmp_path, capsys):
 
 
 def test_curves_rejects_bad_range(capsys):
-    code, _, err = run_cli(capsys, "curves", "--s-min", "0.9", "--s-max", "0.1")
-    assert code == 2
-    assert "s_min < s_max" in err
-    # refused before the grid is allocated
-    for steps in (1000001, 10**13):
-        code, out, err = run_cli(capsys, "curves", "--steps", str(steps))
-        assert (code, out) == (2, "")
-        assert err == f"error: steps must be in [2, 1000000], got {steps}\n"
+    for argv, message in (
+        (["--s-min", "0.9", "--s-max", "0.1"], "need 0 <= s_min < s_max <= 1, got [0.9, 0.1]"),
+        (["--s-min", "-0.5"], "s_min=-0.5 outside [0, 1]"),
+        (["--s-max", "1.5"], "s_max=1.5 outside [0, 1]"),
+        # refused before the grid is allocated
+        (["--steps", "1000001"], "steps=1000001 outside [2, 1000000]"),
+        (["--steps", str(10**13)], f"steps={10**13} outside [2, 1000000]"),
+        (["--steps", "1"], "steps=1 outside [2, 1000000]"),
+    ):
+        assert run_cli(capsys, "curves", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_curves_refuses_grid_points_where_one_plus_s_rounds_to_one(tmp_path, capsys):
@@ -285,13 +286,15 @@ def test_simulate_chain_length(capsys):
     assert abs(report["tally"]["estimated_joint_probability"] - 0.001) < 4 * se
     # refused by message, before any stage is built
     simulate = ["simulate", "--kind", "seq", "--s", "0.3", "--trials", "10"]
+    # optimize takes any n whose 1 / n is a float
     for argv, n, message in (
-        (simulate, 10001, "n must be at most 10000, got 10001"),
-        (simulate, 10**300, f"n must be at most 10000, got {10**300}"),
-        (simulate, 2**1100, "n must fit in a float, got a 1101-bit integer"),
-        (["optimize", "--s", "0.3"], 2**1100, "n must fit in a float, got a 1101-bit integer"),
+        (simulate, 10001, "n=10001 outside [1, 10000]"),
+        (simulate, 10**300, f"n={10**300} outside [1, 10000]"),
+        (simulate, 2**1100, f"n={2**1100} outside [1, 10000]"),
+        (simulate, 0, "n=0 outside [1, 10000]"),
+        (["optimize", "--s", "0.3"], 2**1100, f"n={2**1100} outside [1, 1.7976931348623157e+308]"),
         (["optimize", "--s", "0.3", "--format", "csv"], 2**1100,
-         "n must fit in a float, got a 1101-bit integer"),
+         f"n={2**1100} outside [1, 1.7976931348623157e+308]"),
     ):
         code, out, err = run_cli(capsys, *argv, "--n", str(n))
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -359,8 +362,7 @@ def test_runs_beyond_the_draw_cap_are_refused_before_any_draw(monkeypatch, capsy
                                                               count, draws):
     monkeypatch.setattr(sampling, "trial_uniforms", _refuse_draws)
     name = "trials" if argv[0] == "simulate" else "config field 'rounds'"
-    message = (f"{name} must be in [1, {MAX_DRAWS // draws}] ({MAX_DRAWS} draws in all, "
-               f"{draws} per trial), got {count}")
+    message = f"{name}={count} outside [1, {MAX_DRAWS // draws}]"
     assert run_cli(capsys, *argv, str(count)) == (2, "", f"error: {message}\n")
 
 
@@ -370,8 +372,7 @@ def test_config_file_rounds_beyond_the_draw_cap_are_refused(monkeypatch, tmp_pat
     cfg.write_text(json.dumps({"s": 0.3, "rounds": 2**128, "mode": "two_qubit"}))
     code, out, err = run_cli(capsys, "b92", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err == (f"error: config field 'rounds' must be in [1, {MAX_DRAWS // 3}] "
-                   f"({MAX_DRAWS} draws in all, 3 per trial), got {2**128}\n")
+    assert err == f"error: config field 'rounds'={2**128} outside [1, {MAX_DRAWS // 3}]\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -190,6 +190,13 @@ def test_failure_probability_range_is_enforced():
     for q in (0.0, 1.2, -0.1, math.nan):
         with pytest.raises(ValueError, match=f"^q={q} outside"):
             build_intermediate_ud(0.5, q)
+    # a bool, a string or None is refused by name, not read as 0 or 1
+    for q in (True, False, "0.5", None):
+        for build in (output_overlap, build_intermediate_ud):
+            with pytest.raises(ValueError) as refused:
+                build(0.3, q)
+            assert str(refused.value) == f"q={q!r} is not a number"
+    assert output_overlap(0.3, 1) == 0.3
     # unit failure probability is a legal extreme point: nothing is learned.
     # Each identified branch has probability exactly 0, and its state comes
     # back as the zero vector, unnormalized, not as 0 / 0

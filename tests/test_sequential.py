@@ -1,6 +1,7 @@
 """Tests for chain rates, the optimizer, and the chain simulator."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -142,14 +143,14 @@ def test_n_observer_closed_form():
     # rates shrink as the chain grows
     values = [optimal_n_observer(s, n) for n in range(1, 8)]
     assert all(a > b for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        optimal_n_observer(s, 0)
-    with pytest.raises(ValueError):
-        optimal_n_observer(s, 2.5)
-    with pytest.raises(ValueError, match="n must be"):
-        optimal_n_observer(s, True)
-    with pytest.raises(ValueError, match="^n must fit in a float, got a 1101-bit integer$"):
-        optimal_n_observer(s, 2**1100)
+    # any int n up to the largest float is taken, so 1 / n is a float
+    assert optimal_n_observer(s, 2**1000) == optimal_n_observer(s, int(sys.float_info.max)) == 0.0
+    for n, message in ((0, "n=0 outside [1, 1.7976931348623157e+308]"),
+                       (2**1100, f"n={2**1100} outside [1, 1.7976931348623157e+308]"),
+                       (2.5, "n=2.5 is not an int (float)"), (True, "n=True is not an int (bool)")):
+        with pytest.raises(ValueError) as refused:
+            optimal_n_observer(s, n)
+        assert str(refused.value) == message
 
 
 def test_n_observer_rate_decreases_with_overlap():
@@ -210,16 +211,12 @@ def test_build_chain_refuses_a_failure_probability_that_rounds_to_one(s, n):
 def test_build_chain_validation():
     with pytest.raises(ValueError):
         build_chain(0.0, 2)
-    with pytest.raises(ValueError):
-        build_chain(0.5, 0)
-    with pytest.raises(ValueError, match="n must be"):
-        build_chain(0.3, True)
     # refused by message alone: a chain this long is never built
-    for n in (10001, 10**300):
-        with pytest.raises(ValueError, match=f"^n must be at most 10000, got {n}$"):
+    for n, message in ((0, "n=0 outside [1, 10000]"), (True, "n=True is not an int (bool)"),
+                       *((n, f"n={n} outside [1, 10000]") for n in (10001, 10**300, 2**1100))):
+        with pytest.raises(ValueError) as refused:
             build_chain(0.3, n)
-    with pytest.raises(ValueError, match="^n must fit in a float, got a 1101-bit integer$"):
-        build_chain(0.3, 2**1100)
+        assert str(refused.value) == message
 
 
 @settings(max_examples=300, deadline=None)

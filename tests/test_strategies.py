@@ -83,9 +83,16 @@ def test_make_curve_validation():
     with pytest.raises(ValueError):
         make_curve(0.5, 0.5)
     with pytest.raises(ValueError):
-        make_curve(-0.1, 1.0)
-    with pytest.raises(ValueError):
         make_curve(0.0, 1.0, steps=1)
+    # a bound that is a bool or a string is refused by name, not converted
+    for args, message in ((("0.1", "0.9", 3), "s_min='0.1' is not a number"),
+                          ((False, True, 3), "s_min=False is not a number"),
+                          ((0.1, True, 3), "s_max=True is not a number"),
+                          ((0.1, None, 3), "s_max=None is not a number"),
+                          ((-0.1, 1.0, 3), "s_min=-0.1 outside [0, 1]")):
+        with pytest.raises(ValueError) as refused:
+            make_curve(*args)
+        assert str(refused.value) == message
     # 1 + s rounds to 1 at the grid point 2**-53, so p2 == p3 there
     with pytest.raises(ValueError, match=r"s_min=0\.0, s_max=2\.2"):
         make_curve(0.0, 2.0**-52, steps=3)

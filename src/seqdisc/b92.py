@@ -31,7 +31,7 @@ from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads
 from .povm import sampling_boundaries
 from .sampling import SEED_LIMIT, binomial_rate, run_trials
 from .sequential import build_chain
-from .states import check_integer, check_overlap
+from .states import check_integer, check_real
 
 MODE_TWO_QUBIT = "two_qubit"
 MODE_ONE_QUBIT = "one_qubit_sequential"
@@ -77,7 +77,7 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
             raise ValueError(f"config field '{field}' is required")
     config = SessionConfig(**raw)
     s, rounds, mode, eve, seed = config
-    s = check_overlap(s, "config field 's'")
+    s = check_real(s, "config field 's'")
     check_integer(rounds, "config field 'rounds'", 1)
     if mode not in MODES:
         raise ValueError(f"config field 'mode'={mode!r} must be one of {MODES}")

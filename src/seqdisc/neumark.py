@@ -25,7 +25,7 @@ import numpy as np
 
 from .povm import PROB_FLOOR, build_intermediate_ud, outcome_statistics, outcome_table
 from .reporting import Echo, csv_text
-from .states import check_overlap, freeze
+from .states import check_real, freeze
 
 QUBIT_DIM = 2
 ANCILLA_DIM = 3
@@ -55,7 +55,7 @@ def build_dilation(s: float) -> DilationUnitary:
     asin(sqrt((1 - sqrt(s)) / 2)) is computed as (1 - s) / (1 + sqrt(s)),
     so that U and theta_prime keep their digits near s = 1.
     """
-    s = check_overlap(s)
+    s = check_real(s)
     rs = math.sqrt(s)
     gap = (1.0 - s) / (1.0 + rs)
     # orthonormal ancilla vectors: v1 and v2 synthesize the physical

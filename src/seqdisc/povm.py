@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import check_integer, check_overlap, freeze, make_state_pair
+from .states import check_integer, check_real, freeze, make_state_pair
 
 # A wrong-state outcome probability below this floor is rounded to exactly
 # zero by outcome_table(), so in the Kraus form and the dilation alike; it
@@ -60,13 +60,13 @@ class UDMeasurement(NamedTuple):
 
 
 def output_overlap(s: float, q: float) -> float:
-    """Overlap t = s / q of the pair that failure probability q in (0, 1]
-    leaves of input overlap s, exactly 1 at q = s.  It does not square,
-    so admissibility, q >= s, is checked on t even where s^2 underflows;
-    t up to 1e-12 above 1, from a q up to a relative 1e-12 below s, is
-    capped at 1.  ValueError names the bad s, q or bound."""
-    s = check_overlap(s, "input overlap s")
-    q = check_overlap(q, "q", one=True)
+    """Overlap t = s / q of the pair that failure probability q leaves of
+    input overlap s, exactly 1 at q = s; check_real() holds s to (0, 1) and
+    q to (0, 1].  Admissibility, q >= s, is checked on t, not on a square,
+    so also where s^2 underflows: a t up to 1e-12 above 1, from a q up to a
+    relative 1e-12 below s, is capped at 1, and a larger t is refused."""
+    s = check_real(s, "input overlap s")
+    q = check_real(q, "q", "(0, 1]")
     t = s / q
     if t > 1.0 + 1e-12:
         raise ValueError(

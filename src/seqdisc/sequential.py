@@ -32,7 +32,7 @@ import numpy as np
 from .povm import output_overlap, sampling_boundaries
 from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
 from .sampling import binomial_rate, run_trials
-from .states import check_integer, check_overlap
+from .states import check_integer, check_real
 
 # Observers build_chain accepts; a sampled trial of the chain draws n + 1 uniforms.
 MAX_CHAIN_LENGTH = 10**4
@@ -108,7 +108,7 @@ def optimize_two_observer(s: float) -> OptimizationResult:
     written as ((1 - s) / (1 + t_star))^2, which does not cancel as s -> 1;
     the closed form (1 - sqrt(s))^2 is reported beside it.
     """
-    s = check_overlap(s)
+    s = check_real(s)
     t_star = math.sqrt(s)
     return OptimizationResult(t_star=t_star, q_star=t_star,
                               p_star=((1.0 - s) / (1.0 + t_star)) ** 2,
@@ -117,7 +117,7 @@ def optimize_two_observer(s: float) -> OptimizationResult:
 
 def optimal_n_observer(s: float, n: int) -> float:
     """Best probability that all n observers identify the state, each failing equally on both."""
-    s = check_overlap(s)
+    s = check_real(s)
     check_integer(n, "n", 1, sys.float_info.max)
     return (1.0 - s ** (1.0 / n)) ** n
 
@@ -132,7 +132,7 @@ def build_chain(s: float, n: int) -> ChainSpec:
     output does, raises ValueError naming s and n: no observer but the last
     could then succeed.  check_integer() refuses n outside [1, MAX_CHAIN_LENGTH].
     """
-    s = check_overlap(s)
+    s = check_real(s)
     check_integer(n, "n", 1, MAX_CHAIN_LENGTH)
     q = s ** (1.0 / n)
     if q == 1.0:

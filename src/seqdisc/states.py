@@ -26,35 +26,27 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-def check_overlap(s, name: str = "s", one: bool = False) -> float:
-    """`s` as a float, after checking the open domain 0 < s < 1 of every
-    discrimination problem here, or a failure probability's (0, 1] if `one`;
-    the ValueError names `name` and the value.
+def _shown(x) -> str:
+    """str(x), or an int of over 4300 digits, Python's default str() limit, by its bit length."""
+    if isinstance(x, int) and abs(x) >= 10**4300:
+        return f"<int of {x.bit_length()} bits>"
+    return str(x)
 
-    Only real numbers pass: a bool, a string or None is refused rather than
-    converted, and an int too large for a float is out of range."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Real):
-        raise ValueError(f"{name}={s!r} is not a number")
-    domain = "(0, 1]" if one else "(0, 1)"
+
+def check_real(x, name: str = "s", domain: str = "(0, 1)") -> float:
+    """`x` as a float, if it is a real number, not a bool, in `domain`: "(0, 1)",
+    "(0, 1]" or "[0, 1]", its ends closed where its brackets are.  Anything else,
+    an int too large for a float too, raises a ValueError naming `name` and `x`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name}={x!r} is not a number")
     try:
-        s = float(s)
-    except OverflowError as exc:
-        raise ValueError(f"{name} outside {domain}: {exc}") from None
-    if not (0.0 < s < 1.0 or one and s == 1.0):
-        raise ValueError(f"{name}={s} outside {domain}")
-    return s
-
-
-def check_unit_interval(s, name: str = "s"):
-    """`s` as a float, or a float array for array input, every value in the
-    closed range [0, 1] of a pair's overlap; the ValueError names `name` and
-    the value.  Only numbers pass: an integer or float dtype, not a bool or str."""
-    if np.asarray(s).dtype.kind not in "iuf":
-        raise ValueError(f"{name}={s!r} is not a number")
-    a = np.asarray(s, dtype=float)
-    if not np.all((a >= 0.0) & (a <= 1.0)):
-        raise ValueError(f"{name}={s} outside [0, 1]")
-    return float(a) if a.ndim == 0 else a
+        value = float(x)
+    except OverflowError:
+        value = math.nan  # outside every domain
+    closed_end = value == 0.0 and domain[0] == "[" or value == 1.0 and domain[-1] == "]"
+    if not (0.0 < value < 1.0 or closed_end):
+        raise ValueError(f"{name}={_shown(x)} outside {domain}")
+    return value
 
 
 def check_integer(n, name: str, lo: int, hi=math.inf) -> None:
@@ -64,14 +56,13 @@ def check_integer(n, name: str, lo: int, hi=math.inf) -> None:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"{name}={n!r} is not an int ({type(n).__name__})")
     if not lo <= n <= hi:
-        raise ValueError(f"{name}={n} outside [{lo}, {hi}]")
+        raise ValueError(f"{name}={_shown(n)} outside [{lo}, {hi}]")
 
 
 def make_state_pair(s: float) -> tuple:
-    """The canonical pair (psi_1, psi_2) = ((c, d), (c, -d)) with overlap
-    `s` = c^2 - d^2, 0 <= s <= 1, as read-only arrays: state i is at
-    [i - 1]."""
-    s = check_unit_interval(s)
+    """The canonical pair (psi_1, psi_2) = ((c, d), (c, -d)) as read-only arrays,
+    state i at [i - 1], with overlap `s` = c^2 - d^2, which check_real() holds to [0, 1]."""
+    s = check_real(s, "s", "[0, 1]")
     theta = 0.5 * math.acos(s)
     c, d = math.cos(theta), math.sin(theta)
     return freeze([c, d]), freeze([c, -d])

@@ -20,8 +20,8 @@ is the same, 1 - s.  Strategies 1-3 all consume the state or communicate
 classically; the sequential chain is the only one that does neither, and
 it pays for that with the strictly smallest joint rate.
 
-Each rate function takes one overlap or an array of them, and make_curve
-tabulates the rates through those functions.
+Each rate takes one overlap in [0, 1] or an integer or float array of them,
+and make_curve tabulates the rates through those functions.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sequential import TallyReport, build_chain, simulate_chain, tally_trials
-from .states import check_integer, check_overlap, check_unit_interval
+from .states import check_integer, check_real
 
 KINDS = ("1", "2", "3", "seq")
 
@@ -42,26 +42,35 @@ KINDS = ("1", "2", "3", "seq")
 MAX_STEPS = 10**6
 
 
+def _overlap(s):
+    """check_real(s) on [0, 1], or an integer or float array checked by its extremes, as floats."""
+    if isinstance(s, np.ndarray) and s.dtype.kind in "iuf":
+        check_real(s.min(initial=0), "s", "[0, 1]")
+        check_real(s.max(initial=1), "s", "[0, 1]")
+        return np.asarray(s, dtype=float)
+    return check_real(s, "s", "[0, 1]")
+
+
 def strategy1(s):
     """Both learn the state iff the broadcast measurement succeeds."""
-    return 1.0 - check_unit_interval(s)
+    return 1.0 - _overlap(s)
 
 
 def strategy2(s):
     """Two independent minimum-failure measurements must both succeed."""
-    return (1.0 - check_unit_interval(s)) ** 2
+    return (1.0 - _overlap(s)) ** 2
 
 
 def strategy3(s):
     """Cloning succeeds with 1/(1+s), then two independent measurements."""
-    s = check_unit_interval(s)
+    s = _overlap(s)
     return (1.0 - s) ** 2 / (1.0 + s)
 
 
 def strategy_seq(s):
     """Optimal two-observer sequential rate, written as
     ((1 - s) / (1 + sqrt(s)))^2 so that it does not cancel near s = 1."""
-    s = check_unit_interval(s)
+    s = _overlap(s)
     return ((1.0 - s) / (1.0 + np.sqrt(s))) ** 2
 
 
@@ -83,9 +92,9 @@ def make_curve(s_min: float = 0.0, s_max: float = 1.0, steps: int = 101) -> Stra
     p2 == p3, raises ValueError.  At every other interior point the strict
     ordering p1 > p2 > p3 > p_seq holds as doubles: a**2 < a, dividing by
     1 + s >= 1 + 2**-52 lowers a value by more than half an ulp, and
-    p_seq / p3 = (1 + s) / (1 + sqrt(s))**2 is at most 1 - 2e-8.  Each
-    bound passes check_unit_interval() and steps check_integer() in [2, MAX_STEPS]."""
-    s_min, s_max = check_unit_interval(s_min, "s_min"), check_unit_interval(s_max, "s_max")
+    p_seq / p3 = (1 + s) / (1 + sqrt(s))**2 is at most 1 - 2e-8.  Each bound
+    goes through check_real() on [0, 1], steps check_integer() on [2, MAX_STEPS]."""
+    s_min, s_max = check_real(s_min, "s_min", "[0, 1]"), check_real(s_max, "s_max", "[0, 1]")
     if not s_min < s_max:
         raise ValueError(f"need 0 <= s_min < s_max <= 1, got [{s_min}, {s_max}]")
     check_integer(steps, "steps", 2, MAX_STEPS)
@@ -132,7 +141,7 @@ def simulate_strategy(kind, s: float, trials: int, seed: int, n: int = 2) -> Tal
         raise ValueError(f"--n applies only to kind 'seq', got n={n}")
     if kind in ("1", "seq"):
         return simulate_chain(build_chain(s, 1 if kind == "1" else n), trials, seed)
-    s = check_overlap(s)
+    s = check_real(s)
     threshold = sampling_boundaries(s)
     thresholds = (threshold,) * 2 if kind == "2" else (1.0 / (1.0 + s), threshold, threshold)
 

@@ -6,7 +6,10 @@ doubles() turns the raw Philox words sampling.trial_uniforms returns into
 the doubles Generator.random makes of them.  completeness_residual() and
 zero_error_residuals() read a measurement's health from its Kraus
 operators, and stages() builds the measurements of a chain's schedule.
-pair_rate() is the paper's joint rate P for explicit failure pairs.
+chain_classes() sends a prepared state through those measurements by their
+Kraus operators, so the whole chain's rates rest on the operators, not on
+the sampler's thresholds.  pair_rate() is the paper's joint rate P for
+explicit failure pairs.
 """
 
 import numpy as np
@@ -52,6 +55,43 @@ def stages(chain) -> tuple:
     """Observer k+1's measurement at [k].  build_intermediate_ud is looked
     up on povm at each call, so a test can replace it there."""
     return tuple(povm.build_intermediate_ud(a, q) for a, q in zip(chain.overlaps, chain.failures))
+
+
+def _factor(parts):
+    """One 2 x k factor L with L L^T the sum of P P^T over `parts`: their
+    columns side by side, or the transposed R of its QR when they are more
+    than two."""
+    merged = np.hstack(parts)
+    return merged if merged.shape[1] <= 2 else np.linalg.qr(merged.T, mode="r").T
+
+
+def chain_classes(meases, input_index: int) -> tuple:
+    """Send state `input_index` of the pair with overlap meases[0].s through
+    each measurement in turn, rho -> A_m rho A_m^T for its stored Kraus
+    operators A_m, and return (every, some, none, wrong): the probability
+    that every observer identified the state, that some but not every one
+    did, that none did, each with no wrong outcome, and that some observer
+    named the wrong state.
+
+    Each of the first three classes holds the sum of rho over its outcome
+    records, which is sound because distinct records are orthogonal, as a
+    factor L with rho = L L^T, so that a probability is a sum of squares
+    of amplitudes and rounding cannot cancel a wrong outcome's zero into
+    +-1e-16 per stage.  A wrong outcome's mass is taken where it arises.
+    """
+    psi = make_state_pair(meases[0].s)[input_index - 1]
+    classes, wrong = {(True, False): psi[:, None]}, 0.0
+    for meas in meases:
+        parts = {}
+        for (every, some), L in classes.items():
+            for m, A in enumerate(meas.kraus):
+                if m == 3 - input_index:
+                    wrong += float(np.sum((A @ L) ** 2))
+                else:
+                    parts.setdefault((every and m > 0, some or m > 0), []).append(A @ L)
+        classes = {key: _factor(p) for key, p in parts.items()}
+    mass = {key: float(np.sum(L**2)) for key, L in classes.items()}
+    return mass.get((True, True), 0.0), mass.get((False, True), 0.0), mass.get((False, False), 0.0), wrong
 
 
 def pair_rate(q_bob, q_charlie) -> float:

@@ -118,7 +118,7 @@ CONFIG_ONLY_OVERLAPS = {
     "list": ([0.3], "=[0.3]"),
     "string": ("0.3", "='0.3'"),
     "true": (True, "=True"),
-    "huge-int": (10**400, " outside (0, 1)"),
+    "huge-int": (10**400, f"={10**400} outside (0, 1)"),
 }
 
 

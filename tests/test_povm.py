@@ -1,6 +1,7 @@
 """Tests for the three-outcome discrimination measurements."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,13 +191,23 @@ def test_failure_probability_range_is_enforced():
     for q in (0.0, 1.2, -0.1, math.nan):
         with pytest.raises(ValueError, match=f"^q={q} outside"):
             build_intermediate_ud(0.5, q)
-    # a bool, a string or None is refused by name, not read as 0 or 1
-    for q in (True, False, "0.5", None):
+    # a bool, a string, None, a list or an array is refused by name, not
+    # read as 0 or 1; an int too large for a float is out of range
+    for q in (True, False, "0.5", None, [0.5], np.array(0.5), np.array([0.5, 0.6])):
         for build in (output_overlap, build_intermediate_ud):
             with pytest.raises(ValueError) as refused:
                 build(0.3, q)
             assert str(refused.value) == f"q={q!r} is not a number"
-    assert output_overlap(0.3, 1) == 0.3
+    for build in (output_overlap, build_intermediate_ud):
+        for args, message in (((0.3, 2**1100), f"q={2**1100} outside (0, 1]"),
+                              ((0.3, -(10**400)), f"q={-(10**400)} outside (0, 1]"),
+                              ((2**1100, 0.5), f"input overlap s={2**1100} outside (0, 1)"),
+                              ((0.3, 10**5000), "q=<int of 16610 bits> outside (0, 1]")):
+            with pytest.raises(ValueError) as refused:
+                build(*args)
+            assert str(refused.value) == message
+    assert output_overlap(0.3, 1) == output_overlap(Fraction(3, 10), Fraction(1)) == 0.3
+    assert output_overlap(0.3, 1 - 2**-53) == 0.3 / (1 - 2**-53) and output_overlap(5e-324, 5e-324) == 1.0
     # unit failure probability is a legal extreme point: nothing is learned.
     # Each identified branch has probability exactly 0, and its state comes
     # back as the zero vector, unnormalized, not as 0 / 0

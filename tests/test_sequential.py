@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from _reference import (
     apply,
+    chain_classes,
     completeness_residual,
     doubles,
     pair_rate,
@@ -28,7 +29,7 @@ from seqdisc.sequential import (
     optimize_two_observer,
     simulate_chain,
 )
-from seqdisc.states import check_overlap
+from seqdisc.states import check_real
 from seqdisc.strategies import simulate_strategy
 
 # Bound on a built stage's completeness and zero-error residuals
@@ -266,6 +267,35 @@ def test_near_one_chain_pi0_determinants_are_nonnegative():
                 assert stage.q >= stage.s, (gap, n)
 
 
+# log-spaced toward 0 and toward 1
+CHAIN_OVERLAPS = (1e-300, 1e-30, 1e-6, 0.01, 0.3, 1.0 - 1e-2, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])
+def test_whole_chain_rates_follow_from_the_kraus_operators(n):
+    """Either prepared state, sent through every stage's stored Kraus
+    operators, is identified by every observer with the product of the
+    sampler's thresholds, by none with probability s and by at least one
+    with 1 - s, and is never misidentified.
+
+    The at-least-one rate may differ from 1 - s by 2**-52 absolute.  Each
+    stage is built for the overlap the schedule stores, the double nearest
+    s_k/q, while the state the previous stage leaves has overlap s_k/q
+    exactly; near s = 1 that offset is a sizable part of 1 - t, and the
+    rate drifts by up to 5e-17 absolute here, 2.5e-10 of 1 - s at
+    s = 1 - 1e-9.  Propagating the same Kraus entries to 60 digits, or
+    60-digit Kraus entries of the same doubles, gives the same drift."""
+    for s in CHAIN_OVERLAPS:
+        chain = build_chain(s, n)
+        built = stages(chain)
+        for i in (1, 2):
+            every, some, none, wrong = chain_classes(built, i)
+            assert every == pytest.approx(math.prod(chain.thresholds), rel=1e-12, abs=0), (s, i)
+            assert none == pytest.approx(s, rel=1e-12, abs=0), (s, i)
+            assert every + some == pytest.approx(1.0 - s, rel=1e-12, abs=2**-52), (s, i)
+            assert 0.0 <= wrong <= 1e-14, (s, i)
+
+
 def test_simulate_chain_matches_scalar_application():
     """The vectorized sampler must agree, trial by trial, with walking the
     chain through apply() on the same draw windows."""
@@ -331,7 +361,7 @@ def _chained_stages(s, n):
     """The reference chain: each stage a measurement built on the overlap
     the previous one leaves, the last the minimum-failure measurement.  A
     failure probability q that rounds to 1 is refused."""
-    s = check_overlap(s)
+    s = check_real(s)
     q = s ** (1.0 / n)
     if q == 1.0:
         raise ValueError(f"no chain of n={n} observers for s={s}: q = s**(1/n) rounds to 1")

@@ -1,13 +1,13 @@
 """Tests for the canonical state-pair embedding."""
 
 import math
-import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seqdisc.states import check_integer, make_state_pair
+from seqdisc.states import check_integer, check_real, make_state_pair
 from seqdisc.strategies import strategy1, strategy2, strategy3, strategy_seq
 
 S_GRID = [0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
@@ -40,16 +40,72 @@ def test_degenerate_endpoints():
 
 def test_overlap_range_is_enforced():
     """The state pair and every strategy rate refuse an overlap outside the
-    closed [0, 1] with one message, and a bool, a string or None, rather
-    than converting it, with another."""
-    for bad in (-0.1, 1.1, 2.0, float("nan")):
-        for check in (make_state_pair, strategy1, strategy2, strategy3, strategy_seq):
-            with pytest.raises(ValueError, match=rf"^s={re.escape(str(bad))} outside \[0, 1\]$"):
+    closed [0, 1] with one message, and a bool, a string, None, a list or an
+    array that is not of an integer or float dtype, rather than converting
+    it, with another.  An int too large for a float is out of range."""
+    checks = (make_state_pair, strategy1, strategy2, strategy3, strategy_seq)
+    for bad in (-0.1, 1.1, 2.0, float("nan"), 2, 2**63, 2**64, 10**400, -(2**1100)):
+        for check in checks:
+            with pytest.raises(ValueError) as refused:
                 check(bad)
-    for bad in (True, False, "0.5", None, np.array([0.5, True], dtype=object)):
-        for check in (make_state_pair, strategy1, strategy2, strategy3, strategy_seq):
-            with pytest.raises(ValueError, match=rf"^s={re.escape(repr(bad))} is not a number$"):
+            assert str(refused.value) == f"s={bad} outside [0, 1]"
+    for bad in (True, False, "0.5", None, [0.5, True], [0.3], np.array([0.5, True], dtype=object),
+                np.array([True, False])):
+        for check in checks:
+            with pytest.raises(ValueError) as refused:
                 check(bad)
+            assert str(refused.value) == f"s={bad!r} is not a number"
+    # only the rates take an array; the state pair is one pair, so a 0-d
+    # array is refused too
+    for bad in (np.array([0.3, 0.4]), np.array(0.3)):
+        with pytest.raises(ValueError) as refused:
+            make_state_pair(bad)
+        assert str(refused.value) == f"s={bad!r} is not a number"
+    # a real number of any type passes, exact or not
+    for s in (Fraction(1, 3), np.float32(0.25), np.uint8(1), 0, 1):
+        assert np.array_equal(make_state_pair(s), make_state_pair(float(s)))
+
+
+OPEN, HALF_OPEN, CLOSED = "(0, 1)", "(0, 1]", "[0, 1]"
+
+
+# each value with the domains that hold it
+@pytest.mark.parametrize("x, holding", [
+    (0, (CLOSED,)), (0.0, (CLOSED,)), (-0.0, (CLOSED,)),
+    (5e-324, (OPEN, HALF_OPEN, CLOSED)), (1 - 2**-53, (OPEN, HALF_OPEN, CLOSED)),
+    (1, (HALF_OPEN, CLOSED)), (1.0, (HALF_OPEN, CLOSED)),
+    *((x, ()) for x in (-5e-324, 1 + 2**-52, math.nan, math.inf, -math.inf)),
+    pytest.param(10**400, (), id="10**400"),
+])
+def test_check_real_reads_each_domain_from_its_brackets(x, holding):
+    for domain in (OPEN, HALF_OPEN, CLOSED):
+        if domain in holding:
+            value = check_real(x, "x", domain)
+            assert type(value) is float and value == x
+        else:
+            with pytest.raises(ValueError) as refused:
+                check_real(x, "x", domain)
+            assert str(refused.value) == f"x={x} outside {domain}"
+
+
+def test_check_real_is_the_one_real_rule():
+    """Only a real number that is not a bool passes; an int too large for a
+    float is out of range and named with its value, and one of more than
+    4300 digits is shown by its bit length."""
+    assert check_real(Fraction(1, 3), "s", "[0, 1]") == check_real(Fraction(1, 3)) == 1 / 3
+    assert check_real(np.float64(0.5)) == 0.5 and check_real(np.int64(1), "q", "(0, 1]") == 1.0
+    for x, domain, message in (
+        (2**1100, "(0, 1)", f"s={2**1100} outside (0, 1)"),
+        (-(10**400), "[0, 1]", f"s={-(10**400)} outside [0, 1]"),
+        (10**5000, "(0, 1]", "s=<int of 16610 bits> outside (0, 1]"),
+        (Fraction(10**400, 3), "(0, 1)", f"s={10**400}/3 outside (0, 1)"),
+        (True, "[0, 1]", "s=True is not a number"),
+        (b"0.5", "(0, 1)", "s=b'0.5' is not a number"),
+        (1j, "(0, 1)", "s=1j is not a number"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            check_real(x, "s", domain)
+        assert str(refused.value) == message
 
 
 def test_check_integer_is_the_one_integer_rule():
@@ -63,6 +119,11 @@ def test_check_integer_is_the_one_integer_rule():
         (3, 1, 2, "n=3 outside [1, 2]"),
         (-1, 0, math.inf, "n=-1 outside [0, inf]"),
         (2**1100, 1, sys.float_info.max, f"n={2**1100} outside [1, 1.7976931348623157e+308]"),
+        # an int of more than 4300 digits, Python's default str() limit, by
+        # its bit length, and one of 4300 digits in full
+        (10**5000, 1, 10, "n=<int of 16610 bits> outside [1, 10]"),
+        (-(10**4300), 0, 1, "n=<int of 14285 bits> outside [0, 1]"),
+        (10**4300 - 1, 0, 1, f"n={10**4300 - 1} outside [0, 1]"),
         (True, 0, 2, "n=True is not an int (bool)"),
         (1.0, 0, 2, "n=1.0 is not an int (float)"),
         ("1", 0, 2, "n='1' is not an int (str)"),

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import numpy as np
@@ -44,13 +45,31 @@ def test_closed_forms_at_endpoints():
 
 
 def test_rates_take_arrays_elementwise():
+    """A rate takes an array of an integer or float dtype, checked through
+    its least and greatest values by the scalar rule, and refuses any other
+    array by name."""
     grid = np.array([0.0, 1e-300, 0.25, 0.3, 0.999999999999, 1.0])
     for f in (strategy1, strategy2, strategy3, strategy_seq):
         assert f(grid).tolist() == [f(float(s)) for s in grid]
-        with pytest.raises(ValueError):
-            f(np.array([0.5, 1.1]))
-        with pytest.raises(ValueError):
-            f(math.nan)
+        for array in (np.array([], dtype=float), np.array([], dtype=np.uint8)):
+            got = f(array)
+            assert got.dtype == np.float64 and got.shape == (0,)
+        got = f(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        assert got.dtype == np.float64 and got.tolist() == [[f(0.0), f(1.0)], [f(1.0), f(0.0)]]
+        for bad, message in ((np.array([0.5, 1.1]), "s=1.1 outside [0, 1]"),
+                             (np.array([-0.5, 0.5]), "s=-0.5 outside [0, 1]"),
+                             (np.array([0.5, math.nan]), "s=nan outside [0, 1]"),
+                             (np.array([math.inf]), "s=inf outside [0, 1]"),
+                             (np.array([0, 2], dtype=np.uint8), "s=2 outside [0, 1]"),
+                             (np.array([0, 2**63], dtype=np.uint64), f"s={2**63} outside [0, 1]"),
+                             (math.nan, "s=nan outside [0, 1]"),
+                             (np.array([0.5, True], dtype=object),
+                              "s=array([0.5, True], dtype=object) is not a number"),
+                             (np.array([0.5], dtype=complex),
+                              "s=array([0.5+0.j]) is not a number")):
+            with pytest.raises(ValueError) as refused:
+                f(bad)
+            assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("s", [1e-300, 0.25, 0.7, 1 - 1e-6, 1 - 1e-12, 0.9999999999999999])
@@ -89,7 +108,14 @@ def test_make_curve_validation():
                           ((False, True, 3), "s_min=False is not a number"),
                           ((0.1, True, 3), "s_max=True is not a number"),
                           ((0.1, None, 3), "s_max=None is not a number"),
-                          ((-0.1, 1.0, 3), "s_min=-0.1 outside [0, 1]")):
+                          ((-0.1, 1.0, 3), "s_min=-0.1 outside [0, 1]"),
+                          ((0.1, 2**64, 3), f"s_max={2**64} outside [0, 1]"),
+                          # a bound is one number: a list or an array is refused, not
+                          # broadcast into a grid of several columns
+                          (([0.1], 0.9, 3), "s_min=[0.1] is not a number"),
+                          ((np.array([0.1, 0.2]), 0.9, 3),
+                           "s_min=array([0.1, 0.2]) is not a number"),
+                          ((0.1, np.array(0.9), 3), "s_max=array(0.9) is not a number")):
         with pytest.raises(ValueError) as refused:
             make_curve(*args)
         assert str(refused.value) == message
@@ -97,6 +123,10 @@ def test_make_curve_validation():
     with pytest.raises(ValueError, match=r"s_min=0\.0, s_max=2\.2"):
         make_curve(0.0, 2.0**-52, steps=3)
     make_curve(2.0**-52, 2.0**-51, steps=3)
+    # a real bound of any type is read as its float
+    exact = make_curve(Fraction(1, 4), np.float32(0.5), 3)
+    assert all(np.array_equal(a, b) for a, b in zip(exact, make_curve(0.25, 0.5, 3)))
+    assert all(np.array_equal(a, b) for a, b in zip(make_curve(0, 1, 3), make_curve(0.0, 1.0, 3)))
 
 
 def test_curve_csv_schema_and_round_trip():

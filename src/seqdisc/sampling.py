@@ -27,16 +27,16 @@ from .states import check_integer
 # 64-bit words produced per Philox counter increment
 _BLOCK = 4
 
-# Words Philox generates per chunk of run_trials() (1 MB): a chunk's draws
-# stay in cache while every kernel stage reads its column of them.
+# Words per run_trials() chunk (1 MB), in cache while each observer reads its column:
+# they and their masks are a run's whole working set, and nothing else grows with trials.
 CHUNK_WORDS = 1 << 17
 
 # Philox keys are 128-bit integers.
 SEED_LIMIT = 1 << 128
 
 # Uniforms run_trials() draws at most in one run, trials * (1 + observers):
-# 20 s to 7 minutes at the 5-9 ns a draw takes for n <= 16 observers and the
-# 93 ns at n = 10**4, on one pinned CPU of a 2-vCPU VM, so every accepted run ends.
+# 20 s to 9 minutes at the 5-9 ns a draw takes for n <= 16 observers and the
+# 125 ns at n = 10**4, on one pinned CPU of a 2-vCPU VM, so every accepted run ends.
 MAX_DRAWS = 1 << 32
 
 
@@ -104,7 +104,10 @@ def run_trials(seed: int, trials: int, thresholds: tuple, kernel, name: str = "t
     for start, count in chunk_ranges(trials, chunk):
         w = trial_uniforms(seed, count, draws, start)
         masks = [classify_uniforms(b, w[:, k]) for k, b in enumerate(bounds, 1)]
-        totals += np.array([np.count_nonzero(m) for m in kernel(masks, w[:, 0] < half)])
+        sent1 = w[:, 0] < half
+        del w  # the kernel reads only the masks
+        totals += np.array([np.count_nonzero(m) for m in kernel(masks, sent1)])
+        del masks, sent1  # and the next fill holds nothing of this chunk
     return tuple(totals.tolist())
 
 

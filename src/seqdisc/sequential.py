@@ -27,8 +27,6 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .povm import output_overlap, sampling_boundaries
 from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads this binding
 from .sampling import binomial_rate, run_trials
@@ -157,5 +155,11 @@ def simulate_chain(chain: ChainSpec, trials: int, seed: int) -> TallyReport:
     conditional state on all of its branches, and fails with the same
     probability on both inputs.
     """
-    return tally_trials(seed, trials, chain.thresholds,
-                        lambda masks: (np.logical_and.reduce(masks), np.logical_or.reduce(masks)))
+    def every_and_some(masks):  # in place in masks[0] and one copy, not an (n, chunk) stack
+        every, some = masks[0], masks[0].copy()
+        for mask in masks[1:]:
+            every &= mask
+            some |= mask
+        return every, some
+
+    return tally_trials(seed, trials, chain.thresholds, every_and_some)

@@ -26,11 +26,14 @@ def freeze(array) -> np.ndarray:
     return out
 
 
-def _shown(x) -> str:
-    """str(x), or an int of over 4300 digits, Python's default str() limit, by its bit length."""
+def _shown(x, show=str) -> str:
+    """show(x); an int of over 4300 digits (str()'s default limit) by its bit length."""
     if isinstance(x, int) and abs(x) >= 10**4300:
         return f"<int of {x.bit_length()} bits>"
-    return str(x)
+    try:
+        return show(x)
+    except ValueError:  # str()'s limit, met inside a list or Fraction: show the type instead
+        return f"<unprintable {type(x).__name__}>"
 
 
 def check_real(x, name: str = "s", domain: str = "(0, 1)") -> float:
@@ -38,7 +41,7 @@ def check_real(x, name: str = "s", domain: str = "(0, 1)") -> float:
     "(0, 1]" or "[0, 1]", its ends closed where its brackets are.  Anything else,
     an int too large for a float too, raises a ValueError naming `name` and `x`."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{name}={x!r} is not a number")
+        raise ValueError(f"{name}={_shown(x, repr)} is not a number")
     try:
         value = float(x)
     except OverflowError:
@@ -54,7 +57,7 @@ def check_integer(n, name: str, lo: int, hi=math.inf) -> None:
     every count, seed and size here.  A numpy integer or a float is refused,
     not converted; the ValueError names `name` and the value."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"{name}={n!r} is not an int ({type(n).__name__})")
+        raise ValueError(f"{name}={_shown(n, repr)} is not an int ({type(n).__name__})")
     if not lo <= n <= hi:
         raise ValueError(f"{name}={_shown(n)} outside [{lo}, {hi}]")
 

@@ -18,6 +18,9 @@ from seqdisc import povm
 from seqdisc.povm import outcome_statistics
 from seqdisc.states import make_state_pair
 
+# Overlaps the Kraus-operator references are read at, log-spaced toward 0 and toward 1
+CHAIN_OVERLAPS = (1e-300, 1e-30, 1e-6, 0.01, 0.3, 1.0 - 1e-2, 1.0 - 1e-6, 1.0 - 1e-9)
+
 
 def doubles(words):
     """The double (w >> 11) * 2**-53 of each raw 64-bit word w."""

@@ -2,19 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
 from _oracles import session_rate_oracle
+from _reference import CHAIN_OVERLAPS, stages
 
 from seqdisc.b92 import (
     EVE_INTERCEPT,
     EVE_NONE,
     MODE_ONE_QUBIT,
     MODE_TWO_QUBIT,
+    MODES,
     SessionConfig,
     run_session,
     session_config_from_dict,
 )
+from seqdisc.povm import build_intermediate_ud
 from seqdisc.reporting import jsonable
+from seqdisc.sequential import build_chain
+from seqdisc.states import make_state_pair
 
 
 def _assert_within_4_sigma(report, oracle):
@@ -87,6 +93,56 @@ def test_clean_sessions_have_no_errors(mode, s):
     # headline sift rates
     q = s if mode == MODE_TWO_QUBIT else math.sqrt(s)
     assert report.rates["both_sifted"]["rate"] == pytest.approx((1.0 - q) ** 2, abs=0.01)
+
+
+def _receiver_records(s, mode, input_index) -> dict:
+    """{(Bob's outcome, Charlie's outcome): probability} when Alice sends
+    state `input_index` on a clean line, from the receivers' stored Kraus
+    operators: in two_qubit mode each measures a copy of the state with
+    build_intermediate_ud(s, s), and in one_qubit_sequential mode Bob then
+    Charlie measure the one qubit with the stages of build_chain(s, 2).
+    Each record leaves a pure state, so its probability is the squared
+    norm of the ket the record's operators make of the sent state."""
+    psi = make_state_pair(s)[input_index - 1]
+    if mode == MODE_TWO_QUBIT:
+        kraus = build_intermediate_ud(s, s).kraus
+        return {(b, c): float(np.sum((B @ psi) ** 2) * np.sum((C @ psi) ** 2))
+                for b, B in enumerate(kraus) for c, C in enumerate(kraus)}
+    bob, charlie = stages(build_chain(s, 2))
+    return {(b, c): float(np.sum((C @ (B @ psi)) ** 2))
+            for b, B in enumerate(bob.kraus) for c, C in enumerate(charlie.kraus)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_clean_session_rates_follow_from_the_kraus_operators(mode):
+    """Without an eavesdropper, the sift rates that each prepared state
+    gives through the receivers' Kraus operators are the oracle's, and
+    neither receiver ever names the wrong state.  Outcome m names state m,
+    0 is the failure.
+
+    In one_qubit_sequential mode Charlie fails with the probability the
+    schedule stores, the double nearest s/q, and the oracle's Charlie with
+    sqrt(s); the two are at most 2**-52 apart, so Charlie's rates may
+    differ by that times the rate of Bob's part of the event.  Near s = 1,
+    where 1 - sqrt(s) is 5e-10, that is 2e-7 of Charlie's rate; elsewhere,
+    and in two_qubit mode, where both receivers fail with s itself, every
+    rate holds to 1e-12."""
+    for s in CHAIN_OVERLAPS:
+        rates = dict.fromkeys(("both_sifted", "bob_sifted", "charlie_sifted"), 0.0)
+        wrong = 0.0
+        for i in (1, 2):
+            for (b, c), p in _receiver_records(s, mode, i).items():
+                rates["both_sifted"] += p / 2 * (b == c == i)
+                rates["bob_sifted"] += p / 2 * (b == i)
+                rates["charlie_sifted"] += p / 2 * (c == i)
+                wrong += p / 2 * (3 - i in (b, c))
+        oracle = session_rate_oracle(s, mode, EVE_NONE)
+        slack = {"both_sifted": 2**-52 * oracle["bob_sifted"], "bob_sifted": 0.0,
+                 "charlie_sifted": 2**-52}
+        for name, rate in rates.items():
+            allowed = slack[name] if mode == MODE_ONE_QUBIT else 0.0
+            assert rate == pytest.approx(oracle[name], rel=1e-12, abs=allowed), (s, name)
+        assert 0.0 <= wrong <= 1e-14, s
 
 
 @pytest.mark.parametrize("mode", [MODE_TWO_QUBIT, MODE_ONE_QUBIT])

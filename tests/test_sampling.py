@@ -1,11 +1,21 @@
 """Tests for the counter-based per-trial draw layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from _reference import doubles
 
-from seqdisc import sampling
-from seqdisc.b92 import EVE_POLICIES, MODES, SessionConfig, run_session, session_config_from_dict
+from seqdisc import b92, sampling, sequential
+from seqdisc.b92 import (
+    EVE_INTERCEPT,
+    EVE_POLICIES,
+    MODE_ONE_QUBIT,
+    MODES,
+    SessionConfig,
+    run_session,
+    session_config_from_dict,
+)
 from seqdisc.povm import outcome_table
 from seqdisc.sampling import blocks_per_trial, chunk_ranges, run_trials, trial_uniforms
 from seqdisc.sequential import build_chain, optimal_n_observer, simulate_chain
@@ -156,6 +166,41 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
             assert all(args[2] == draws for args in calls)
             assert all(args[1] == 1 or args[1] * doubles <= budget for args in calls)
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_run_holds_one_chunk_of_draws_at_a_time(monkeypatch):
+    """run_trials' traced peak stays within 1.25 chunks of words, however
+    many chunks a run takes: it releases each chunk's words before the
+    kernel runs and the chunk's masks before the next fill, so one chunk
+    of words and its masks are all it holds (1.10-1.11 MiB with numpy 2.4, 2.06-2.10
+    MiB when the previous chunk stayed alive through the next fill).  The
+    span traced is run_trials alone, in a chain of 2 and of 16 observers
+    and an intercepted one-qubit session, each of four chunks."""
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            counts = run_trials(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return counts
+
+    monkeypatch.setattr(sequential, "run_trials", traced)
+    monkeypatch.setattr(b92, "run_trials", traced)
+    trial_uniforms(SEED, 1, 1)  # numpy imports numpy.random at its first use, not in a span
+    # (draws per trial, trials, run)
+    runs = [(3, 100_000, lambda: simulate_chain(build_chain(0.3, 2), 100_000, SEED)),
+            (17, 20_000, lambda: simulate_chain(build_chain(0.3, 16), 20_000, SEED)),
+            (5, 50_000, lambda: run_session(SessionConfig(0.3, 50_000, MODE_ONE_QUBIT,
+                                                          EVE_INTERCEPT, SEED)))]
+    for draws, trials, run in runs:
+        chunk = sampling.CHUNK_WORDS // (blocks_per_trial(draws) * 4)
+        assert -(-trials // chunk) == 4
+        run()
+    assert len(peaks) == 3
+    assert max(peaks) <= 1.25 * sampling.CHUNK_WORDS * 8, peaks
 
 
 SEED, TRIALS = 31, 300

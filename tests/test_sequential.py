@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from _reference import (
+    CHAIN_OVERLAPS,
     apply,
     chain_classes,
     completeness_residual,
@@ -265,10 +266,6 @@ def test_near_one_chain_pi0_determinants_are_nonnegative():
                 assert completeness_residual(stage) <= TOL, (gap, n)
                 assert max(zero_error_residuals(stage)) <= TOL, (gap, n)
                 assert stage.q >= stage.s, (gap, n)
-
-
-# log-spaced toward 0 and toward 1
-CHAIN_OVERLAPS = (1e-300, 1e-30, 1e-6, 0.01, 0.3, 1.0 - 1e-2, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])

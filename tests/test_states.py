@@ -138,6 +138,24 @@ def test_check_integer_is_the_one_integer_rule():
     assert str(refused.value) in ("n=np.int64(3) is not an int (int64)", "n=3 is not an int (int64)")
 
 
+def test_a_refused_value_that_cannot_be_printed_is_named_by_its_type():
+    """Showing the refused value never raises in place of the refusal: a
+    value that str() or repr() cannot print, a Fraction or a container
+    holding an int of more than 4300 digits, Python's default str() limit,
+    is named by its type."""
+    for call, args, message in (
+        (check_real, (Fraction(10**5000, 3),), "s=<unprintable Fraction> outside (0, 1)"),
+        (check_real, ([10**5000],), "s=<unprintable list> is not a number"),
+        (check_real, ((10**5000,), "q", "(0, 1]"), "q=<unprintable tuple> is not a number"),
+        (check_integer, ([10**5000], "n", 1), "n=<unprintable list> is not an int (list)"),
+        (strategy1, ([10**5000],), "s=<unprintable list> is not a number"),
+        (make_state_pair, (Fraction(-(10**5000), 7),), "s=<unprintable Fraction> outside [0, 1]"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            call(*args)
+        assert str(refused.value) == message
+
+
 def test_states_are_read_only():
     psi1, psi2 = make_state_pair(0.5)
     for v in (psi1, psi2):

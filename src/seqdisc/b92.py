@@ -31,7 +31,7 @@ from .povm import classify_uniforms  # noqa: F401  perfbench's tracer test reads
 from .povm import sampling_boundaries
 from .sampling import SEED_LIMIT, binomial_rate, run_trials
 from .sequential import build_chain
-from .states import check_integer, check_real
+from .states import _shown, check_integer, check_real
 
 MODE_TWO_QUBIT = "two_qubit"
 MODE_ONE_QUBIT = "one_qubit_sequential"
@@ -69,7 +69,7 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     """Validate a configuration mapping, naming the offending field; a field
     it leaves out takes SessionConfig's default, if the field has one.
     check_integer() refuses rounds below 1 and a seed outside [0, 2**128)."""
-    unknown = sorted(set(raw) - set(SessionConfig._fields))
+    unknown = sorted(_shown(key) for key in set(raw) - set(SessionConfig._fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
     for field in SessionConfig._fields:
@@ -80,9 +80,9 @@ def session_config_from_dict(raw: dict) -> SessionConfig:
     s = check_real(s, "config field 's'")
     check_integer(rounds, "config field 'rounds'", 1)
     if mode not in MODES:
-        raise ValueError(f"config field 'mode'={mode!r} must be one of {MODES}")
+        raise ValueError(f"config field 'mode'={_shown(mode, repr)} must be one of {MODES}")
     if eve not in EVE_POLICIES:
-        raise ValueError(f"config field 'eve'={eve!r} must be one of {EVE_POLICIES}")
+        raise ValueError(f"config field 'eve'={_shown(eve, repr)} must be one of {EVE_POLICIES}")
     check_integer(seed, "config field 'seed'", 0, SEED_LIMIT - 1)
     return config._replace(s=s)
 

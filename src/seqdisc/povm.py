@@ -35,10 +35,10 @@ import numpy as np
 from .states import check_integer, check_real, freeze, make_state_pair
 
 # A wrong-state outcome probability below this floor is rounded to exactly
-# zero by outcome_table(), so in the Kraus form and the dilation alike; it
-# carries only float noise (~1e-32).  neumark skips outcomes at or below it
-# when comparing conditional states and prints a residual at or below it
-# as 0.  The sampler's threshold 1 - q does not use it.
+# zero by outcome_statistics(), which reads the Kraus form and the dilation
+# alike; it carries only float noise (~1e-32).  neumark skips outcomes at or
+# below it when comparing conditional states and prints a residual at or
+# below it as 0.  The sampler's threshold 1 - q does not use it.
 PROB_FLOOR = 1e-12
 
 
@@ -98,10 +98,10 @@ def build_intermediate_ud(s: float, q: float) -> UDMeasurement:
     return UDMeasurement(s=s, t=t, q=q, kraus=tuple(freeze(A) for A in (A0, A1, A2)))
 
 
-def outcome_table(s: float, input_index: int, kets_of) -> tuple:
-    """The outcome table when state `input_index`, the int 1 or 2, of the pair
-    with overlap `s` is sent; `kets_of(psi)` gives the three unnormalized
-    states A_m psi it leaves, in the order (0, 1, 2).
+def outcome_statistics(meas, input_index: int) -> tuple:
+    """The outcome table when state `input_index`, the int 1 or 2, of the
+    pair with overlap `meas.s` is sent through `meas.kraus`, the Kraus
+    operators (A_0, A_1, A_2) of a UDMeasurement or a DilationUnitary.
 
     Returns (probs, posts): probs[m] = |A_m psi|^2 and posts[m] the
     normalized A_m psi.  The wrong-state outcome's probability is rounded
@@ -110,19 +110,14 @@ def outcome_table(s: float, input_index: int, kets_of) -> tuple:
     (it is never observed).
     """
     check_integer(input_index, "input_index", 1, 2)
-    kets = kets_of(make_state_pair(s)[input_index - 1])
+    psi = make_state_pair(meas.s)[input_index - 1]
+    kets = [A @ psi for A in meas.kraus]
     probs = [float(v @ v) for v in kets]
     wrong = 3 - input_index
     if probs[wrong] < PROB_FLOOR:
         probs[wrong] = 0.0
     posts = tuple(freeze(v / math.sqrt(p) if p else v) for p, v in zip(probs, kets))
     return tuple(probs), posts
-
-
-def outcome_statistics(meas: UDMeasurement, input_index: int) -> tuple:
-    """The outcome table of outcome_table() for the Kraus form: the kets
-    are A_m psi."""
-    return outcome_table(meas.s, input_index, lambda psi: [A @ psi for A in meas.kraus])
 
 
 def sampling_boundaries(q: float) -> float:

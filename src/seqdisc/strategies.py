@@ -33,7 +33,7 @@ import numpy as np
 from .povm import sampling_boundaries
 from .reporting import csv_text, fmt, format_rows
 from .sequential import TallyReport, build_chain, simulate_chain, tally_trials
-from .states import check_integer, check_real
+from .states import _shown, check_integer, check_real
 
 KINDS = ("1", "2", "3", "seq")
 
@@ -134,11 +134,11 @@ def simulate_strategy(kind, s: float, trials: int, seed: int, n: int = 2) -> Tal
     trial index always sees the same numbers.  None can name the wrong
     state, and `error_count` is 0 by construction (see tally_trials).
     """
-    kind = str(kind)
+    kind = _shown(kind)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind != "seq" and n != 2:
-        raise ValueError(f"--n applies only to kind 'seq', got n={n}")
+        raise ValueError(f"--n applies only to kind 'seq', got n={_shown(n)}")
     if kind in ("1", "seq"):
         return simulate_chain(build_chain(s, 1 if kind == "1" else n), trials, seed)
     s = check_real(s)

@@ -5,11 +5,12 @@ measurement's own outcome table rather than the sampler's threshold, and
 doubles() turns the raw Philox words sampling.trial_uniforms returns into
 the doubles Generator.random makes of them.  completeness_residual() and
 zero_error_residuals() read a measurement's health from its Kraus
-operators, and stages() builds the measurements of a chain's schedule.
-chain_classes() sends a prepared state through those measurements by their
-Kraus operators, so the whole chain's rates rest on the operators, not on
-the sampler's thresholds.  pair_rate() is the paper's joint rate P for
-explicit failure pairs.
+operators, a UDMeasurement's or a DilationUnitary's alike, and stages()
+builds the measurements of a chain's schedule.  chain_classes() sends a
+prepared state through those measurements by their Kraus operators, so
+the whole chain's rates rest on the operators, not on the sampler's
+thresholds.  pair_rate() is the paper's joint rate P for explicit failure
+pairs.
 """
 
 import numpy as np
@@ -28,7 +29,8 @@ def doubles(words):
 
 
 def apply(meas, input_index: int, rand: float):
-    """Apply the measurement to one prepared state using a uniform draw.
+    """Apply the measurement, any record with `s` and `kraus`, to one
+    prepared state using a uniform draw.
 
     Returns (outcome, post), post the state the outcome leaves.  The draw
     is classified against the cells [0, P(1)), [P(1), P(1)+P(2)),
@@ -48,7 +50,7 @@ def completeness_residual(meas) -> float:
 
 def zero_error_residuals(meas) -> tuple:
     """(|A_1 psi_2|^2, |A_2 psi_1|^2), the wrong-state probabilities before
-    outcome_table()'s floor."""
+    outcome_statistics()'s floor."""
     _, A1, A2 = meas.kraus
     psi1, psi2 = make_state_pair(meas.s)
     return tuple(float(v @ v) for v in (A1 @ psi2, A2 @ psi1))

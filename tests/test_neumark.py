@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from _reference import CHAIN_OVERLAPS, chain_classes, completeness_residual, stages, zero_error_residuals
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
@@ -19,6 +20,7 @@ from seqdisc.neumark import (
 )
 from seqdisc.povm import build_intermediate_ud, outcome_statistics
 from seqdisc.reporting import dumps_json
+from seqdisc.sequential import build_chain
 from seqdisc.states import make_state_pair
 
 S_GRID = [0.04, 0.25, 0.5, 0.75, 0.9]
@@ -136,12 +138,30 @@ def test_povm_equivalence_residual_is_tiny(s):
     assert povm_equivalence(build_dilation(s)) < 1e-10
 
 
+@pytest.mark.parametrize("s", CHAIN_OVERLAPS)
+def test_the_dilation_kraus_operators_pass_the_reference_checks(s):
+    """U's own Kraus operators, not the Kraus form it is compared with,
+    complete to the identity, never name the wrong state on their canonical
+    input, and leave the second observer of the two-observer chain a state
+    it never misidentifies either (seen: at most 3.1e-16, 2.5e-32 and
+    3.9e-25)."""
+    d = build_dilation(s)
+    assert completeness_residual(d) <= 1e-15
+    assert max(zero_error_residuals(d)) <= 1e-30
+    second = stages(build_chain(s, 2))[1]
+    for i in (1, 2):
+        assert chain_classes((d, second), i)[3] <= 1e-14
+
+
 @pytest.mark.parametrize("s", [0.04, 0.3, 0.9])
 def test_povm_equivalence_sees_a_wrong_conditional_state(s):
     """Negating row 3 of U (qubit 1, ancilla 0) keeps U unitary and every
     outcome probability, but leaves the mirror image of phi_i on outcome 0,
     phi_{3-i}, whose fidelity with phi_i is t^2 = s: the residual is 1 - s,
-    which a comparison of the probabilities alone would miss."""
+    which a comparison of the probabilities alone would miss.  Its own
+    zero-error residuals stay at float noise, but the chain's second
+    observer, measuring what it left, names the wrong state with
+    probability 0.160, 0.248 and 0.0487 at s = 0.04, 0.3 and 0.9."""
     d = build_dilation(s)
     # negation is exact, so U @ psi rounds alike in every other entry
     tampered = d._replace(u=d.u * np.array([1, 1, 1, -1, 1, 1])[:, None])
@@ -152,6 +172,10 @@ def test_povm_equivalence_sees_a_wrong_conditional_state(s):
     assert povm_equivalence(tampered) > 0.5 * (1.0 - s)
     # and the report's floor at PROB_FLOOR lets it through
     assert dilation_report(tampered)["equivalence_residual"] > 0.5 * (1.0 - s)
+    assert max(zero_error_residuals(tampered)) < 1e-31
+    second = stages(build_chain(s, 2))[1]
+    for i in (1, 2):
+        assert chain_classes((tampered, second), i)[3] > 0.1 * (1.0 - s)
 
 
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES + S_GOLDEN)
@@ -181,7 +205,7 @@ def test_report_floor_hides_no_fault(s):
 
 
 @pytest.mark.parametrize("s", S_GRID + S_EXTREMES + S_GOLDEN)
-def test_both_outcome_tables_round_the_wrong_state_to_zero(s):
+def test_the_kraus_form_and_the_dilation_round_the_wrong_state_to_zero(s):
     """The Kraus form and the dilation read their outcome tables through
     one rule, so each gives the wrong-state outcome a probability of
     exactly 0.0, not float noise."""

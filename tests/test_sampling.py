@@ -16,7 +16,7 @@ from seqdisc.b92 import (
     run_session,
     session_config_from_dict,
 )
-from seqdisc.povm import outcome_table
+from seqdisc.povm import build_intermediate_ud, outcome_statistics
 from seqdisc.sampling import blocks_per_trial, chunk_ranges, run_trials, trial_uniforms
 from seqdisc.sequential import build_chain, optimal_n_observer, simulate_chain
 from seqdisc.strategies import make_curve, simulate_strategy
@@ -106,7 +106,7 @@ def test_a_bool_or_non_int_seed_or_count_is_refused(bad):
         ("steps", make_curve, (0, 1, bad)),
         ("n", build_chain, (0.3, bad)),
         ("n", optimal_n_observer, (0.3, bad)),
-        ("input_index", outcome_table, (0.3, bad, None)),
+        ("input_index", outcome_statistics, (build_intermediate_ud(0.3, 0.5), bad)),
         ("config field 'rounds'", session_config_from_dict, ({**good, "rounds": bad},)),
         ("config field 'seed'", session_config_from_dict, ({**good, "seed": bad},)),
         ("n_trials", trial_uniforms, (1, bad, 2)),

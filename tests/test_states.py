@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqdisc.b92 import MODE_TWO_QUBIT, session_config_from_dict
 from seqdisc.states import check_integer, check_real, make_state_pair
-from seqdisc.strategies import strategy1, strategy2, strategy3, strategy_seq
+from seqdisc.strategies import simulate_strategy, strategy1, strategy2, strategy3, strategy_seq
 
 S_GRID = [0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999]
 
@@ -139,10 +140,13 @@ def test_check_integer_is_the_one_integer_rule():
 
 
 def test_a_refused_value_that_cannot_be_printed_is_named_by_its_type():
-    """Showing the refused value never raises in place of the refusal: a
-    value that str() or repr() cannot print, a Fraction or a container
-    holding an int of more than 4300 digits, Python's default str() limit,
-    is named by its type."""
+    """Showing the refused value never raises in place of the refusal, in
+    states or in the refusals of the other modules: a value that str() or
+    repr() cannot print, a Fraction or a container holding an int of more
+    than 4300 digits, Python's default str() limit, is named by its type,
+    such an int itself by its bit length, and a config field name that is
+    not a str by its str()."""
+    good = {"s": 0.3, "rounds": 10, "mode": MODE_TWO_QUBIT}
     for call, args, message in (
         (check_real, (Fraction(10**5000, 3),), "s=<unprintable Fraction> outside (0, 1)"),
         (check_real, ([10**5000],), "s=<unprintable list> is not a number"),
@@ -150,6 +154,15 @@ def test_a_refused_value_that_cannot_be_printed_is_named_by_its_type():
         (check_integer, ([10**5000], "n", 1), "n=<unprintable list> is not an int (list)"),
         (strategy1, ([10**5000],), "s=<unprintable list> is not a number"),
         (make_state_pair, (Fraction(-(10**5000), 7),), "s=<unprintable Fraction> outside [0, 1]"),
+        (simulate_strategy, (10**5000, 0.3, 10, 1),
+         "kind must be one of ('1', '2', '3', 'seq'), got '<int of 16610 bits>'"),
+        (simulate_strategy, ("2", 0.3, 10, 1, 10**5000),
+         "--n applies only to kind 'seq', got n=<int of 16610 bits>"),
+        (session_config_from_dict, ({**good, "mode": [10**5000]},),
+         "config field 'mode'=<unprintable list> must be one of ('two_qubit', 'one_qubit_sequential')"),
+        (session_config_from_dict, ({**good, "eve": (10**5000,)},),
+         "config field 'eve'=<unprintable tuple> must be one of ('none', 'intercept_ud')"),
+        (session_config_from_dict, ({1: 2},), "unknown config field(s): 1"),
     ):
         with pytest.raises(ValueError) as refused:
             call(*args)
